@@ -38,9 +38,10 @@ print("\ntruncated squared distance G (plateau at 4 delta^2 = "
       f"{4 * s2.tube_radius ** 2}):")
 for s in (0.1, 0.2, 0.3, 0.5, 1.0):
     pt = np.array([0.0, 0.0, 1.0 + s])
-    g, grad, quad = s2.truncated_distance_sq(pt)
-    print(f"  dist {s:.1f}: G = {g:.4f}, |grad G| = {np.linalg.norm(grad):.4f}, "
-          f"Hess G(e_z, e_z) = {quad(np.array([0.0, 0.0, 1.0])):.4f}")
+    hess = s2.g_hessian_quad(pt, np.array([0.0, 0.0, 1.0]))
+    print(f"  dist {s:.1f}: G = {s2.g_value(pt):.4f}, "
+          f"|grad G| = {np.linalg.norm(s2.g_gradient(pt)):.4f}, "
+          f"Hess G(e_z, e_z) = {hess:.4f}")
 
 c_fit, margin = fit_g_inequality_constant(s2, n_samples=10_000, seed=0)
 print(f"\nlower-bound constant for Hess G + <grad G, curvature>:")

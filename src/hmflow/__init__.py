@@ -7,8 +7,7 @@ its fixed point and verified against closed-form reductions and geometric
 invariants.
 """
 
-from .bsde import (BsdeSolutionSample, bsde_residual, gradient_field,
-                   picard_map, sample_solution)
+from .bsde import BsdeSolutionSample, bsde_residual, picard_map, sample_solution
 from .errors import (BlowUp, ConfigError, FieldLeftTube, GridTooCoarse,
                      HmflowError, HorizonMismatch, InsufficientHistory,
                      NoContraction, PointNotOnManifold, PointOutsideTube,
@@ -24,6 +23,7 @@ from .targets import (FlatSpace, TargetManifold, UnitSphere,
                       fit_g_inequality_constant, sff_finite_difference)
 from .verify import (BenchmarkCase, StayOnTargetReport, circle_lift,
                      make_benchmark, pde_reference, semigroup_gradient_rate,
-                     stay_on_target, tension_residual, weak_form_residual)
+                     stay_on_target, tension_residual, terminal_case,
+                     weak_form_residual)
 
 __version__ = "0.1.0"

@@ -22,13 +22,12 @@ from ._rng import DOMAIN_MC_SLICE, keyed_generator
 from .errors import BlowUp, HorizonMismatch, ShapeMismatch
 from .fields import MapField, c01_norm, difference_c01  # noqa: F401  (re-export)
 from .forward import PathEnsemble
-from .sources import Circle, Sphere2
 from .targets import sff_trace
 
 
 def picard_map(u: MapField, h, backend: str = "semigroup", n_paths: int = 0,
                master_seed: int = 0, antithetic: bool = False,
-               n_quad: int = 40, implicit_driver: int = 0) -> MapField:
+               n_quad: int = 40) -> MapField:
     """One application of the backward-flow operator to the frozen field u.
 
     Stepping backward from w(horizon) = h: each slice first takes the
@@ -36,12 +35,8 @@ def picard_map(u: MapField, h, backend: str = "semigroup", n_paths: int = 0,
     kernel on the circle, implicit heat step on the sphere, or per-node
     one-step Monte Carlo / Gauss-Hermite quadrature for the monte_carlo
     backend), then subtracts (dt/2) times the curvature driver with the
-    gradient of u frozen at the current slice.
-
-    By default the driver's base point is the conditional expectation (a
-    one-step lag).  implicit_driver > 0 runs that many inner fixed-point
-    sweeps per slice so the base point is the slice value itself; an
-    experiment knob, not needed for the stated orders.
+    gradient of u frozen at the current slice.  The driver's base point is
+    the conditional expectation (a one-step lag).
 
     Monte Carlo increments are keyed by (master_seed, slice) only, so the
     realized operator is one fixed deterministic map: iterating it measures
@@ -55,8 +50,9 @@ def picard_map(u: MapField, h, backend: str = "semigroup", n_paths: int = 0,
             f"{u.values.shape[1:]}")
     if backend not in ("semigroup", "monte_carlo"):
         raise ValueError(f"unknown backend {backend!r}")
-    if backend == "monte_carlo" and n_paths <= 0 and not isinstance(source, Circle):
-        raise ValueError("quadrature fallback is only available on the circle")
+    if backend == "monte_carlo" and n_paths <= 0 \
+            and not hasattr(source, "quadrature_step_mean"):
+        raise ValueError(f"quadrature fallback is not available on {source!r}")
 
     dt = u.dt
     n_t = u.n_t
@@ -74,29 +70,12 @@ def picard_map(u: MapField, h, backend: str = "semigroup", n_paths: int = 0,
             cond = source.quadrature_step_mean(t_k, dt, w[k + 1], n_quad)
         z = source.frame_gradient(t_k, u.values[k])
         w[k] = cond - 0.5 * dt * sff_trace(target, cond, z)
-        for _ in range(implicit_driver):
-            w[k] = cond - 0.5 * dt * sff_trace(target, w[k], z)
         worst = float(np.max(np.linalg.norm(w[k], axis=-1)))
         if worst > bound:
             raise BlowUp(
                 f"|w| reached {worst:.3g} > {bound:.3g} at slice {k}; "
                 "horizon too long for the contraction regime")
     return MapField(u.times.copy(), w, source, target)
-
-
-def gradient_field(field: MapField) -> np.ndarray:
-    """Metric gradient of every slice in the orthonormal tangent frame.
-
-    Shape (n_t+1, *grid_shape, m, value_dim); the Euclidean block norm over
-    the trailing two axes is the metric norm of the gradient.
-    """
-    out = None
-    for k, t in enumerate(field.times):
-        z = field.source.frame_gradient(t, field.values[k])
-        if out is None:
-            out = np.empty((len(field.times),) + z.shape)
-        out[k] = z
-    return out
 
 
 @dataclass
@@ -156,26 +135,8 @@ def bsde_residual(sample: BsdeSolutionSample) -> float:
     defect = np.zeros((ens.n_paths, y.shape[-1]))
     for k in range(ens.n_steps):
         drv = sff_trace(sample.target, y[k], z[k])
-        if isinstance(sample.source, Circle):
-            db = sample.source.scalar_increments(ens.states[k], ens.increments[k])
-            mart = z[k, :, 0, :] * db[:, None]
-        elif isinstance(sample.source, Sphere2):
-            e_th, e_ph = _sphere_frames_at(ens.states[k])
-            mart = (z[k, :, 0, :] * np.sum(e_th * ens.increments[k], axis=-1)[:, None]
-                    + z[k, :, 1, :] * np.sum(e_ph * ens.increments[k], axis=-1)[:, None])
-        else:
-            raise ShapeMismatch(f"unsupported source {type(sample.source).__name__}")
+        db = sample.source.frame_increments(ens.states[k], ens.increments[k])
+        mart = np.sum(z[k] * db[..., None], axis=1)
         defect += y[k + 1] - y[k] - 0.5 * dt * drv - mart
     return float(np.sqrt(np.mean(np.sum(defect ** 2, axis=-1))))
 
-
-def _sphere_frames_at(x):
-    """Orthonormal coordinate frame (e_theta, e_phi) at unit vectors x."""
-    x = np.asarray(x, dtype=float)
-    theta = np.arccos(np.clip(x[..., 2], -1.0, 1.0))
-    phi = np.arctan2(x[..., 1], x[..., 0])
-    ct, st = np.cos(theta), np.sin(theta)
-    cp, sp = np.cos(phi), np.sin(phi)
-    e_th = np.stack([ct * cp, ct * sp, -st], axis=-1)
-    e_ph = np.stack([-sp, cp, np.zeros_like(sp)], axis=-1)
-    return e_th, e_ph

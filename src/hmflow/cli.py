@@ -9,8 +9,10 @@ against the independent residual oracles.
 Every command echoes its config into the output directory and is
 reproducible from config + seed: all emitted CSV/JSON is byte-identical
 across reruns.  Wall-clock timing goes to run.log only, which is outside
-that contract.  Exit codes: 0 success, 2 config/IO error, 3 no
-contraction, 4 verification failure.
+that contract.  Exit codes: 0 success, 2 config/IO error (config values
+are checked before any computing starts), 3 no contraction, 4
+verification failure, 5 a solve that stopped at max_iter without
+converging (its outputs are still written).
 """
 
 from __future__ import annotations
@@ -25,15 +27,15 @@ from pathlib import Path
 import numpy as np
 
 from .bsde import sample_solution
-from .errors import (ConfigError, FieldLeftTube, HmflowError, NoContraction,
-                     TerminalNotOnTarget)
+from .errors import (ConfigError, FieldLeftTube, GridTooCoarse, HmflowError,
+                     NoContraction, TerminalNotOnTarget, UnsupportedReduction)
 from .fields import MapField
-from .forward import moment_check, simulate
-from .picard import contraction_report, solve
+from .forward import moment_check, simulate, step_count
+from .picard import solve
 from .sources import Circle, Sphere2, constant_radius, shrinking_radius, sine_radius
 from .targets import FlatSpace, UnitSphere
 from .verify import (BenchmarkCase, pde_reference, stay_on_target,
-                     tension_residual, weak_form_residual)
+                     tension_residual, terminal_case, weak_form_residual)
 
 _SCHEMA = {
     "source": {
@@ -139,65 +141,74 @@ def build_source(cfg: dict):
         profile = shrinking_radius()
     else:
         raise ConfigError(f"unknown radius profile {sc['profile']!r}")
-    if sc["family"] == "circle":
-        return Circle(profile, n_theta=sc["n_theta"], horizon=sc["horizon"])
-    if sc["family"] == "sphere2":
-        return Sphere2(profile, n_theta=sc["n_theta"], n_phi=sc["n_phi"],
-                       horizon=sc["horizon"])
-    raise ConfigError(f"unknown source family {sc['family']!r}")
+    try:
+        if sc["family"] == "circle":
+            source = Circle(profile, n_theta=sc["n_theta"], horizon=sc["horizon"])
+        elif sc["family"] == "sphere2":
+            source = Sphere2(profile, n_theta=sc["n_theta"], n_phi=sc["n_phi"],
+                             horizon=sc["horizon"])
+        else:
+            raise ConfigError(f"unknown source family {sc['family']!r}")
+        source.check_grid()
+    except (ValueError, GridTooCoarse) as exc:
+        raise ConfigError(f"[source] {exc}")
+    return source
 
 
 def build_target(cfg: dict):
     tc = cfg["target"]
-    if tc["family"] == "circle":
-        return UnitSphere(1, tube_radius=tc["tube_radius"])
-    if tc["family"] == "sphere2":
-        return UnitSphere(2, tube_radius=tc["tube_radius"])
+    try:
+        if tc["family"] == "circle":
+            return UnitSphere(1, tube_radius=tc["tube_radius"])
+        if tc["family"] == "sphere2":
+            return UnitSphere(2, tube_radius=tc["tube_radius"])
+    except ValueError as exc:
+        raise ConfigError(f"[target] tube_radius = {tc['tube_radius']}: {exc}")
     if tc["family"] == "flat":
         return FlatSpace(tc["ambient_dim"])
     raise ConfigError(f"unknown target family {tc['family']!r}")
 
 
+def build_case(cfg: dict, source, target) -> BenchmarkCase:
+    """The configured terminal map as a case of the problem registry."""
+    tc = cfg["terminal"]
+    return terminal_case(tc["name"], source, target, cfg["run"]["t0"],
+                         tc["amplitude"], tc["winding"])
+
+
 def build_terminal(cfg: dict, source, target):
     """Terminal map values on the grid, plus lift data for reference solutions."""
-    name = cfg["terminal"]["name"]
-    amp = cfg["terminal"]["amplitude"]
-    wind = cfg["terminal"]["winding"]
-    if isinstance(source, Circle):
-        th = source.thetas
-        if name == "identity":
-            lift, w = (lambda a: a), 1
-        elif name == "perturbed_geodesic":
-            lift, w = (lambda a: a + amp * np.sin(a)), 1
-        elif name == "winding":
-            lift, w = (lambda a: wind * a), wind
-        elif name == "great_circle":
-            if target.ambient_dim != 3:
-                raise ConfigError("great_circle requires a sphere2 target")
-            lift, w = (lambda a: a), 1
-        elif name == "constant_point":
-            point = np.zeros(target.ambient_dim)
-            point[0] = 1.0
-            return np.broadcast_to(point, (source.n_theta,) + point.shape).copy(), None, 0
-        else:
-            raise ConfigError(f"unknown terminal map {name!r} for a circle source")
-        phi = lift(th)
-        cols = [np.cos(phi), np.sin(phi)]
-        if target.ambient_dim == 3:
-            cols.append(np.zeros_like(phi))
-        return np.stack(cols, axis=-1), lift, w
-    if isinstance(source, Sphere2):
-        if name == "equivariant":
-            psi = source.thetas + amp * np.sin(source.thetas)
-            ps, ph = psi[:, None], source.phis[None, :]
-            shape = source.grid_shape
-            vals = np.stack([np.sin(ps) * np.cos(ph), np.sin(ps) * np.sin(ph),
-                             np.broadcast_to(np.cos(ps), shape)], axis=-1)
-            return vals, None, 0
-        if name == "identity":
-            return source.grid_points(), None, 0
-        raise ConfigError(f"unknown terminal map {name!r} for a sphere source")
-    raise ConfigError("unsupported source for terminal map construction")
+    case = build_case(cfg, source, target)
+    return case.terminal, case.lift, case.winding
+
+
+def _check_run(rc: dict, source):
+    """Reject [run] values that the solve would only fail on later."""
+    if rc["t0"] > source.horizon:
+        raise ConfigError(f"[run] t0 = {rc['t0']} exceeds the source horizon "
+                          f"{source.horizon}")
+    if rc["n_paths"] < 0:
+        raise ConfigError(f"[run] n_paths = {rc['n_paths']} must not be negative")
+    if rc["backend"] == "monte_carlo" and rc["n_paths"] == 0 \
+            and not hasattr(source, "quadrature_step_mean"):
+        raise ConfigError(f"[run] n_paths = 0 selects the quadrature fallback, "
+                          f"which {source!r} does not have")
+
+
+def _check_forward(fc: dict, source):
+    """Reject bad [forward] values; returns the start point x0 on the source."""
+    try:
+        x0 = source.chart_point([float(v) for v in fc["x0"].split(",")])
+    except ValueError as exc:
+        raise ConfigError(f"[forward] x0 = {fc['x0']!r}: {exc}")
+    if fc["n_paths"] < 2 or (fc["antithetic"] and fc["n_paths"] % 2):
+        raise ConfigError(f"[forward] n_paths = {fc['n_paths']} must be at least 2 for a "
+                          "standard error, and even with antithetic sampling")
+    try:
+        step_count(source, 0.0, fc["horizon"], fc["dt"])
+    except (HmflowError, ValueError) as exc:
+        raise ConfigError(f"[forward] horizon = {fc['horizon']}, dt = {fc['dt']}: {exc}")
+    return x0
 
 
 def _json_dump(obj, path: Path):
@@ -206,20 +217,6 @@ def _json_dump(obj, path: Path):
 
 def _echo_config(config_path: str, out: Path):
     out.joinpath("config.ini").write_text(Path(config_path).read_text())
-
-
-def _reference_field(cfg, source, target, terminal, lift, winding, horizon, n_t):
-    """Reference solution when the configured case has a supported reduction."""
-    if not isinstance(source, Circle):
-        return None
-    if lift is None and not isinstance(target, FlatSpace):
-        return None
-    case = BenchmarkCase("config_case", source, target, horizon, terminal,
-                         lift=lift, winding=winding)
-    try:
-        return pde_reference(case, n_t=n_t)
-    except HmflowError:
-        return None
 
 
 def cmd_solve(config_path: str, out_dir: str, seed: int | None,
@@ -238,12 +235,13 @@ def cmd_solve(config_path: str, out_dir: str, seed: int | None,
     _echo_config(config_path, out)
     source = build_source(cfg)
     target = build_target(cfg)
-    terminal, lift, winding = build_terminal(cfg, source, target)
+    case = build_case(cfg, source, target)
+    _check_run(rc, source)
 
     start = time.perf_counter()
     try:
         field, state, sample = solve(
-            source, target, terminal, rc["t0"], tol=rc["tol"],
+            source, target, case.terminal, rc["t0"], tol=rc["tol"],
             max_iter=rc["max_iter"], backend=rc["backend"], dt=rc["dt"],
             n_paths=rc["n_paths"], master_seed=rc["master_seed"],
             antithetic=rc["antithetic"], sample_paths=rc["sample_paths"],
@@ -272,8 +270,11 @@ def cmd_solve(config_path: str, out_dir: str, seed: int | None,
         "n_nodes": field.n_nodes,
         "sample_max_dist": float(np.max(target.distance(sample.y))),
     }
-    ref = _reference_field(cfg, source, target, terminal, lift, winding,
-                           state.horizon, field.n_t)
+    case.horizon = state.horizon
+    try:
+        ref = pde_reference(case, n_t=field.n_t)
+    except UnsupportedReduction:
+        ref = None
     if ref is not None:
         err = np.linalg.norm(field.values - ref.values, axis=-1).max(
             axis=tuple(range(1, field.values.ndim - 1)))
@@ -283,12 +284,17 @@ def cmd_solve(config_path: str, out_dir: str, seed: int | None,
         summary["reference_sup_error"] = float(err.max())
         _write_benchmark_csv(out, field, ref)
     _json_dump(summary, out / "summary.json")
-    out.joinpath("run.log").write_text(
-        f"solve finished in {wall:.3f} s, {state.iterations} iterations\n")
-
     if rc["plots"]:
         _emit_plots(out, state, field, ref)
-    return 0
+    if state.converged:
+        out.joinpath("run.log").write_text(
+            f"solve finished in {wall:.3f} s, {state.iterations} iterations\n")
+        return 0
+    message = (f"solve did not converge: delta {state.deltas[-1]:.3g} > tol "
+               f"{rc['tol']:g} after max_iter = {state.iterations} iterations")
+    print(message, file=sys.stderr)
+    out.joinpath("run.log").write_text(f"{message} ({wall:.3f} s)\n")
+    return 5
 
 
 def _write_benchmark_csv(out: Path, field, ref):
@@ -341,13 +347,7 @@ def cmd_simulate_forward(config_path: str, out_dir: str, seed: int | None) -> in
     out.mkdir(parents=True, exist_ok=True)
     _echo_config(config_path, out)
     source = build_source(cfg)
-    if isinstance(source, Circle):
-        x0 = float(fc["x0"])
-    else:
-        x0 = np.array([float(v) for v in fc["x0"].split(",")])
-        if x0.shape != (3,) or not np.linalg.norm(x0) > 0:
-            raise ConfigError("sphere x0 must be three comma-separated numbers")
-        x0 = x0 / np.linalg.norm(x0)
+    x0 = _check_forward(fc, source)
 
     start = time.perf_counter()
     report = moment_check(source, 0.0, x0, fc["horizon"], fc["dt"],
@@ -372,9 +372,9 @@ def _resolve_test_fn(name: str, source):
     if name == "one":
         return np.ones(source.grid_shape)
     if name == "cos_theta":
-        if isinstance(source, Circle):
-            return np.cos(source.thetas)
-        return source.grid_points()[..., 2]
+        # cosine of the first chart angle, constant along the other grid axes
+        cos = np.cos(source.thetas).reshape((-1,) + (1,) * (len(source.grid_shape) - 1))
+        return np.broadcast_to(cos, source.grid_shape)
     raise ConfigError(f"unknown test function {name!r}")
 
 
@@ -406,8 +406,8 @@ def cmd_verify(config_path: str, out_dir: str, seed: int | None) -> int:
             "threshold": vc["tension_tol"],
             "pass": bool(tension.max() <= vc["tension_tol"]),
         }
-        ensemble = simulate(source, 0.0, _starts(source, vc["sample_paths"]),
-                            field.horizon, field.dt, vc["sample_paths"], master_seed)
+        ensemble = simulate(source, 0.0, "grid", field.horizon, field.dt,
+                            vc["sample_paths"], master_seed)
         report = stay_on_target(target, sample_solution(field, ensemble))
         checks["stay_on_target"] = {
             "value": report.max_dist,
@@ -430,12 +430,6 @@ def cmd_verify(config_path: str, out_dir: str, seed: int | None) -> int:
     if code == 0 and not verdict["all_pass"]:
         code = 4
     return code
-
-
-def _starts(source, n_paths):
-    if isinstance(source, Circle):
-        return np.resize(source.thetas, n_paths)
-    return np.resize(source.grid_points().reshape(-1, 3), (n_paths, 3))
 
 
 def main(argv=None) -> int:

@@ -18,7 +18,6 @@ from scipy.integrate import quad
 
 from ._rng import DOMAIN_FORWARD_PATH, path_normals
 from .errors import StepTooLarge, TimeOutOfRange
-from .sources import Circle, Sphere2
 
 
 def time_change(profile, t0: float, t1: float) -> float:
@@ -31,8 +30,8 @@ def time_change(profile, t0: float, t1: float) -> float:
 class PathEnsemble:
     """Forward paths plus the ambient Brownian increments that drove them.
 
-    states: chart coordinates per time node, (n_steps+1, n_paths) angles on
-    the circle, (n_steps+1, n_paths, 3) unit vectors on the sphere.
+    states: chart points per time node, (n_steps+1, n_paths) + point_shape
+    of the source: angles on the circle, unit vectors on the sphere.
     increments: (n_steps, n_paths, ambient_dim), retained so the pathwise
     backward-equation identity can be checked against the same noise.
     """
@@ -57,10 +56,7 @@ class PathEnsemble:
         """Dump paths as rows (path_id, step, time, chart coordinates...)."""
         with open(str(path), "w", newline="") as fh:
             writer = csv.writer(fh)
-            if isinstance(self.source, Circle):
-                writer.writerow(["path_id", "step", "time", "theta"])
-            else:
-                writer.writerow(["path_id", "step", "time", "x", "y", "z"])
+            writer.writerow(["path_id", "step", "time", *self.source.chart_columns])
             for p in range(self.n_paths):
                 for k, t in enumerate(self.times):
                     state = self.states[k, p]
@@ -101,6 +97,25 @@ def _draw_increments(master_seed, n_paths, n_steps, dim, dt, antithetic, threads
     return out
 
 
+def step_count(source, t: float, horizon: float, dt: float) -> int:
+    """Number of steps of size dt from t to the horizon, checked against the source.
+
+    Raises TimeOutOfRange past the metric's interval, ValueError when dt
+    does not divide the span and StepTooLarge beyond the stability bound.
+    """
+    if not t < horizon <= source.horizon + 1e-12:
+        raise TimeOutOfRange(f"need t < horizon <= {source.horizon}, got [{t}, {horizon}]")
+    span = horizon - t
+    n_steps = int(round(span / dt))
+    if n_steps < 1 or abs(n_steps * dt - span) > 1e-9 * max(span, 1.0):
+        raise ValueError(f"dt={dt} does not divide the interval length {span}")
+    rho_min = source.min_radius(t, horizon)
+    if dt > rho_min ** 2 / 4.0:
+        raise StepTooLarge(
+            f"dt={dt} exceeds the stability bound (min rho)^2/4 = {rho_min ** 2 / 4.0:.3g}")
+    return n_steps
+
+
 def simulate(source, t: float, x, horizon: float, dt: float, n_paths: int,
              master_seed: int, antithetic: bool = False, zero_noise: bool = False,
              threads: int = 0, _domain: int = DOMAIN_FORWARD_PATH) -> PathEnsemble:
@@ -115,20 +130,9 @@ def simulate(source, t: float, x, horizon: float, dt: float, n_paths: int,
     if isinstance(x, str):
         if x != "grid":
             raise ValueError(f"unknown start spec {x!r}")
-        if isinstance(source, Circle):
-            x = np.resize(source.thetas, n_paths)
-        else:
-            x = np.resize(source.grid_points().reshape(-1, 3), (n_paths, 3))
-    if not t < horizon <= source.horizon + 1e-12:
-        raise TimeOutOfRange(f"need t < horizon <= {source.horizon}, got [{t}, {horizon}]")
-    span = horizon - t
-    n_steps = int(round(span / dt))
-    if n_steps < 1 or abs(n_steps * dt - span) > 1e-9 * max(span, 1.0):
-        raise ValueError(f"dt={dt} does not divide the interval length {span}")
-    rho_min = source.min_radius(t, horizon)
-    if dt > rho_min ** 2 / 4.0:
-        raise StepTooLarge(
-            f"dt={dt} exceeds the stability bound (min rho)^2/4 = {rho_min ** 2 / 4.0:.3g}")
+        shape = (n_paths,) + source.point_shape
+        x = np.resize(source.grid_points().reshape((-1,) + source.point_shape), shape)
+    n_steps = step_count(source, t, horizon, dt)
 
     dim = source.ambient_dim
     if zero_noise:
@@ -138,17 +142,12 @@ def simulate(source, t: float, x, horizon: float, dt: float, n_paths: int,
                                       antithetic, threads)
 
     x = np.asarray(x, dtype=float)
-    if isinstance(source, Circle):
-        start = np.full(n_paths, float(x)) if x.ndim == 0 else x.astype(float)
-        states = np.empty((n_steps + 1, n_paths))
-    else:
-        start = np.broadcast_to(x, (n_paths, 3)).astype(float)
-        states = np.empty((n_steps + 1, n_paths, 3))
-    if start.shape[0] != n_paths:
+    if x.ndim > len(source.point_shape) and x.shape[0] != n_paths:
         raise ValueError("per-path starts must have leading length n_paths")
+    states = np.empty((n_steps + 1, n_paths) + source.point_shape)
+    states[0] = x
 
     times = t + dt * np.arange(n_steps + 1)
-    states[0] = start
     worst = 0.0
     for k in range(n_steps):
         states[k + 1], viol = source.step_paths(states[k], times[k], dt, increments[k])
@@ -162,27 +161,22 @@ def moment_check(source, t: float, x, horizon: float, dt: float, n_paths: int,
                  threads: int = 0) -> dict:
     """Decay of the first nontrivial symmetric moment against the exact law.
 
-    Circle: E[cos theta] decays by exp(-tau/2); sphere: E[<X, x0>] by
-    exp(-tau), with tau the integral of rho^-2 over the run.  Returns the
-    sample mean, exact value, standard error and the 3-sigma verdict.
+    The mean of the source's `first_harmonic` decays by exp(-dim tau / 2)
+    (E[cos theta] on the circle, E[<X, x0>] on the sphere), with tau the
+    integral of rho^-2 over the run.  Returns the sample mean, exact value,
+    standard error and the 3-sigma verdict.
     """
     ens = simulate(source, t, x, horizon, dt, n_paths, master_seed, antithetic,
                    threads=threads)
     tau = time_change(source.profile, t, horizon)
-    if isinstance(source, Circle):
-        vals = np.cos(ens.states[-1])
-        expected = float(np.mean(np.cos(np.atleast_1d(ens.states[0]))) * np.exp(-tau / 2.0))
-        label = "mean cos(theta)"
-    else:
-        x0 = np.broadcast_to(np.asarray(x, dtype=float), (n_paths, 3))
-        vals = np.sum(ens.states[-1] * x0, axis=-1)
-        expected = float(np.mean(np.sum(ens.states[0] * x0, axis=-1)) * np.exp(-tau))
-        label = "mean <X, x0>"
+    vals = source.first_harmonic(ens.states[-1], x)
+    expected = float(np.mean(source.first_harmonic(ens.states[0], x))
+                     * np.exp(-0.5 * source.dim * tau))
     mean = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / np.sqrt(n_paths))
     z = (mean - expected) / se if se > 0 else 0.0
     return {
-        "observable": label,
+        "observable": source.moment_label,
         "sample_mean": mean,
         "expected": expected,
         "stderr": se,
@@ -198,11 +192,10 @@ def weak_error_probe(source, t: float, x, f, h_list, lap_f=None,
                      n_quad: int = 60) -> np.ndarray:
     """One-step weak-consistency table for the path integrator.
 
-    For each step size h, measures |E[f(X_{t+h})] - f(x) - (h/2) Lap f(x)|.
-    The expectation is Gauss-Hermite quadrature on the circle (the one-step
-    law is Gaussian in the chart) and Monte Carlo on the sphere, with the
-    same base normals scaled across the h-list so the fitted slope is not
-    scrambled by independent sampling noise.  Returns rows (h, residual).
+    For each step size h, measures |E[f(X_{t+h})] - f(x) - (h/2) Lap f(x)|
+    with the expectation from the source's `one_step_means`: Gauss-Hermite
+    quadrature (n_quad nodes) on the circle, Monte Carlo (n_mc paths keyed
+    by master_seed) on the sphere.  Returns rows (h, residual).
     """
     f_x = float(np.asarray(f(np.asarray(x))))
     if lap_f is not None:
@@ -212,23 +205,6 @@ def weak_error_probe(source, t: float, x, f, h_list, lap_f=None,
         lap_grid = source.laplace_beltrami(t, grid_field)
         lap_x = float(np.asarray(source.interpolate_slice(lap_grid, np.asarray(x))))
 
-    rows = []
-    if isinstance(source, Circle):
-        nodes, weights = np.polynomial.hermite.hermgauss(n_quad)
-        weights = weights / np.sqrt(np.pi)
-        rho = float(source.profile(t))
-        for h in h_list:
-            pts = float(x) + np.sqrt(2.0 * h) / rho * nodes
-            mean = float(np.sum(weights * f(pts)))
-            rows.append((h, abs(mean - f_x - 0.5 * h * lap_x)))
-    elif isinstance(source, Sphere2):
-        rng = np.random.Generator(np.random.Philox(key=master_seed))
-        base = rng.standard_normal((n_mc, 3))
-        starts = np.broadcast_to(np.asarray(x, dtype=float), (n_mc, 3))
-        for h in h_list:
-            moved, _ = source.step_paths(starts, t, h, np.sqrt(h) * base)
-            mean = float(np.mean(f(moved)))
-            rows.append((h, abs(mean - f_x - 0.5 * h * lap_x)))
-    else:
-        raise TypeError(f"unsupported source {type(source).__name__}")
-    return np.array(rows)
+    means = source.one_step_means(f, t, x, h_list, n_quad, n_mc, master_seed)
+    return np.array([(h, abs(mean - f_x - 0.5 * h * lap_x))
+                     for h, mean in zip(h_list, means)])

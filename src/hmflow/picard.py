@@ -20,7 +20,6 @@ from .errors import (BlowUp, InsufficientHistory, NoContraction,
                      TerminalNotOnTarget, TimeOutOfRange)
 from .fields import MapField, c01_norm, difference_c01
 from .forward import simulate
-from .sources import Circle
 
 _RATIO_TRIGGER = 0.9
 _MIN_HORIZON = 1e-4
@@ -101,10 +100,9 @@ def solve(source, target, h, t0_init: float, tol: float = 1e-10,
             continue
         break
 
-    starts = _sample_starts(source, sample_paths)
     # after halving the horizon may no longer be a multiple of the requested
     # dt; the field's own slice spacing always divides it exactly
-    ensemble = simulate(source, 0.0, starts, horizon, u.dt, sample_paths,
+    ensemble = simulate(source, 0.0, "grid", horizon, u.dt, sample_paths,
                         master_seed, threads=threads, _domain=DOMAIN_SAMPLE_PATH)
     sample = sample_solution(u, ensemble)
     return u, state, sample
@@ -137,14 +135,6 @@ def _iterate(u, h, state, *, backend, n_paths, master_seed, antithetic,
     return u
 
 
-def _sample_starts(source, n_paths: int):
-    """Round-robin grid nodes as path starts, for grid-wide coverage."""
-    if isinstance(source, Circle):
-        return np.resize(source.thetas, n_paths)
-    pts = source.grid_points().reshape(-1, 3)
-    return np.resize(pts, (n_paths, 3))
-
-
 def contraction_report(state: PicardState) -> np.ndarray:
     """History rows (n, delta, ratio); ratio is NaN where not recorded."""
     if state.iterations < 2:
@@ -156,9 +146,8 @@ def contraction_report(state: PicardState) -> np.ndarray:
     return np.array(rows)
 
 
-def fixed_point_residual(field: MapField, h, state: PicardState,
-                         backend: str = "semigroup", n_paths: int = 10_000,
-                         master_seed: int = 0) -> float:
+def fixed_point_residual(field: MapField, h, backend: str = "semigroup",
+                         n_paths: int = 10_000, master_seed: int = 0) -> float:
     """Contraction-norm distance between the field and one more operator pass."""
     again = picard_map(field, h, backend=backend, n_paths=n_paths,
                        master_seed=master_seed)

@@ -63,10 +63,19 @@ def shrinking_radius() -> RadiusProfile:
 
 
 class SourceManifold:
-    """Shared behaviour of the closed-form source families."""
+    """Shared behaviour of the closed-form source families.
+
+    Each family declares its chart: `point_shape` is the shape of one chart
+    point, `chart_columns` names its coordinates, and `moment_label` names
+    the observable of `first_harmonic`.  Callers use these and the family
+    methods instead of asking which family they hold.
+    """
 
     dim: int
     ambient_dim: int
+    point_shape: tuple
+    chart_columns: tuple
+    moment_label: str
 
     def __init__(self, profile: RadiusProfile, horizon: float):
         self.profile = profile
@@ -82,6 +91,11 @@ class SourceManifold:
         if np.any(t < -_TIME_SLACK) or np.any(t > self.horizon + _TIME_SLACK):
             raise TimeOutOfRange(
                 f"t={t!r} outside metric definition interval [0, {self.horizon}]")
+
+    def check_grid(self):
+        """Raise GridTooCoarse unless every grid dimension has at least 8 nodes."""
+        if min(self.grid_shape) < 8:
+            raise GridTooCoarse(f"{self!r} needs at least 8 nodes per grid dimension")
 
     def min_radius(self, t0: float, t1: float) -> float:
         tgrid = np.linspace(t0, t1, 1001)
@@ -110,6 +124,9 @@ class Circle(SourceManifold):
 
     dim = 1
     ambient_dim = 2
+    point_shape = ()
+    chart_columns = ("theta",)
+    moment_label = "mean cos(theta)"
 
     def __init__(self, profile: RadiusProfile | None = None, n_theta: int = 256,
                  horizon: float = 1.0):
@@ -138,11 +155,32 @@ class Circle(SourceManifold):
     def grid_points(self):
         return self.thetas
 
+    def chart_point(self, coords):
+        """Chart point (an angle) from its one coordinate."""
+        if len(coords) != 1:
+            raise ValueError(f"a circle point is one angle, got {len(coords)} numbers")
+        return float(coords[0])
+
+    def profile_map(self, psi, ambient_dim: int):
+        """Map theta -> (cos psi, sin psi) from angles psi on the grid.
+
+        Zero coordinates pad the values up to ambient_dim; with 3 the image
+        is a great circle of the 2-sphere.
+        """
+        zeros = [np.zeros_like(psi)] * (ambient_dim - 2)
+        return np.stack([np.cos(psi), np.sin(psi)] + zeros, axis=-1)
+
+    def first_harmonic(self, points, x0):
+        """cos(theta): a Laplacian eigenfunction, mean decays by exp(-tau/2).
+
+        Symmetric about the angle 0, so the start x0 is not used.
+        """
+        return np.cos(points)
+
     def _require_grid(self, field):
         if field.shape[0] != self.n_theta:
             raise GridTooCoarse(f"field has {field.shape[0]} nodes, grid has {self.n_theta}")
-        if self.n_theta < 8:
-            raise GridTooCoarse("need at least 8 circle nodes")
+        self.check_grid()
 
     # -- embedding and projection fields -----------------------------------
 
@@ -258,32 +296,6 @@ class Circle(SourceManifold):
             return out[0]
         return out
 
-    def _upsampled(self, field, n_fine):
-        """Band-limited upsample of a slice onto n_fine uniform nodes."""
-        modes = np.fft.rfft(field, axis=0)
-        padded = np.zeros((n_fine // 2 + 1,) + field.shape[1:], dtype=complex)
-        padded[: modes.shape[0]] = modes
-        if self.n_theta % 2 == 0:
-            padded[modes.shape[0] - 1] *= 0.5  # split Nyquist when padding
-        return np.fft.irfft(padded, n=n_fine, axis=0) * (n_fine / self.n_theta)
-
-    def fast_periodic_eval(self, field, x, n_fine: int = 4096):
-        """Linear interpolation on a band-limited upsample; cheap for many queries.
-
-        The fine grid is uniform, so lookup is direct indexing, no search.
-        """
-        field = np.asarray(field, dtype=float)
-        n_fine = max(n_fine, 4 * self.n_theta)
-        fine = self._upsampled(field, n_fine)
-        theta = np.mod(np.asarray(x, dtype=float), 2.0 * np.pi)
-        pos = theta * (n_fine / (2.0 * np.pi))
-        i0 = np.minimum(pos.astype(np.intp), n_fine - 1)
-        frac = pos - i0
-        i1 = (i0 + 1) % n_fine
-        if field.ndim > 1:
-            frac = frac.reshape(frac.shape + (1,) * (field.ndim - 1))
-        return fine[i0] * (1.0 - frac) + fine[i1] * frac
-
     # -- one-step conditional expectations ---------------------------------------
 
     def heat_semigroup_step(self, t, dt, field):
@@ -341,6 +353,18 @@ class Circle(SourceManifold):
             acc += w * self.interpolate_slice(field, np.mod(self.thetas + s, 2 * np.pi))
         return acc
 
+    def one_step_means(self, f, t, x, h_list, n_quad, n_mc, master_seed):
+        """E[f(X_{t+h})] from the angle x for each step h in h_list.
+
+        Gauss-Hermite quadrature with n_quad nodes: the one-step law is
+        Gaussian in the chart.  n_mc and master_seed are not used.
+        """
+        nodes, weights = np.polynomial.hermite.hermgauss(n_quad)
+        weights = weights / np.sqrt(np.pi)
+        rho = float(self.profile(t))
+        return [float(np.sum(weights * f(float(x) + np.sqrt(2.0 * h) / rho * nodes)))
+                for h in h_list]
+
     # -- forward path step ------------------------------------------------------
 
     def step_paths(self, states, t, dt, dW):
@@ -351,12 +375,11 @@ class Circle(SourceManifold):
         rho^-2 d^2/dtheta^2 / 2.  Returns (new_states, constraint_violation).
         """
         rho = float(self.profile(t))
-        db = -np.sin(states) * dW[..., 0] + np.cos(states) * dW[..., 1]
-        return states + db / rho, 0.0
+        return states + self.frame_increments(states, dW)[..., 0] / rho, 0.0
 
-    def scalar_increments(self, states, dW):
-        """Chart-driving scalar increments implied by ambient increments along paths."""
-        return -np.sin(states) * dW[..., 0] + np.cos(states) * dW[..., 1]
+    def frame_increments(self, states, dW):
+        """Ambient increments dW in the unit tangent frame at angles states, (..., 1)."""
+        return (-np.sin(states) * dW[..., 0] + np.cos(states) * dW[..., 1])[..., None]
 
 
 class Sphere2(SourceManifold):
@@ -370,6 +393,9 @@ class Sphere2(SourceManifold):
 
     dim = 2
     ambient_dim = 3
+    point_shape = (3,)
+    chart_columns = ("x", "y", "z")
+    moment_label = "mean <X, x0>"
 
     def __init__(self, profile: RadiusProfile | None = None, n_theta: int = 64,
                  n_phi: int = 128, horizon: float = 1.0):
@@ -403,19 +429,36 @@ class Sphere2(SourceManifold):
 
     def grid_points(self):
         """Unit vectors of the chart grid, shape (n_theta, n_phi, 3)."""
-        th = self.thetas[:, None]
+        return self.profile_map(self.thetas, 3)
+
+    def chart_point(self, coords):
+        """Chart point (a unit vector) along three coordinates."""
+        x = np.asarray(coords, dtype=float)
+        if x.shape != (3,) or not np.linalg.norm(x) > 0:
+            raise ValueError("a sphere point needs three numbers, not all zero")
+        return x / np.linalg.norm(x)
+
+    def profile_map(self, psi, ambient_dim: int):
+        """Rotation-equivariant map from colatitude values psi on the grid.
+
+        (theta, phi) -> (sin psi cos phi, sin psi sin phi, cos psi), always
+        into R^3 whatever ambient_dim is.
+        """
+        ps = np.asarray(psi)[:, None]
         ph = self.phis[None, :]
-        return np.stack([np.sin(th) * np.cos(ph),
-                         np.sin(th) * np.sin(ph),
-                         np.broadcast_to(np.cos(th), (self.n_theta, self.n_phi))], axis=-1)
+        return np.stack([np.sin(ps) * np.cos(ph), np.sin(ps) * np.sin(ph),
+                         np.broadcast_to(np.cos(ps), self.grid_shape)], axis=-1)
+
+    def first_harmonic(self, points, x0):
+        """<X, x0> at unit vectors X: a Laplacian eigenfunction, mean decays by exp(-tau)."""
+        return np.sum(points * np.asarray(x0, dtype=float), axis=-1)
 
     def _require_grid(self, field):
         if field.shape[:2] != (self.n_theta, self.n_phi):
             raise GridTooCoarse(
                 f"field shape {field.shape[:2]} does not match grid "
                 f"({self.n_theta}, {self.n_phi})")
-        if self.n_theta < 8 or self.n_phi < 8:
-            raise GridTooCoarse("need at least 8 nodes per sphere grid dimension")
+        self.check_grid()
 
     # -- embedding and projection fields ---------------------------------------
 
@@ -490,16 +533,20 @@ class Sphere2(SourceManifold):
                + self._dphi_spectral(field, order=2) / (self._sin ** 2).reshape(shape))
         return lap / rho ** 2
 
-    def _ambient_frames(self):
-        th = self.thetas[:, None]
-        ph = self.phis[None, :]
-        e_th = np.stack([np.cos(th) * np.cos(ph),
-                         np.cos(th) * np.sin(ph),
-                         np.broadcast_to(-np.sin(th), (self.n_theta, self.n_phi))], axis=-1)
-        e_ph = np.stack([np.broadcast_to(-np.sin(ph), (self.n_theta, self.n_phi)),
-                         np.broadcast_to(np.cos(ph), (self.n_theta, self.n_phi)),
-                         np.zeros((self.n_theta, self.n_phi))], axis=-1)
+    @staticmethod
+    def _frames(theta, phi):
+        """Orthonormal frame (e_theta, e_phi) at colatitude theta and longitude phi."""
+        ct, st, cp, sp = np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi)
+        e_th = np.stack(np.broadcast_arrays(ct * cp, ct * sp, -st), axis=-1)
+        e_ph = np.stack(np.broadcast_arrays(-sp, cp, np.zeros_like(ct * cp)), axis=-1)
         return e_th, e_ph
+
+    def frame_increments(self, states, dW):
+        """Ambient increments dW in the frame (e_theta, e_phi) at unit vectors, (..., 2)."""
+        states = np.asarray(states, dtype=float)
+        e_th, e_ph = self._frames(np.arccos(np.clip(states[..., 2], -1.0, 1.0)),
+                                  np.arctan2(states[..., 1], states[..., 0]))
+        return np.stack([np.sum(e_th * dW, axis=-1), np.sum(e_ph * dW, axis=-1)], axis=-1)
 
     def generator_residual(self, t, field):
         """Defect of composing projection-field derivatives twice vs the Laplacian."""
@@ -508,7 +555,7 @@ class Sphere2(SourceManifold):
         if field.ndim != 2:
             raise GridTooCoarse("generator residual is defined for scalar fields")
         self._require_grid(field)
-        e_th, e_ph = self._ambient_frames()
+        e_th, e_ph = self._frames(self.thetas[:, None], self.phis[None, :])
         z = self.frame_gradient(t, field)
         grad_amb = z[..., 0, None] * e_th + z[..., 1, None] * e_ph
         total = np.zeros_like(field)
@@ -658,6 +705,20 @@ class Sphere2(SourceManifold):
         vals = self.interpolate_slice(field, moved.reshape(-1, 3))
         vals = vals.reshape((nodes.shape[0], n_paths) + field.shape[2:])
         return vals.mean(axis=1).reshape(field.shape)
+
+    def one_step_means(self, f, t, x, h_list, n_quad, n_mc, master_seed):
+        """E[f(X_{t+h})] from the unit vector x for each step h in h_list.
+
+        Monte Carlo over n_mc paths of `step_paths`, with the same base
+        normals scaled across the h-list so that a slope fitted to the
+        residuals is not scrambled by independent sampling noise.  n_quad is
+        not used.
+        """
+        rng = np.random.Generator(np.random.Philox(key=master_seed))
+        base = rng.standard_normal((n_mc, 3))
+        starts = np.broadcast_to(np.asarray(x, dtype=float), (n_mc, 3))
+        return [float(np.mean(f(self.step_paths(starts, t, h, np.sqrt(h) * base)[0])))
+                for h in h_list]
 
     # -- forward path step --------------------------------------------------------
 

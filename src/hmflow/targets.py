@@ -24,15 +24,6 @@ def smoothstep(x):
     return x * x * x * (10.0 + x * (-15.0 + 6.0 * x))
 
 
-def smoothstep_septic(x):
-    """Septic smooth step, C^3 at the endpoints; the swap-in cutoff profile."""
-    x = np.clip(x, 0.0, 1.0)
-    return x ** 4 * (35.0 + x * (-84.0 + x * (70.0 - 20.0 * x)))
-
-
-_CUTOFF_PROFILES = {"quintic": smoothstep, "septic": smoothstep_septic}
-
-
 def _chi_blend(tau):
     """C^2 quintic Hermite blend q with q(0)=0, q'(0)=1, q''(0)=0, q(1)=1, q'(1)=q''(1)=0.
 
@@ -61,20 +52,17 @@ class TargetManifold:
 
     ambient_dim: int
     tube_radius: float
-    cutoff_profile: str = "quintic"
 
     # -- cut-off profile ------------------------------------------------
 
     def cutoff(self, s):
         """Cut-off profile in the tube distance: 1 below delta, 0 above 2*delta.
 
-        Realized as a reversed smooth step in (s - delta)/delta: C^2 for the
-        default quintic profile, C^3 for "septic"; nonincreasing and exactly
-        1 / 0 outside the blend zone either way.
+        Realized as a reversed quintic smooth step in (s - delta)/delta: C^2,
+        nonincreasing and exactly 1 / 0 outside the blend zone.
         """
-        step = _CUTOFF_PROFILES[self.cutoff_profile]
         d = self.tube_radius
-        return 1.0 - step((np.asarray(s, dtype=float) - d) / d)
+        return 1.0 - smoothstep((np.asarray(s, dtype=float) - d) / d)
 
     # -- truncated squared distance --------------------------------------
 
@@ -109,20 +97,6 @@ class TargetManifold:
     # subclasses provide: nearest_point, distance, tangent_projection,
     # second_fundamental_form, extended_sff, g_gradient, g_hessian_quad.
 
-    def truncated_distance_sq(self, p):
-        """G, its ambient gradient, and the Hessian quadratic form at a single point.
-
-        Returns (G(p), grad G(p), q) with q(u) = Hess G(p)(u, u).
-        """
-        p = np.asarray(p, dtype=float)
-        g = float(self.g_value(p))
-        grad = self.g_gradient(p)
-
-        def quad(u):
-            return float(self.g_hessian_quad(p, np.asarray(u, dtype=float)))
-
-        return g, grad, quad
-
 
 class UnitSphere(TargetManifold):
     """Unit sphere S^d in R^(d+1), d in {1, 2}.
@@ -131,18 +105,14 @@ class UnitSphere(TargetManifold):
     inside the region where the nearest-point projection is smooth.
     """
 
-    def __init__(self, dim: int, tube_radius: float = 0.2,
-                 cutoff_profile: str = "quintic"):
+    def __init__(self, dim: int, tube_radius: float = 0.2):
         if dim not in (1, 2):
             raise ValueError("only S^1 and S^2 targets are built in")
         if not 0.0 < 3.0 * tube_radius < 1.0:
             raise ValueError("3*tube_radius must stay below the reach (= 1)")
-        if cutoff_profile not in _CUTOFF_PROFILES:
-            raise ValueError(f"unknown cutoff profile {cutoff_profile!r}")
         self.dim = dim
         self.ambient_dim = dim + 1
         self.tube_radius = float(tube_radius)
-        self.cutoff_profile = cutoff_profile
 
     def __repr__(self):
         return f"UnitSphere(dim={self.dim}, tube_radius={self.tube_radius})"

@@ -18,7 +18,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
 from .bsde import BsdeSolutionSample
-from .errors import FieldLeftTube, UnsupportedReduction
+from .errors import ConfigError, FieldLeftTube, UnsupportedReduction
 from .fields import MapField
 from .forward import time_change
 from .sources import Circle, Sphere2, constant_radius, sine_radius
@@ -27,89 +27,87 @@ from .targets import FlatSpace, UnitSphere, sff_trace
 
 @dataclass
 class BenchmarkCase:
-    """A named flow problem with terminal data and, when available, the exact answer."""
+    """A named flow problem with terminal data and the data of its exact reduction.
+
+    `lift` (with `winding`) is the angle function of a circle terminal map;
+    `psi_terminal` is the colatitude profile of an equivariant map of the
+    2-sphere into S^2.  Each is set only where `pde_reference` solves the
+    case with it.
+    """
 
     name: str
     source: object
     target: object
     horizon: float
     terminal: np.ndarray
-    lift: object = None           # circle reductions: terminal lift angle function
+    lift: object = None
     winding: int = 0
-    has_closed_form: bool = False
+    psi_terminal: object = None
     tolerances: dict = dataclass_field(default_factory=dict)
+
+
+def terminal_case(name: str, source, target, horizon: float,
+                  amplitude: float = 0.3, winding: int = 1) -> BenchmarkCase:
+    """The named terminal map on the source grid, with its reduction data.
+
+    Each terminal is `source.profile_map` of a profile of the first chart
+    angle: the lift of the angle on a circle, the colatitude profile of an
+    equivariant map on a sphere.  Raises ConfigError for a name the source
+    does not support.
+    """
+    identity = (lambda a: a), 1
+    perturbed = (lambda a: a + amplitude * np.sin(a)), 1
+    # by source dimension: name -> (profile, winding of the map)
+    terminals = {
+        1: {"identity": identity, "perturbed_geodesic": perturbed,
+            "winding": ((lambda a: winding * a), winding),
+            "great_circle": identity, "constant_point": ((lambda a: 0.0 * a), 0)},
+        2: {"identity": identity, "equivariant": perturbed},
+    }[source.dim]
+    if name not in terminals:
+        raise ConfigError(f"unknown terminal map {name!r} for {source!r}")
+    if name == "great_circle" and target.ambient_dim != 3:
+        raise ConfigError("great_circle requires a sphere2 target")
+    profile, wind = terminals[name]
+    case = BenchmarkCase(name, source, target, horizon,
+                         source.profile_map(profile(source.thetas), target.ambient_dim))
+    if source.dim == 1:
+        case.lift, case.winding = profile, wind
+    elif isinstance(target, UnitSphere) and target.dim == 2:
+        case.psi_terminal = profile
+    return case
 
 
 def make_benchmark(name: str, horizon: float, n_x: int = 256,
                    amplitude: float = 0.3, n_theta: int = 48,
                    n_phi: int = 96) -> BenchmarkCase:
     """Construct one of the named benchmark cases on a fresh grid."""
-    if name == "flat_heat":
-        src = Circle(constant_radius(1.0), n_theta=n_x, horizon=horizon)
-        th = src.thetas
-        h = np.stack([np.cos(th), np.sin(th)], axis=-1)
-        return BenchmarkCase(name, src, FlatSpace(2), horizon, h,
-                             lift=lambda a: a, winding=1, has_closed_form=True,
-                             tolerances={"sup_error": 1e-6})
-    if name == "identity_circle":
-        src = Circle(constant_radius(1.0), n_theta=n_x, horizon=horizon)
-        th = src.thetas
-        h = np.stack([np.cos(th), np.sin(th)], axis=-1)
-        return BenchmarkCase(name, src, UnitSphere(1), horizon, h,
-                             lift=lambda a: a, winding=1, has_closed_form=True,
-                             tolerances={"sup_error": 1e-3})
-    if name == "perturbed_geodesic":
-        src = Circle(constant_radius(1.0), n_theta=n_x, horizon=horizon)
-        lift = _perturbed_lift(amplitude)
-        th = src.thetas
-        h = np.stack([np.cos(lift(th)), np.sin(lift(th))], axis=-1)
-        return BenchmarkCase(name, src, UnitSphere(1), horizon, h,
-                             lift=lift, winding=1, has_closed_form=True,
-                             tolerances={"sup_error": 5e-3})
-    if name == "perturbed_geodesic_sine_metric":
-        src = Circle(sine_radius(0.2, 1.0), n_theta=n_x, horizon=horizon)
-        lift = _perturbed_lift(amplitude)
-        th = src.thetas
-        h = np.stack([np.cos(lift(th)), np.sin(lift(th))], axis=-1)
-        return BenchmarkCase(name, src, UnitSphere(1), horizon, h,
-                             lift=lift, winding=1, has_closed_form=True,
-                             tolerances={"sup_error": 1e-2})
-    if name == "great_circle_s2":
-        src = Circle(constant_radius(1.0), n_theta=n_x, horizon=horizon)
-        th = src.thetas
-        h = np.stack([np.cos(th), np.sin(th), np.zeros_like(th)], axis=-1)
-        return BenchmarkCase(name, src, UnitSphere(2), horizon, h,
-                             lift=lambda a: a, winding=1, has_closed_form=True,
-                             tolerances={"sup_error": 1e-3, "max_dist": 1e-2})
-    if name == "equivariant_s2":
-        src = Sphere2(constant_radius(1.0), n_theta=n_theta, n_phi=n_phi,
-                      horizon=horizon)
-        psi = _equivariant_psi(amplitude)
-        h = _equivariant_map(psi(src.thetas), src)
-        case = BenchmarkCase(name, src, UnitSphere(2), horizon, h,
-                             has_closed_form=False,
-                             tolerances={"sup_error": 2e-2})
-        case.psi_terminal = psi
-        return case
-    raise UnsupportedReduction(f"unknown benchmark {name!r}")
+    def circle(profile):
+        return lambda: Circle(profile, n_theta=n_x, horizon=horizon)
 
+    def sphere():
+        return Sphere2(constant_radius(1.0), n_theta=n_theta, n_phi=n_phi, horizon=horizon)
 
-def _perturbed_lift(amplitude: float):
-    return lambda a: a + amplitude * np.sin(a)
-
-
-def _equivariant_psi(amplitude: float):
-    return lambda th: th + amplitude * np.sin(th)
-
-
-def _equivariant_map(psi_values, source: Sphere2):
-    """Rotation-equivariant map slice from a colatitude profile."""
-    ps = psi_values[:, None]
-    ph = source.phis[None, :]
-    shape = (source.n_theta, source.n_phi)
-    return np.stack([np.sin(ps) * np.cos(ph),
-                     np.sin(ps) * np.sin(ph),
-                     np.broadcast_to(np.cos(ps), shape)], axis=-1)
+    # name -> (source, target, terminal, tolerances)
+    table = {
+        "flat_heat": (circle(constant_radius(1.0)), FlatSpace(2), "identity",
+                      {"sup_error": 1e-6}),
+        "identity_circle": (circle(constant_radius(1.0)), UnitSphere(1), "identity",
+                            {"sup_error": 1e-3}),
+        "perturbed_geodesic": (circle(constant_radius(1.0)), UnitSphere(1),
+                               "perturbed_geodesic", {"sup_error": 5e-3}),
+        "perturbed_geodesic_sine_metric": (circle(sine_radius(0.2, 1.0)), UnitSphere(1),
+                                           "perturbed_geodesic", {"sup_error": 1e-2}),
+        "great_circle_s2": (circle(constant_radius(1.0)), UnitSphere(2), "great_circle",
+                            {"sup_error": 1e-3, "max_dist": 1e-2}),
+        "equivariant_s2": (sphere, UnitSphere(2), "equivariant", {"sup_error": 2e-2}),
+    }
+    if name not in table:
+        raise UnsupportedReduction(f"unknown benchmark {name!r}")
+    source, target, terminal, tolerances = table[name]
+    case = terminal_case(terminal, source(), target, horizon, amplitude)
+    case.name, case.tolerances = name, tolerances
+    return case
 
 
 # ---------------------------------------------------------------------------
@@ -119,15 +117,17 @@ def _equivariant_map(psi_values, source: Sphere2):
 def pde_reference(case: BenchmarkCase, n_t: int, n_x: int | None = None) -> MapField:
     """Reference solution of the backward flow on the case grid.
 
-    Circle reductions lift to the scalar heat equation on the angle and are
-    solved exactly per Fourier mode with the adaptive time-change integral;
-    the equivariant sphere reduction integrates the colatitude profile by
-    method of lines (n_x interior nodes).  Shares no stepping code with the
-    backward operator.
+    The case's data picks the reduction.  A lift on a flat target gives the
+    componentwise heat decay of the terminal slice; a lift on a curved
+    target lifts to the scalar heat equation on the angle.  Both are solved
+    exactly per Fourier mode with the adaptive time-change integral.  A
+    psi_terminal integrates the equivariant colatitude profile by method of
+    lines (n_x interior nodes).  Shares no stepping code with the backward
+    operator.
     """
     source = case.source
     times = np.linspace(0.0, case.horizon, n_t + 1)
-    if isinstance(source, Circle) and isinstance(case.target, FlatSpace):
+    if case.lift is not None and isinstance(case.target, FlatSpace):
         # flat target: plain componentwise heat decay of the terminal slice
         modes = np.fft.rfft(case.terminal, axis=0)
         k = np.fft.rfftfreq(source.n_theta, d=1.0 / source.n_theta)
@@ -137,7 +137,7 @@ def pde_reference(case: BenchmarkCase, n_t: int, n_x: int | None = None) -> MapF
             decay = np.exp(-0.5 * k ** 2 * tau)[:, None]
             values[j] = np.fft.irfft(modes * decay, n=source.n_theta, axis=0)
         return MapField(times, values, source, case.target)
-    if isinstance(source, Circle) and case.lift is not None:
+    if case.lift is not None:
         th = source.thetas
         psi_terminal = case.lift(th) - case.winding * th
         modes = np.fft.rfft(psi_terminal)
@@ -147,13 +147,10 @@ def pde_reference(case: BenchmarkCase, n_t: int, n_x: int | None = None) -> MapF
             tau = time_change(source.profile, t, case.horizon)
             decayed = modes * np.exp(-0.5 * k ** 2 * tau)
             phi = case.winding * th + np.fft.irfft(decayed, n=len(th))
-            values[j, :, 0] = np.cos(phi)
-            values[j, :, 1] = np.sin(phi)
-            if case.target.ambient_dim == 3:
-                values[j, :, 2] = 0.0
+            values[j] = source.profile_map(phi, case.target.ambient_dim)
         return MapField(times, values, source, case.target)
 
-    if isinstance(source, Sphere2) and hasattr(case, "psi_terminal"):
+    if case.psi_terminal is not None:
         n_x = n_x or 200
         grid = np.linspace(0.0, np.pi, n_x + 1)
         inner = grid[1:-1]
@@ -179,7 +176,7 @@ def pde_reference(case: BenchmarkCase, n_t: int, n_x: int | None = None) -> MapF
         for j in range(n_t + 1):
             psi_in = sol.y[:, n_t - j]  # t_eval was reversed in s
             spline = CubicSpline(grid, np.concatenate([[0.0], psi_in, [np.pi]]))
-            values[j] = _equivariant_map(spline(source.thetas), source)
+            values[j] = source.profile_map(spline(source.thetas), case.target.ambient_dim)
         return MapField(times, values, source, case.target)
 
     raise UnsupportedReduction(

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from hmflow.bsde import (bsde_residual, gradient_field, picard_map,
-                         sample_solution)
+from hmflow.bsde import bsde_residual, picard_map, sample_solution
 from hmflow.errors import BlowUp, HorizonMismatch
 from hmflow.fields import MapField, c01_norm
 from hmflow.forward import simulate
@@ -57,18 +56,17 @@ def test_blowup_guard():
         picard_map(u, h)
 
 
-def test_gradient_field_block_norms():
+def test_frame_gradient_block_norms():
+    # the Euclidean block norm over (frame, value) axes is the metric norm
     c, h = circle_identity(n_theta=128)
-    u = MapField.constant_in_time(c, S1, h, 0.1, 4)
-    z = gradient_field(u)
+    z = c.frame_gradient(0.1, h)
+    assert z.shape == (128, 1, 2)
     np.testing.assert_allclose(np.linalg.norm(z, axis=(-2, -1)), 1.0, atol=1e-10)
     h2 = np.stack([np.cos(2 * c.thetas), np.sin(2 * c.thetas)], axis=-1)
-    u2 = MapField.constant_in_time(c, S1, h2, 0.1, 4)
-    np.testing.assert_allclose(np.linalg.norm(gradient_field(u2), axis=(-2, -1)),
+    np.testing.assert_allclose(np.linalg.norm(c.frame_gradient(0.1, h2), axis=(-2, -1)),
                                2.0, atol=1e-9)
-    const = MapField.constant_in_time(
-        c, S1, np.broadcast_to([1.0, 0.0], (128, 2)).copy(), 0.1, 4)
-    np.testing.assert_allclose(gradient_field(const), 0.0, atol=1e-12)
+    const = np.broadcast_to([1.0, 0.0], (128, 2))
+    np.testing.assert_allclose(c.frame_gradient(0.1, const), 0.0, atol=1e-12)
 
 
 def test_backend_agreement_flat_override():
@@ -183,19 +181,6 @@ def test_sphere_picard_map_smoke():
     w = picard_map(u, vals)
     # identity sphere map is harmonic: one pass stays close
     assert np.abs(w.values - u.values).max() <= 5e-3
-
-
-def test_implicit_driver_variant_close_to_explicit():
-    # the inner fixed-point sweeps change the result only at O(dt^2) per
-    # slice and do not change the measured benchmark error order
-    c, _ = circle_identity(n_theta=128)
-    phi = c.thetas + 0.3 * np.sin(c.thetas)
-    h = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-    u = MapField.constant_in_time(c, S1, h, 0.25, 125)   # dt = 2e-3
-    w_exp = picard_map(u, h)
-    w_imp = picard_map(u, h, implicit_driver=3)
-    gap = np.abs(w_exp.values - w_imp.values).max()
-    assert 0 < gap <= 5e-4   # small, nonzero: the lag is O(dt) per slice summed
 
 
 def test_mc_backend_antithetic_deterministic():

@@ -4,10 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hmflow.cli import main
+from hmflow.cli import (build_case, build_source, build_target, build_terminal,
+                        load_config, main)
 from hmflow.fields import MapField
 from hmflow.sources import Circle, constant_radius
 from hmflow.targets import UnitSphere
+from hmflow.verify import make_benchmark, pde_reference
 
 PG_CONFIG = """\
 [source]
@@ -45,6 +47,40 @@ x0 = 0
 horizon = 1.0
 dt = 0.0078125
 n_paths = 4000
+"""
+
+SPH_CONFIG = """\
+[source]
+family = sphere2
+n_theta = 16
+n_phi = 32
+horizon = 0.05
+
+[target]
+family = sphere2
+
+[terminal]
+name = equivariant
+amplitude = 0.3
+
+[run]
+t0 = 0.05
+dt = 2.5e-3
+tol = 1e-9
+sample_paths = 64
+"""
+
+SPH_FWD_CONFIG = """\
+[source]
+family = sphere2
+n_theta = 8
+n_phi = 16
+
+[forward]
+x0 = 0,0,1
+horizon = 0.5
+dt = 0.015625
+n_paths = 200
 """
 
 
@@ -242,3 +278,106 @@ def test_solve_identity_single_iteration_flag(tmp_path):
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "one")]) == 0
     summary = json.loads((tmp_path / "one" / "summary.json").read_text())
     assert summary["converged"] and summary["iterations"] == 1
+
+
+def test_solve_not_converged_exits_5_and_keeps_outputs(tmp_path, capsys):
+    text = PG_CONFIG.format(field_file="x").replace(
+        "master_seed = 42", "master_seed = 42\nmax_iter = 1")
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "nc"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 5
+    assert not read_json(out / "summary.json")["converged"]
+    assert (out / "field.csv").exists() and (out / "iterations.json").exists()
+    assert "did not converge" in (out / "run.log").read_text()
+    assert "did not converge" in capsys.readouterr().err
+
+
+def _edit(text, *pairs):
+    for old, new in pairs:
+        assert old in text
+        text = text.replace(old, new)
+    return text
+
+
+PG_SOLVE = PG_CONFIG.format(field_file="x")
+BAD_CONFIGS = [
+    pytest.param("solve", _edit(PG_SOLVE, ("t0 = 0.5", "t0 = 0.8")), [], "t0",
+                 id="t0_past_source_horizon"),
+    pytest.param("solve", SPH_CONFIG + "n_paths = 0\n", ["--backend", "monte-carlo"],
+                 "n_paths", id="sphere_quadrature_fallback"),
+    pytest.param("solve", _edit(PG_SOLVE, ("tol = 1e-10", "tol = 1e-10\nn_paths = -5")),
+                 ["--backend", "monte-carlo"], "n_paths", id="negative_n_paths"),
+    pytest.param("simulate-forward", _edit(SPH_FWD_CONFIG, ("x0 = 0,0,1", "x0 = abc")), [],
+                 "x0", id="sphere_x0_not_numbers"),
+    pytest.param("simulate-forward", _edit(FWD_CONFIG, ("horizon = 1.0", "horizon = 2.0")),
+                 [], "horizon", id="forward_horizon_past_source"),
+    pytest.param("simulate-forward", _edit(FWD_CONFIG, ("n_paths = 4000", "n_paths = 0")),
+                 [], "n_paths", id="forward_no_paths"),
+    pytest.param("simulate-forward", _edit(FWD_CONFIG, ("n_paths = 4000", "n_paths = 1")),
+                 [], "n_paths", id="forward_one_path_has_no_stderr"),
+    pytest.param("simulate-forward",
+                 _edit(FWD_CONFIG, ("n_paths = 4000", "n_paths = 7\nantithetic = true")),
+                 [], "n_paths", id="odd_antithetic_paths"),
+    pytest.param("simulate-forward", _edit(FWD_CONFIG, ("dt = 0.0078125", "dt = 0.3")), [],
+                 "dt", id="dt_does_not_divide_horizon"),
+    pytest.param("solve", _edit(PG_SOLVE, ("family = circle\n\n[terminal]",
+                                           "family = circle\ntube_radius = 0.5\n\n[terminal]")),
+                 [], "tube_radius", id="tube_radius_past_reach"),
+    pytest.param("solve", _edit(PG_SOLVE, ("n_theta = 128", "n_theta = 4")), [], "n_theta",
+                 id="grid_too_coarse"),
+    pytest.param("solve", _edit(SPH_CONFIG, ("n_phi = 32", "n_phi = 31")), [], "n_phi",
+                 id="odd_n_phi"),
+]
+
+
+@pytest.mark.parametrize("command,text,extra,key", BAD_CONFIGS)
+def test_bad_config_exits_2_with_message(tmp_path, capsys, command, text, extra, key):
+    cfg = write_config(tmp_path, text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")] + extra) == 2
+    err = capsys.readouterr().err
+    assert key in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name,source,target,terminal", [
+    ("flat_heat", "family = circle\nn_theta = 64", "family = flat", "identity"),
+    ("identity_circle", "family = circle\nn_theta = 64", "family = circle", "identity"),
+    ("perturbed_geodesic", "family = circle\nn_theta = 64", "family = circle",
+     "perturbed_geodesic"),
+    ("perturbed_geodesic_sine_metric",
+     "family = circle\nn_theta = 64\nprofile = sine\namp = 0.2\nfreq = 1.0",
+     "family = circle", "perturbed_geodesic"),
+    ("great_circle_s2", "family = circle\nn_theta = 64", "family = sphere2", "great_circle"),
+    ("equivariant_s2", "family = sphere2\nn_theta = 16\nn_phi = 32", "family = sphere2",
+     "equivariant"),
+])
+def test_cli_terminal_matches_benchmark_registry(tmp_path, name, source, target, terminal):
+    case = make_benchmark(name, horizon=0.1, n_x=64, n_theta=16, n_phi=32)
+    text = (f"[source]\n{source}\nhorizon = 0.1\n\n[target]\n{target}\n\n"
+            f"[terminal]\nname = {terminal}\n\n[run]\nt0 = 0.1\n")
+    cfg = load_config(write_config(tmp_path, text))
+    src, tgt = build_source(cfg), build_target(cfg)
+    values, _, _ = build_terminal(cfg, src, tgt)
+    np.testing.assert_array_equal(values, case.terminal)
+    # the CLI's case carries the same reduction as the oracle's
+    np.testing.assert_array_equal(pde_reference(build_case(cfg, src, tgt), n_t=4).values,
+                                  pde_reference(case, n_t=4).values)
+
+
+def test_sphere_equivariant_solve_reports_reference_error(tmp_path):
+    cfg = write_config(tmp_path, SPH_CONFIG)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+    summary = read_json(tmp_path / "s" / "summary.json")
+    tol = make_benchmark("equivariant_s2", horizon=0.05).tolerances["sup_error"]
+    assert summary["reference_sup_error"] <= tol
+    assert (tmp_path / "s" / "error_vs_reference.csv").exists()
+
+
+def test_sphere_flat_target_writes_no_reference(tmp_path):
+    # the equivariant reduction needs an S^2 target
+    text = SPH_CONFIG.replace("[target]\nfamily = sphere2",
+                              "[target]\nfamily = flat\nambient_dim = 3")
+    cfg = write_config(tmp_path, text)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "f")]) == 0
+    assert "reference_sup_error" not in read_json(tmp_path / "f" / "summary.json")
+    assert not (tmp_path / "f" / "error_vs_reference.csv").exists()

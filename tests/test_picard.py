@@ -119,7 +119,7 @@ def test_fixed_point_residual_within_twice_tolerance():
     c, h = circle_h(lambda a: a + 0.3 * np.sin(a), n_theta=128)
     tol = 1e-9
     field, state, _ = solve(c, S1, h, 0.25, tol=tol, dt=2e-3, sample_paths=32)
-    assert fixed_point_residual(field, h, state) <= 2 * tol
+    assert fixed_point_residual(field, h) <= 2 * tol
 
 
 def test_ball_stability_reported():

@@ -256,7 +256,6 @@ def test_circle_interpolation_exact_for_bandlimited():
     q = np.array([0.1, 1.7, 4.4, 6.2])
     exact = np.cos(3 * q) - 2 * np.sin(5 * q)
     np.testing.assert_allclose(c.interpolate_slice(f, q), exact, atol=1e-12)
-    np.testing.assert_allclose(c.fast_periodic_eval(f, q), exact, atol=1e-4)
 
 
 def test_sphere_interpolation_second_order():

@@ -1,0 +1,43 @@
+"""Design guards: source families stay behind the source interface, and the
+demos import only names that hmflow exports."""
+
+import ast
+from pathlib import Path
+
+import hmflow
+
+ROOT = Path(__file__).resolve().parents[1]
+FAMILIES = {"Circle", "Sphere2"}
+
+
+def _names(node):
+    """Plain and attribute names in an isinstance class argument."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def test_no_source_family_checks_outside_sources():
+    offenders = []
+    for path in sorted((ROOT / "src" / "hmflow").glob("*.py")):
+        if path.name == "sources.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id == "isinstance" and len(node.args) == 2:
+                hits = FAMILIES & set(_names(node.args[1]))
+                if hits:
+                    offenders.append(f"{path.name}:{node.lineno} {sorted(hits)}")
+    assert not offenders, offenders
+
+
+def test_demo_imports_resolve():
+    missing = []
+    for path in sorted((ROOT / "demos").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "hmflow":
+                missing += [f"{path.name}: {alias.name}" for alias in node.names
+                            if not hasattr(hmflow, alias.name)]
+    assert not missing, missing

@@ -234,13 +234,14 @@ def test_g_values():
 def test_g_gradient():
     s2 = UnitSphere(2)
     p = np.array([0.0, 0.0, 1.1])
-    g, grad, quad = s2.truncated_distance_sq(p)
-    assert g == pytest.approx(0.01)
-    np.testing.assert_allclose(grad, [0.0, 0.0, 0.2], atol=1e-14)
+    assert s2.g_value(p) == pytest.approx(0.01)
+    np.testing.assert_allclose(s2.g_gradient(p), [0.0, 0.0, 0.2], atol=1e-14)
+    # inside the delta tube G is the squared distance: Hess G(e_r, e_r) = 2
+    assert s2.g_hessian_quad(p, np.array([0.0, 0.0, 1.0])) == pytest.approx(2.0)
     # on the target: both vanish
-    g0, grad0, _ = s2.truncated_distance_sq(np.array([1.0, 0.0, 0.0]))
-    assert g0 == 0.0
-    np.testing.assert_allclose(grad0, 0.0, atol=1e-15)
+    on = np.array([1.0, 0.0, 0.0])
+    assert s2.g_value(on) == 0.0
+    np.testing.assert_allclose(s2.g_gradient(on), 0.0, atol=1e-15)
 
 
 def test_g_gradient_finite_difference():
@@ -289,19 +290,3 @@ def test_g_inequality_circle_target():
     c_fit, margin = fit_g_inequality_constant(s1, n_samples=10_000, seed=9)
     assert margin >= -1e-12
 
-
-def test_cutoff_profile_is_swappable():
-    quintic = UnitSphere(2)
-    septic = UnitSphere(2, cutoff_profile="septic")
-    d = quintic.tube_radius
-    grid = np.linspace(0.0, 3 * d, 300)
-    for tgt in (quintic, septic):
-        vals = tgt.cutoff(grid)
-        assert np.all(np.diff(vals) <= 1e-15)
-        assert np.all(vals[grid < d] == 1.0)
-        assert np.all(vals[grid > 2 * d] == 0.0)
-    # the profiles genuinely differ inside the blend zone
-    mid = 1.4 * d
-    assert abs(quintic.cutoff(mid) - septic.cutoff(mid)) > 1e-3
-    with pytest.raises(ValueError):
-        UnitSphere(2, cutoff_profile="linear")
