@@ -172,8 +172,13 @@ def build_target(cfg: dict):
 def build_case(cfg: dict, source, target) -> BenchmarkCase:
     """The configured terminal map as a case of the problem registry."""
     tc = cfg["terminal"]
-    return terminal_case(tc["name"], source, target, cfg["run"]["t0"],
+    case = terminal_case(tc["name"], source, target, cfg["run"]["t0"],
                          tc["amplitude"], tc["winding"])
+    if case.terminal.shape[-1] != target.ambient_dim:
+        raise ConfigError(f"[target] family = {cfg['target']['family']}: terminal {tc['name']!r} "
+                          f"on {source!r} takes values in R^{case.terminal.shape[-1]}, not "
+                          f"R^{target.ambient_dim}")
+    return case
 
 
 def build_terminal(cfg: dict, source, target):

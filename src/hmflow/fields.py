@@ -8,7 +8,6 @@ circle, bilinear on the sphere) that makes it evaluable anywhere.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +15,7 @@ import numpy as np
 from .errors import HorizonMismatch, ShapeMismatch
 
 _MAGIC = b"HMF1"
+_CSV_BLOCK_ROWS = 1 << 16
 
 
 @dataclass
@@ -112,12 +112,13 @@ class MapField:
             fmt = "csv" if path.endswith(".csv") else "bin"
         flat = self.values.reshape(len(self.times) * self.n_nodes, self.value_dim)
         if fmt == "csv":
-            buf = io.StringIO()
-            buf.write(f"{self.n_t},{self.n_nodes},{self.value_dim},{self.horizon:.17g}\n")
-            for row in flat:
-                buf.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            row = ",".join(["%.17g"] * self.value_dim) + "\n"
             with open(path, "w") as fh:
-                fh.write(buf.getvalue())
+                fh.write(f"{self.n_t},{self.n_nodes},{self.value_dim},{self.horizon:.17g}\n")
+                # one formatting pass per block of rows keeps the text in memory bounded
+                for start in range(0, len(flat), _CSV_BLOCK_ROWS):
+                    block = flat[start:start + _CSV_BLOCK_ROWS]
+                    fh.write(row * len(block) % tuple(block.ravel().tolist()))
         elif fmt == "bin":
             with open(path, "wb") as fh:
                 fh.write(_MAGIC)

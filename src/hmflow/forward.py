@@ -164,8 +164,11 @@ def moment_check(source, t: float, x, horizon: float, dt: float, n_paths: int,
     The mean of the source's `first_harmonic` decays by exp(-dim tau / 2)
     (E[cos theta] on the circle, E[<X, x0>] on the sphere), with tau the
     integral of rho^-2 over the run.  Returns the sample mean, exact value,
-    standard error and the 3-sigma verdict.
+    standard error and the 3-sigma verdict.  Raises ValueError for fewer
+    than two paths, which have no standard error.
     """
+    if n_paths < 2:
+        raise ValueError(f"n_paths = {n_paths}: a standard error needs at least 2 paths")
     ens = simulate(source, t, x, horizon, dt, n_paths, master_seed, antithetic,
                    threads=threads)
     tau = time_change(source.profile, t, horizon)

@@ -14,12 +14,15 @@ sphere, with an optional trailing value axis for vector-valued maps.
 
 from __future__ import annotations
 
-import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from functools import cached_property
 
-from .errors import GridTooCoarse, TimeOutOfRange
+import numpy as np
+
+from .errors import GridTooCoarse, HmflowError, TimeOutOfRange
 
 _TIME_SLACK = 1e-12
+_EIG_ROUNDING = 1e-10   # eigenvalue / spectral radius above this is not "<= 0"
+_EIG_MAX_COND = 1e6     # 1-norm cond(V) above this lets a step's rounding pass ~1e-10
 
 
 class RadiusProfile:
@@ -411,7 +414,6 @@ class Sphere2(SourceManifold):
         self._m = np.fft.rfftfreq(self.n_phi, d=1.0 / self.n_phi)
         self._sin = np.sin(self.thetas)
         self._cot = np.cos(self.thetas) / self._sin
-        self._implicit_cache: dict[float, list] = {}
 
     def __repr__(self):
         return (f"Sphere2(rho={self.profile.label!r}, "
@@ -625,69 +627,62 @@ class Sphere2(SourceManifold):
     # -- one-step conditional expectations -------------------------------------------
 
     def _mode_operator(self, m: int):
+        """Matrix of the colatitude differences of `laplace_beltrami` (rho = 1) on mode m."""
         n, h = self.n_theta, self.dtheta
-        sign = -1.0 if m % 2 else 1.0
-        D1 = np.zeros((n, n))
-        D2 = np.zeros((n, n))
+        # padded rows -2 .. n + 1: the ghosts beyond a pole fold back with the parity (-1)^m
+        rows = np.arange(-2, n + 2)
+        fold = np.zeros((n + 4, n))
+        fold[np.arange(n + 4), np.where(rows < 0, -rows - 1, np.minimum(rows, 2 * n - 1 - rows))] \
+            = np.where((rows < 0) | (rows >= n), (-1.0) ** m, 1.0)
+        d1 = sum(c / (12 * h) * np.eye(n, n + 4, k=j) for j, c in enumerate((1, -8, 0, 8, -1)))
+        d2 = sum(c / (12 * h * h) * np.eye(n, n + 4, k=j)
+                 for j, c in enumerate((-1, 16, -30, 16, -1)))
+        return d2 @ fold + self._cot[:, None] * (d1 @ fold) - np.diag(m ** 2 / self._sin ** 2)
 
-        def add(mat, i, j, val):
-            if j == -1:
-                mat[i, 0] += sign * val
-            elif j == -2:
-                mat[i, 1] += sign * val
-            elif j == n:
-                mat[i, n - 1] += sign * val
-            elif j == n + 1:
-                mat[i, n - 2] += sign * val
-            else:
-                mat[i, j] += val
+    @cached_property
+    def _eigenbasis(self):
+        """(V, lam, V^-1) with A_m = V_m diag(lam_m) V_m^-1 for every azimuthal mode m.
 
-        for i in range(n):
-            add(D1, i, i - 2, 1.0 / (12 * h))
-            add(D1, i, i - 1, -8.0 / (12 * h))
-            add(D1, i, i + 1, 8.0 / (12 * h))
-            add(D1, i, i + 2, -1.0 / (12 * h))
-            add(D2, i, i - 2, -1.0 / (12 * h * h))
-            add(D2, i, i - 1, 16.0 / (12 * h * h))
-            add(D2, i, i, -30.0 / (12 * h * h))
-            add(D2, i, i + 1, 16.0 / (12 * h * h))
-            add(D2, i, i + 2, -1.0 / (12 * h * h))
-        return D2 + np.diag(self._cot) @ D1 - np.diag(m ** 2 / self._sin ** 2)
-
-    def _implicit_factors(self, kappa: float):
-        factors = self._implicit_cache.get(kappa)
-        if factors is None:
-            eye = np.eye(self.n_theta)
-            factors = [lu_factor(eye - kappa * self._mode_operator(int(m)))
-                       for m in self._m]
-            # time-dependent radii produce one kappa per slice: cap the cache
-            # (FIFO) so long runs cannot accumulate factorizations unboundedly
-            if len(self._implicit_cache) >= 32:
-                self._implicit_cache.pop(next(iter(self._implicit_cache)))
-            self._implicit_cache[kappa] = factors
-        return factors
+        Raises HmflowError, naming the grid and the mode, when an eigenvalue
+        is not real and <= 0 up to rounding (1 - kappa lam could vanish) or
+        V is ill-conditioned (steps would be silently inaccurate).
+        """
+        lam, vecs = np.linalg.eig(np.stack([self._mode_operator(int(m)) for m in self._m]))
+        inv = np.linalg.inv(vecs)
+        cond = np.abs(vecs).sum(axis=1).max(axis=1) * np.abs(inv).sum(axis=1).max(axis=1)
+        re, im = lam.real.max(axis=1), np.abs(lam.imag).max(axis=1)
+        bad = (im > 0) | (re > _EIG_ROUNDING * np.abs(lam).max(axis=1)) | (cond > _EIG_MAX_COND)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise HmflowError(
+                f"{self!r}, azimuthal mode m = {int(self._m[k])}: the heat step needs real "
+                f"eigenvalues <= 0 (largest real part {re[k]:.3g}, imaginary {im[k]:.3g}) and "
+                f"eigenvectors of condition number <= {_EIG_MAX_COND:g} (found {cond[k]:.3g})")
+        return vecs.real, lam.real, inv.real
 
     def heat_semigroup_step(self, t, dt, field):
         """One implicit (backward Euler) step of the heat semigroup.
 
-        Longitude is diagonalized by FFT; each azimuthal mode solves a dense
-        colatitude system with the cross-pole parity folded into the matrix.
+        Longitude is diagonalized by FFT; each azimuthal mode m applies
+        (I - kappa A_m)^-1 = V_m diag(1 / (1 - kappa lam_m)) V_m^-1 with
+        kappa = dt / (2 rho(t)^2), where A_m is the colatitude operator with
+        the cross-pole parity folded in.  The eigenbasis does not depend on t
+        or dt: it is built once per source, on the first step, at a cost of
+        O(n_modes n_theta^3), and holds 2 n_modes n_theta^2 doubles.
         Unconditionally stable, O(dt) accurate.
         """
         self._check_time(t)
         field = np.asarray(field, dtype=float)
         self._require_grid(field)
-        rho = float(self.profile(t))
-        kappa = 0.5 * dt / rho ** 2
-        factors = self._implicit_factors(kappa)
+        vecs, lam, inv = self._eigenbasis
+        kappa = 0.5 * dt / float(self.profile(t)) ** 2
         modes = np.fft.rfft(field, axis=1)
-        flat = modes.reshape(self.n_theta, modes.shape[1], -1)
-        out = np.empty_like(flat)
-        for im in range(flat.shape[1]):
-            rhs = flat[:, im, :]
-            out[:, im, :] = (lu_solve(factors[im], rhs.real)
-                             + 1j * lu_solve(factors[im], rhs.imag))
-        return np.fft.irfft(out.reshape(modes.shape), n=self.n_phi, axis=1)
+        # (n_modes, n_theta, k) complex columns as (n_modes, n_theta, 2k) real ones
+        rhs = np.ascontiguousarray(
+            modes.reshape(self.n_theta, modes.shape[1], -1).transpose(1, 0, 2)).view(float)
+        out = vecs @ ((1.0 / (1.0 - kappa * lam))[..., None] * (inv @ rhs))
+        out = out.view(complex).transpose(1, 0, 2).reshape(modes.shape)
+        return np.fft.irfft(out, n=self.n_phi, axis=1)
 
     def mc_step_mean(self, t, dt, field, n_paths: int, rng: np.random.Generator,
                      antithetic: bool = False):

@@ -134,9 +134,6 @@ class UnitSphere(TargetManifold):
                 f"{3.0 * self.tube_radius:.6g} from the target")
         return p / np.linalg.norm(p, axis=-1, keepdims=True)
 
-    def contains(self, p, tol: float = _ON_MANIFOLD_TOL):
-        return self.distance(p) <= tol
-
     def tangent_projection(self, q):
         """Orthogonal projector onto T_q S^d as an (..., L2, L2) matrix stack."""
         q = np.asarray(q, dtype=float)
@@ -265,10 +262,6 @@ class FlatSpace(TargetManifold):
 
     def nearest_point(self, p):
         return np.asarray(p, dtype=float)
-
-    def contains(self, p, tol: float = _ON_MANIFOLD_TOL):
-        p = np.asarray(p, dtype=float)
-        return np.ones(p.shape[:-1], dtype=bool)
 
     def tangent_projection(self, q):
         q = np.asarray(q, dtype=float)

@@ -327,6 +327,9 @@ BAD_CONFIGS = [
                  id="grid_too_coarse"),
     pytest.param("solve", _edit(SPH_CONFIG, ("n_phi = 32", "n_phi = 31")), [], "n_phi",
                  id="odd_n_phi"),
+    pytest.param("solve", _edit(SPH_CONFIG, ("[target]\nfamily = sphere2",
+                                             "[target]\nfamily = circle")),
+                 [], "[target] family", id="sphere_terminal_into_circle_target"),
 ]
 
 

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from hmflow import fields
 from hmflow.errors import HorizonMismatch, ShapeMismatch
 from hmflow.fields import MapField, c01_norm, difference_c01, sup_norm
 from hmflow.sources import Circle, Sphere2, constant_radius
-from hmflow.targets import UnitSphere
+from hmflow.targets import FlatSpace, UnitSphere
 
 
 def identity_field(n_theta=64, horizon=0.25, n_t=10, radius=1.0):
@@ -76,6 +77,20 @@ def test_save_load_roundtrip(tmp_path, fmt):
     np.testing.assert_array_equal(g.values, f.values)
     np.testing.assert_array_equal(g.times, f.times)
     assert g.horizon == f.horizon
+
+
+def test_csv_bytes_match_per_value_formatting(tmp_path, monkeypatch):
+    monkeypatch.setattr(fields, "_CSV_BLOCK_ROWS", 7)   # blocks that do not divide the rows
+    c = Circle(constant_radius(1.0), n_theta=16)
+    special = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+               -1e300, 1 / 3, 0.1, 1e-5, 123456789012345678.0, -2.5]
+    values = np.random.default_rng(3).standard_normal((3, 16, 3)) * 1e3
+    values.flat[:len(special)] = special
+    f = MapField(np.linspace(0.0, 0.5, 3), values, c, FlatSpace(3))
+    f.save(tmp_path / "f.csv")
+    rows = "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in values.reshape(-1, 3))
+    assert (tmp_path / "f.csv").read_text() == "2,16,3,0.5\n" + rows
+    np.testing.assert_array_equal(MapField.load(tmp_path / "f.csv", c, f.target).values, values)
 
 
 def test_load_extension_sniffing(tmp_path):

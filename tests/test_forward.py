@@ -66,6 +66,13 @@ def test_sphere_moment_decay():
     assert rep["expected"] == pytest.approx(np.exp(-0.5), rel=1e-12)
 
 
+@pytest.mark.parametrize("n_paths", [0, 1])
+def test_moment_check_needs_two_paths(n_paths):
+    # one path has a NaN standard error, which used to pass the 3-sigma check
+    with pytest.raises(ValueError, match="n_paths"):
+        moment_check(Circle(n_theta=16), 0.0, 0.0, 0.5, 1 / 64, n_paths, 3)
+
+
 def test_time_change_law():
     # with rho(t) = 1 + 0.2 sin t the decay integrates rho^-2
     cs = Circle(sine_radius(0.2, 1.0), n_theta=16, horizon=1.0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hmflow.errors import GridTooCoarse, TimeOutOfRange
+from hmflow.errors import GridTooCoarse, HmflowError, TimeOutOfRange
 from hmflow.sources import (Circle, Sphere2, constant_radius, shrinking_radius,
                             sine_radius)
 
@@ -332,13 +332,67 @@ def test_sphere_mc_step_unbiased():
     assert np.mean(np.abs(mean - target) <= 4 * se + interp_bias + 2e-4) > 0.97
 
 
-def test_sphere_implicit_cache_bounded():
+def _held_nbytes(obj):
+    """Bytes of the numpy arrays held in an object's attributes, through containers."""
+    def walk(v):
+        if isinstance(v, np.ndarray):
+            return v.nbytes
+        if isinstance(v, (list, tuple)):
+            return sum(walk(x) for x in v)
+        if isinstance(v, dict):
+            return sum(walk(x) for x in v.values())
+        return 0
+    return walk(vars(obj))
+
+
+def _dense_heat_step(s, t, dt, field):
+    """Reference backward Euler step: one dense solve of (I - kappa A_m) per mode."""
+    kappa = 0.5 * dt / float(s.profile(t)) ** 2
+    modes = np.fft.rfft(field, axis=1)
+    for im, m in enumerate(s._m):
+        modes[:, im] = np.linalg.solve(np.eye(s.n_theta) - kappa * s._mode_operator(int(m)),
+                                       modes[:, im])
+    return np.fft.irfft(modes, n=s.n_phi, axis=1)
+
+
+def test_sphere_heat_step_eigenbasis_bounded():
     s = Sphere2(sine_radius(0.1, 3.0), n_theta=8, n_phi=16, horizon=1.0)
-    f = s.grid_points()[..., 2]
+    field = np.random.default_rng(5).standard_normal((8, 16, 3))
+    before = _held_nbytes(s)
+    s.heat_semigroup_step(0.0, 0.01, field)
+    after_one = _held_nbytes(s)
+    assert after_one > before          # the eigenbasis is built by the first step, not before
     for k in range(40):   # 40 distinct kappas
-        s.heat_semigroup_step(k / 40.0, 0.01, f)
-    assert len(s._implicit_cache) <= 32
-    # still correct after evictions
+        out = s.heat_semigroup_step(k / 40.0, 0.01, field)
+        np.testing.assert_allclose(out, _dense_heat_step(s, k / 40.0, 0.01, field),
+                                   rtol=0, atol=1e-12)
+    assert _held_nbytes(s) == after_one
+    np.testing.assert_array_equal(s.heat_semigroup_step(0.3, 0.01, field),
+                                  s.heat_semigroup_step(0.3, 0.01, field))
+    f = s.grid_points()[..., 2]
     out = s.heat_semigroup_step(0.0, 0.01, f)
     np.testing.assert_allclose(out, f / (1 + 0.01 / float(s.profile(0.0)) ** 2),
                                atol=2e-3)
+
+
+@pytest.mark.parametrize("block,found", [
+    # eigenvalues -1 +- i
+    (np.array([[-1.0, 1.0], [-1.0, -1.0]]), "(largest real part -1, imaginary 1)"),
+    # a positive eigenvalue
+    (np.array([[1.0, 0.0], [0.0, -1.0]]), "(largest real part 1, imaginary 0)"),
+    # eigenvalues -1 and -1 - 1e-12 pass; their nearly parallel eigenvectors do not
+    (np.array([[-1.0, 1.0], [0.0, -1.0 - 1e-12]]), "(largest real part -1, imaginary 0)"),
+])
+def test_sphere_eigenbasis_guard_names_grid_and_mode(monkeypatch, block, found):
+    s = Sphere2(constant_radius(1.0), n_theta=8, n_phi=16)
+    mode_operator = Sphere2._mode_operator
+
+    def patched(self, m):
+        return np.kron(np.eye(4), block) if m == 3 else mode_operator(self, m)
+
+    monkeypatch.setattr(Sphere2, "_mode_operator", patched)
+    for _ in range(2):   # a failed build is not kept
+        with pytest.raises(HmflowError) as err:
+            s.heat_semigroup_step(0.0, 0.01, s.grid_points()[..., 2])
+        assert "n_theta=8, n_phi=16" in str(err.value) and "m = 3" in str(err.value)
+        assert found in str(err.value)
