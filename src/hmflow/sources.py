@@ -627,17 +627,34 @@ class Sphere2(SourceManifold):
     # -- one-step conditional expectations -------------------------------------------
 
     def _mode_operator(self, m: int):
-        """Matrix of the colatitude differences of `laplace_beltrami` (rho = 1) on mode m."""
         n, h = self.n_theta, self.dtheta
-        # padded rows -2 .. n + 1: the ghosts beyond a pole fold back with the parity (-1)^m
-        rows = np.arange(-2, n + 2)
-        fold = np.zeros((n + 4, n))
-        fold[np.arange(n + 4), np.where(rows < 0, -rows - 1, np.minimum(rows, 2 * n - 1 - rows))] \
-            = np.where((rows < 0) | (rows >= n), (-1.0) ** m, 1.0)
-        d1 = sum(c / (12 * h) * np.eye(n, n + 4, k=j) for j, c in enumerate((1, -8, 0, 8, -1)))
-        d2 = sum(c / (12 * h * h) * np.eye(n, n + 4, k=j)
-                 for j, c in enumerate((-1, 16, -30, 16, -1)))
-        return d2 @ fold + self._cot[:, None] * (d1 @ fold) - np.diag(m ** 2 / self._sin ** 2)
+        sign = -1.0 if m % 2 else 1.0
+        D1 = np.zeros((n, n))
+        D2 = np.zeros((n, n))
+
+        def add(mat, i, j, val):
+            if j == -1:
+                mat[i, 0] += sign * val
+            elif j == -2:
+                mat[i, 1] += sign * val
+            elif j == n:
+                mat[i, n - 1] += sign * val
+            elif j == n + 1:
+                mat[i, n - 2] += sign * val
+            else:
+                mat[i, j] += val
+
+        for i in range(n):
+            add(D1, i, i - 2, 1.0 / (12 * h))
+            add(D1, i, i - 1, -8.0 / (12 * h))
+            add(D1, i, i + 1, 8.0 / (12 * h))
+            add(D1, i, i + 2, -1.0 / (12 * h))
+            add(D2, i, i - 2, -1.0 / (12 * h * h))
+            add(D2, i, i - 1, 16.0 / (12 * h * h))
+            add(D2, i, i, -30.0 / (12 * h * h))
+            add(D2, i, i + 1, 16.0 / (12 * h * h))
+            add(D2, i, i + 2, -1.0 / (12 * h * h))
+        return D2 + np.diag(self._cot) @ D1 - np.diag(m ** 2 / self._sin ** 2)
 
     @cached_property
     def _eigenbasis(self):
@@ -647,18 +664,22 @@ class Sphere2(SourceManifold):
         is not real and <= 0 up to rounding (1 - kappa lam could vanish) or
         V is ill-conditioned (steps would be silently inaccurate).
         """
-        lam, vecs = np.linalg.eig(np.stack([self._mode_operator(int(m)) for m in self._m]))
-        inv = np.linalg.inv(vecs)
-        cond = np.abs(vecs).sum(axis=1).max(axis=1) * np.abs(inv).sum(axis=1).max(axis=1)
-        re, im = lam.real.max(axis=1), np.abs(lam.imag).max(axis=1)
-        bad = (im > 0) | (re > _EIG_ROUNDING * np.abs(lam).max(axis=1)) | (cond > _EIG_MAX_COND)
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise HmflowError(
-                f"{self!r}, azimuthal mode m = {int(self._m[k])}: the heat step needs real "
-                f"eigenvalues <= 0 (largest real part {re[k]:.3g}, imaginary {im[k]:.3g}) and "
-                f"eigenvectors of condition number <= {_EIG_MAX_COND:g} (found {cond[k]:.3g})")
-        return vecs.real, lam.real, inv.real
+        n = self.n_theta
+        vecs, inv = np.empty((len(self._m), n, n)), np.empty((len(self._m), n, n))
+        lam = np.empty((len(self._m), n))
+        # one mode at a time, so the build holds little more than its result
+        for k, m in enumerate(self._m.astype(int)):
+            w, v = np.linalg.eig(self._mode_operator(m))
+            v_inv = np.linalg.inv(v)
+            cond = np.abs(v).sum(axis=0).max() * np.abs(v_inv).sum(axis=0).max()
+            re, im = w.real.max(), np.abs(w.imag).max()
+            if im > 0 or re > _EIG_ROUNDING * np.abs(w).max() or cond > _EIG_MAX_COND:
+                raise HmflowError(
+                    f"{self!r}, azimuthal mode m = {m}: the heat step needs real eigenvalues "
+                    f"<= 0 (largest real part {re:.3g}, imaginary {im:.3g}) and eigenvectors "
+                    f"of condition number <= {_EIG_MAX_COND:g} (found {cond:.3g})")
+            vecs[k], lam[k], inv[k] = v.real, w.real, v_inv.real
+        return vecs, lam, inv
 
     def heat_semigroup_step(self, t, dt, field):
         """One implicit (backward Euler) step of the heat semigroup.

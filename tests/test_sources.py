@@ -367,6 +367,11 @@ def test_sphere_heat_step_eigenbasis_bounded():
         np.testing.assert_allclose(out, _dense_heat_step(s, k / 40.0, 0.01, field),
                                    rtol=0, atol=1e-12)
     assert _held_nbytes(s) == after_one
+    # the eigenbasis owns exactly the documented 2 n_modes n_theta^2 (+ n_modes n_theta) doubles,
+    # not views that keep larger (complex) arrays alive
+    n_modes = 16 // 2 + 1
+    assert all(a.base is None for a in s._eigenbasis)
+    assert sum(a.nbytes for a in s._eigenbasis) == 8 * (2 * n_modes * 8 ** 2 + n_modes * 8)
     np.testing.assert_array_equal(s.heat_semigroup_step(0.3, 0.01, field),
                                   s.heat_semigroup_step(0.3, 0.01, field))
     f = s.grid_points()[..., 2]
