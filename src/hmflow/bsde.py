@@ -26,8 +26,7 @@ from .targets import sff_trace
 
 
 def picard_map(u: MapField, h, backend: str = "semigroup", n_paths: int = 0,
-               master_seed: int = 0, antithetic: bool = False,
-               n_quad: int = 40) -> MapField:
+               master_seed: int = 0, antithetic: bool = False) -> MapField:
     """One application of the backward-flow operator to the frozen field u.
 
     Stepping backward from w(horizon) = h: each slice first takes the
@@ -67,7 +66,7 @@ def picard_map(u: MapField, h, backend: str = "semigroup", n_paths: int = 0,
             rng = keyed_generator(master_seed, DOMAIN_MC_SLICE, k)
             cond = source.mc_step_mean(t_k, dt, w[k + 1], n_paths, rng, antithetic)
         else:
-            cond = source.quadrature_step_mean(t_k, dt, w[k + 1], n_quad)
+            cond = source.quadrature_step_mean(t_k, dt, w[k + 1])
         z = source.frame_gradient(t_k, u.values[k])
         w[k] = cond - 0.5 * dt * sff_trace(target, cond, z)
         worst = float(np.max(np.linalg.norm(w[k], axis=-1)))

@@ -10,7 +10,8 @@ Every command echoes its config into the output directory and is
 reproducible from config + seed: all emitted CSV/JSON is byte-identical
 across reruns.  Wall-clock timing goes to run.log only, which is outside
 that contract.  Exit codes: 0 success, 2 config/IO error (config values
-are checked before any computing starts), 3 no contraction, 4
+are checked before any computing starts) or any other library error
+(HmflowError, reported with its class name), 3 no contraction, 4
 verification failure, 5 a solve that stopped at max_iter without
 converging (its outputs are still written).
 """
@@ -67,7 +68,6 @@ _SCHEMA = {
         "n_paths": (int, 10_000),
         "sample_paths": (int, 1000),
         "master_seed": (int, 12345),
-        "threads": (int, 0),
         "antithetic": (bool, False),
         "plots": (bool, False),
     },
@@ -192,6 +192,10 @@ def _check_run(rc: dict, source):
     if rc["t0"] > source.horizon:
         raise ConfigError(f"[run] t0 = {rc['t0']} exceeds the source horizon "
                           f"{source.horizon}")
+    try:
+        step_count(source, 0.0, rc["t0"], rc["dt"])
+    except (HmflowError, ValueError) as exc:
+        raise ConfigError(f"[run] dt = {rc['dt']} with t0 = {rc['t0']}: {exc}")
     if rc["n_paths"] < 0:
         raise ConfigError(f"[run] n_paths = {rc['n_paths']} must not be negative")
     if rc["backend"] == "monte_carlo" and rc["n_paths"] == 0 \
@@ -249,8 +253,7 @@ def cmd_solve(config_path: str, out_dir: str, seed: int | None,
             source, target, case.terminal, rc["t0"], tol=rc["tol"],
             max_iter=rc["max_iter"], backend=rc["backend"], dt=rc["dt"],
             n_paths=rc["n_paths"], master_seed=rc["master_seed"],
-            antithetic=rc["antithetic"], sample_paths=rc["sample_paths"],
-            threads=rc["threads"])
+            antithetic=rc["antithetic"], sample_paths=rc["sample_paths"])
     except NoContraction as exc:
         print(f"no contraction: {exc}", file=sys.stderr)
         out.joinpath("run.log").write_text(f"failed: {exc}\n")
@@ -356,8 +359,7 @@ def cmd_simulate_forward(config_path: str, out_dir: str, seed: int | None) -> in
 
     start = time.perf_counter()
     report = moment_check(source, 0.0, x0, fc["horizon"], fc["dt"],
-                          fc["n_paths"], master_seed, antithetic=fc["antithetic"],
-                          threads=cfg["run"]["threads"])
+                          fc["n_paths"], master_seed, antithetic=fc["antithetic"])
     report["master_seed"] = master_seed
     report["dt"] = fc["dt"]
     report["horizon"] = fc["horizon"]
@@ -463,6 +465,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return 2
+    except HmflowError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

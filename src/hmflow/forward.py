@@ -2,15 +2,13 @@
 
 Simulates the time-inhomogeneous Brownian motion generated by half the
 metric Laplacian, with deterministic counter-based increments so ensembles
-are reproducible bit-for-bit regardless of scheduling, plus the one-step
-weak-consistency probe used to validate the integrators against the
-generator.
+are reproducible bit-for-bit, plus the one-step weak-consistency probe
+used to validate the integrators against the generator.
 """
 
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,36 +62,21 @@ class PathEnsemble:
                     writer.writerow([p, k, f"{t:.17g}"] + [f"{c:.17g}" for c in coords])
 
 
-def _draw_increments(master_seed, n_paths, n_steps, dim, dt, antithetic, threads):
+def _draw_increments(master_seed, domain, n_paths, n_steps, dim, dt, antithetic):
+    """Brownian increments (n_steps, n_paths, dim), filled in place one path at a time.
+
+    Path p reads stream (master_seed, domain, p); with antithetic sampling
+    path 2i reads stream i and path 2i + 1 is its negation.
+    """
+    if antithetic and n_paths % 2:
+        raise ValueError("antithetic sampling needs an even path count")
     out = np.empty((n_steps, n_paths, dim))
     scale = np.sqrt(dt)
+    stride = 2 if antithetic else 1
+    for p in range(0, n_paths, stride):
+        out[:, p, :] = scale * path_normals(master_seed, domain, p // stride, n_steps, dim)
     if antithetic:
-        if n_paths % 2:
-            raise ValueError("antithetic sampling needs an even path count")
-
-        def fill(p):
-            if p % 2 == 0:
-                out[:, p, :] = scale * path_normals(
-                    master_seed, DOMAIN_FORWARD_PATH, p // 2, n_steps, dim)
-            else:
-                out[:, p, :] = -out[:, p - 1, :]
-
-        for p in range(0, n_paths, 2):
-            fill(p)
-            fill(p + 1)
-        return out
-
-    def fill_range(lo, hi):
-        for p in range(lo, hi):
-            out[:, p, :] = scale * path_normals(
-                master_seed, DOMAIN_FORWARD_PATH, p, n_steps, dim)
-
-    if threads and threads > 1 and n_paths >= 4 * threads:
-        bounds = np.linspace(0, n_paths, threads + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda ab: fill_range(*ab), zip(bounds[:-1], bounds[1:])))
-    else:
-        fill_range(0, n_paths)
+        np.negative(out[:, 0::2], out=out[:, 1::2])
     return out
 
 
@@ -118,14 +101,16 @@ def step_count(source, t: float, horizon: float, dt: float) -> int:
 
 def simulate(source, t: float, x, horizon: float, dt: float, n_paths: int,
              master_seed: int, antithetic: bool = False, zero_noise: bool = False,
-             threads: int = 0, _domain: int = DOMAIN_FORWARD_PATH) -> PathEnsemble:
+             _domain: int = DOMAIN_FORWARD_PATH) -> PathEnsemble:
     """Simulate the forward diffusion from time t to the horizon.
 
     x is a single intrinsic start (angle / unit vector) shared by all paths,
     an array of per-path starts with leading length n_paths, or the string
-    "grid" for round-robin chart-grid starts.  Increments are keyed by
-    (master_seed, path), so reruns and any path-parallel execution order
-    give bit-identical ensembles.
+    "grid" for round-robin chart-grid starts.  Path p is driven by stream
+    (master_seed, _domain, p) (see `_draw_increments`), so reruns give
+    bit-identical ensembles and the first k paths of any larger ensemble
+    equal a k-path ensemble.  The public functions draw from the forward
+    domain; `picard.solve` draws its sample from a domain of its own.
     """
     if isinstance(x, str):
         if x != "grid":
@@ -138,8 +123,8 @@ def simulate(source, t: float, x, horizon: float, dt: float, n_paths: int,
     if zero_noise:
         increments = np.zeros((n_steps, n_paths, dim))
     else:
-        increments = _draw_increments(master_seed, n_paths, n_steps, dim, dt,
-                                      antithetic, threads)
+        increments = _draw_increments(master_seed, _domain, n_paths, n_steps, dim, dt,
+                                      antithetic)
 
     x = np.asarray(x, dtype=float)
     if x.ndim > len(source.point_shape) and x.shape[0] != n_paths:
@@ -157,8 +142,7 @@ def simulate(source, t: float, x, horizon: float, dt: float, n_paths: int,
 
 
 def moment_check(source, t: float, x, horizon: float, dt: float, n_paths: int,
-                 master_seed: int, antithetic: bool = False,
-                 threads: int = 0) -> dict:
+                 master_seed: int, antithetic: bool = False) -> dict:
     """Decay of the first nontrivial symmetric moment against the exact law.
 
     The mean of the source's `first_harmonic` decays by exp(-dim tau / 2)
@@ -169,8 +153,7 @@ def moment_check(source, t: float, x, horizon: float, dt: float, n_paths: int,
     """
     if n_paths < 2:
         raise ValueError(f"n_paths = {n_paths}: a standard error needs at least 2 paths")
-    ens = simulate(source, t, x, horizon, dt, n_paths, master_seed, antithetic,
-                   threads=threads)
+    ens = simulate(source, t, x, horizon, dt, n_paths, master_seed, antithetic)
     tau = time_change(source.profile, t, horizon)
     vals = source.first_harmonic(ens.states[-1], x)
     expected = float(np.mean(source.first_harmonic(ens.states[0], x))
@@ -190,24 +173,20 @@ def moment_check(source, t: float, x, horizon: float, dt: float, n_paths: int,
     }
 
 
-def weak_error_probe(source, t: float, x, f, h_list, lap_f=None,
-                     n_mc: int = 1_000_000, master_seed: int = 0,
-                     n_quad: int = 60) -> np.ndarray:
+def weak_error_probe(source, t: float, x, f, h_list, n_mc: int = 1_000_000,
+                     master_seed: int = 0) -> np.ndarray:
     """One-step weak-consistency table for the path integrator.
 
     For each step size h, measures |E[f(X_{t+h})] - f(x) - (h/2) Lap f(x)|
     with the expectation from the source's `one_step_means`: Gauss-Hermite
-    quadrature (n_quad nodes) on the circle, Monte Carlo (n_mc paths keyed
-    by master_seed) on the sphere.  Returns rows (h, residual).
+    quadrature on the circle, Monte Carlo (n_mc paths keyed by master_seed)
+    on the sphere.  Lap f(x) is the source's Laplace-Beltrami operator on f
+    over the grid, interpolated at x.  Returns rows (h, residual).
     """
     f_x = float(np.asarray(f(np.asarray(x))))
-    if lap_f is not None:
-        lap_x = float(lap_f(np.asarray(x)))
-    else:
-        grid_field = f(source.grid_points())
-        lap_grid = source.laplace_beltrami(t, grid_field)
-        lap_x = float(np.asarray(source.interpolate_slice(lap_grid, np.asarray(x))))
+    lap_grid = source.laplace_beltrami(t, f(source.grid_points()))
+    lap_x = float(np.asarray(source.interpolate_slice(lap_grid, np.asarray(x))))
 
-    means = source.one_step_means(f, t, x, h_list, n_quad, n_mc, master_seed)
+    means = source.one_step_means(f, t, x, h_list, n_mc, master_seed)
     return np.array([(h, abs(mean - f_x - 0.5 * h * lap_x))
                      for h, mean in zip(h_list, means)])

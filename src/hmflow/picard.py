@@ -48,14 +48,17 @@ class _Restart(Exception):
 def solve(source, target, h, t0_init: float, tol: float = 1e-10,
           max_iter: int = 40, backend: str = "semigroup", dt: float = 1e-3,
           n_paths: int = 10_000, master_seed: int = 0, antithetic: bool = False,
-          sample_paths: int = 1000, threads: int = 0):
+          sample_paths: int = 1000):
     """Iterate the backward operator to its fixed point.
 
     h must map every grid node onto the target (checked to 1e-10).  If two
     consecutive delta ratios exceed 0.9, or the iterate bound blows up, the
     horizon is halved and the loop restarts; below a 1e-4 horizon the solve
     gives up with NoContraction.  Returns (field, state, sample) where the
-    sample evaluates the fixed point along a fresh forward ensemble.
+    sample evaluates the fixed point along a fresh forward ensemble of
+    sample_paths paths from the grid nodes.  That ensemble reads the
+    sample stream domain, so it shares no increments with a `simulate`
+    call, or a `simulate-forward` run, at the same master seed.
 
     Identical inputs (including the master seed for the Monte Carlo
     backend) reproduce identical iterate histories.
@@ -103,7 +106,7 @@ def solve(source, target, h, t0_init: float, tol: float = 1e-10,
     # after halving the horizon may no longer be a multiple of the requested
     # dt; the field's own slice spacing always divides it exactly
     ensemble = simulate(source, 0.0, "grid", horizon, u.dt, sample_paths,
-                        master_seed, threads=threads, _domain=DOMAIN_SAMPLE_PATH)
+                        master_seed, _domain=DOMAIN_SAMPLE_PATH)
     sample = sample_solution(u, ensemble)
     return u, state, sample
 

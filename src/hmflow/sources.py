@@ -23,6 +23,8 @@ from .errors import GridTooCoarse, HmflowError, TimeOutOfRange
 _TIME_SLACK = 1e-12
 _EIG_ROUNDING = 1e-10   # eigenvalue / spectral radius above this is not "<= 0"
 _EIG_MAX_COND = 1e6     # 1-norm cond(V) above this lets a step's rounding pass ~1e-10
+_STEP_QUAD_NODES = 40   # Gauss-Hermite nodes of the circle's quadrature step mean
+_PROBE_QUAD_NODES = 60  # Gauss-Hermite nodes of the circle's weak-error probe
 
 
 class RadiusProfile:
@@ -104,15 +106,14 @@ class SourceManifold:
         tgrid = np.linspace(t0, t1, 1001)
         return float(np.min(self.profile(tgrid)))
 
-    def ricci_bound(self, n_time: int = 1001) -> float:
+    def ricci_bound(self) -> float:
         """Supremum over the time grid of the metric-compatibility tensor norm.
 
         The tensor d(g_t)/dt + Ric_{g_t} is conformal for both families, so its
-        g x g norm reduces to |scalar| * sqrt(dim); the sup is taken over at
-        least 1000 time nodes.
+        g x g norm reduces to |scalar| * sqrt(dim); the sup is taken over 1001
+        time nodes.
         """
-        n_time = max(int(n_time), 1001)
-        tgrid = np.linspace(0.0, self.horizon, n_time)
+        tgrid = np.linspace(0.0, self.horizon, 1001)
         return float(np.max(np.abs(self._compat_scalar(tgrid))) * np.sqrt(self.dim))
 
 
@@ -343,26 +344,26 @@ class Circle(SourceManifold):
         shape = (-1,) + (1,) * (field.ndim - 1)
         return np.fft.irfft(modes * chi.reshape(shape), n=self.n_theta, axis=0)
 
-    def quadrature_step_mean(self, t, dt, field, n_quad: int = 40):
+    def quadrature_step_mean(self, t, dt, field):
         """Gauss-Hermite evaluation of the one-step conditional expectation."""
         self._check_time(t)
         field = np.asarray(field, dtype=float)
         self._require_grid(field)
         rho = float(self.profile(t))
-        nodes, weights = np.polynomial.hermite.hermgauss(n_quad)
+        nodes, weights = np.polynomial.hermite.hermgauss(_STEP_QUAD_NODES)
         shifts = np.sqrt(2.0 * dt) / rho * nodes
         acc = np.zeros_like(field)
         for w, s in zip(weights / np.sqrt(np.pi), shifts):
             acc += w * self.interpolate_slice(field, np.mod(self.thetas + s, 2 * np.pi))
         return acc
 
-    def one_step_means(self, f, t, x, h_list, n_quad, n_mc, master_seed):
+    def one_step_means(self, f, t, x, h_list, n_mc, master_seed):
         """E[f(X_{t+h})] from the angle x for each step h in h_list.
 
-        Gauss-Hermite quadrature with n_quad nodes: the one-step law is
-        Gaussian in the chart.  n_mc and master_seed are not used.
+        Gauss-Hermite quadrature: the one-step law is Gaussian in the chart.
+        n_mc and master_seed are not used.
         """
-        nodes, weights = np.polynomial.hermite.hermgauss(n_quad)
+        nodes, weights = np.polynomial.hermite.hermgauss(_PROBE_QUAD_NODES)
         weights = weights / np.sqrt(np.pi)
         rho = float(self.profile(t))
         return [float(np.sum(weights * f(float(x) + np.sqrt(2.0 * h) / rho * nodes)))
@@ -722,13 +723,12 @@ class Sphere2(SourceManifold):
         vals = vals.reshape((nodes.shape[0], n_paths) + field.shape[2:])
         return vals.mean(axis=1).reshape(field.shape)
 
-    def one_step_means(self, f, t, x, h_list, n_quad, n_mc, master_seed):
+    def one_step_means(self, f, t, x, h_list, n_mc, master_seed):
         """E[f(X_{t+h})] from the unit vector x for each step h in h_list.
 
         Monte Carlo over n_mc paths of `step_paths`, with the same base
         normals scaled across the h-list so that a slope fitted to the
-        residuals is not scrambled by independent sampling noise.  n_quad is
-        not used.
+        residuals is not scrambled by independent sampling noise.
         """
         rng = np.random.Generator(np.random.Philox(key=master_seed))
         base = rng.standard_normal((n_mc, 3))

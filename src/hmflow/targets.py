@@ -94,9 +94,6 @@ class TargetManifold:
         """Truncated squared distance G(p) = chi(dist^2)."""
         return self._chi(self.distance(p) ** 2)
 
-    # subclasses provide: nearest_point, distance, tangent_projection,
-    # second_fundamental_form, extended_sff, g_gradient, g_hessian_quad.
-
 
 class UnitSphere(TargetManifold):
     """Unit sphere S^d in R^(d+1), d in {1, 2}.
@@ -133,12 +130,6 @@ class UnitSphere(TargetManifold):
                 f"point at distance {float(np.max(dist)):.6g} >= "
                 f"{3.0 * self.tube_radius:.6g} from the target")
         return p / np.linalg.norm(p, axis=-1, keepdims=True)
-
-    def tangent_projection(self, q):
-        """Orthogonal projector onto T_q S^d as an (..., L2, L2) matrix stack."""
-        q = np.asarray(q, dtype=float)
-        eye = np.eye(self.ambient_dim)
-        return eye - q[..., :, None] * q[..., None, :]
 
     def project_tangent(self, q, u):
         """Tangential part of u at q: u - <u,q> q."""
@@ -262,14 +253,6 @@ class FlatSpace(TargetManifold):
 
     def nearest_point(self, p):
         return np.asarray(p, dtype=float)
-
-    def tangent_projection(self, q):
-        q = np.asarray(q, dtype=float)
-        eye = np.eye(self.ambient_dim)
-        return np.broadcast_to(eye, q.shape[:-1] + eye.shape).copy()
-
-    def project_tangent(self, q, u):
-        return np.asarray(u, dtype=float)
 
     def second_fundamental_form(self, p, u, v):
         p = np.asarray(p, dtype=float)

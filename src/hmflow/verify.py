@@ -252,8 +252,8 @@ def stay_on_target(target, sample: BsdeSolutionSample) -> StayOnTargetReport:
                               integral, c_fit)
 
 
-def weak_form_residual(source, field: MapField, test_fn, t: float = 0.0) -> float:
-    """Defect of the space-time integral identity tying the terminal slice to slice t.
+def weak_form_residual(source, field: MapField, test_fn) -> float:
+    """Defect of the space-time integral identity tying the terminal slice to slice 0.
 
     All spatial integrals use the metric quadrature weights; the time
     derivative of the volume element comes from the closed-form radius
@@ -261,36 +261,25 @@ def weak_form_residual(source, field: MapField, test_fn, t: float = 0.0) -> floa
     grid.  Returns the Euclidean norm of the vector-valued defect.
     """
     f = test_fn(source.grid_points()) if callable(test_fn) else np.asarray(test_fn, float)
-    j0 = int(round(t / field.dt)) if field.n_t else 0
-    if abs(field.times[j0] - t) > 1e-9:
-        raise ValueError(f"t={t} is not a slice time of the field")
 
     def space_int(slice_vals, weights, scalar):
         return np.tensordot(weights * scalar, slice_vals, axes=slice_vals.ndim - 1)
 
-    w_T = source.volume_weights(field.horizon)
-    w_t = source.volume_weights(field.times[j0])
-    term_a = space_int(field.values[-1], w_T, f)
-    term_b = space_int(field.values[j0], w_t, f)
+    term_a = space_int(field.values[-1], source.volume_weights(field.horizon), f)
+    term_b = space_int(field.values[0], source.volume_weights(field.times[0]), f)
 
-    n_slices = field.n_t + 1 - j0
-    vol_dt = np.zeros((n_slices,) + term_a.shape)
+    vol_dt = np.zeros((field.n_t + 1,) + term_a.shape)
     grad_pair = np.zeros_like(vol_dt)
     curv = np.zeros_like(vol_dt)
-    z_f_cache = {}
-    for j in range(j0, field.n_t + 1):
-        s = field.times[j]
+    for j, s in enumerate(field.times):
         w_s = source.volume_weights(s)
-        dw_s = source.volume_weights_dt(s)
         u = field.values[j]
-        vol_dt[j - j0] = space_int(u, dw_s, f)
+        vol_dt[j] = space_int(u, source.volume_weights_dt(s), f)
         z_u = source.frame_gradient(s, u)
-        if s not in z_f_cache:
-            z_f_cache[s] = source.frame_gradient(s, f)
-        z_f = z_f_cache[s]
+        z_f = source.frame_gradient(s, f)
         pair = np.sum(z_u * z_f[..., None], axis=len(field.grid_shape))
-        grad_pair[j - j0] = np.tensordot(w_s, pair, axes=pair.ndim - 1)
-        curv[j - j0] = space_int(sff_trace(field.target, u, z_u), w_s, f)
+        grad_pair[j] = np.tensordot(w_s, pair, axes=pair.ndim - 1)
+        curv[j] = space_int(sff_trace(field.target, u, z_u), w_s, f)
     dt = field.dt
     int_vol = np.trapezoid(vol_dt, dx=dt, axis=0)
     int_grad = np.trapezoid(grad_pair, dx=dt, axis=0)

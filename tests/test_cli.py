@@ -7,7 +7,7 @@ import pytest
 from hmflow.cli import (build_case, build_source, build_target, build_terminal,
                         load_config, main)
 from hmflow.fields import MapField
-from hmflow.sources import Circle, constant_radius
+from hmflow.sources import Circle, Sphere2, constant_radius
 from hmflow.targets import UnitSphere
 from hmflow.verify import make_benchmark, pde_reference
 
@@ -330,6 +330,15 @@ BAD_CONFIGS = [
     pytest.param("solve", _edit(SPH_CONFIG, ("[target]\nfamily = sphere2",
                                              "[target]\nfamily = circle")),
                  [], "[target] family", id="sphere_terminal_into_circle_target"),
+    # 0.05 / 0.03 is not a whole number of steps
+    pytest.param("solve", _edit(SPH_CONFIG, ("dt = 2.5e-3", "dt = 0.03")), [], "[run] dt",
+                 id="run_dt_does_not_divide_t0"),
+    # 0.5 exceeds the stability bound rho^2 / 4 = 0.25
+    pytest.param("solve", _edit(PG_SOLVE, ("family = circle\n\n[terminal]",
+                                           "family = flat\n\n[terminal]"),
+                                ("name = perturbed_geodesic", "name = identity"),
+                                ("dt = 2e-3", "dt = 0.5")),
+                 [], "[run] dt", id="run_dt_past_stability_bound"),
 ]
 
 
@@ -384,3 +393,19 @@ def test_sphere_flat_target_writes_no_reference(tmp_path):
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "f")]) == 0
     assert "reference_sup_error" not in read_json(tmp_path / "f" / "summary.json")
     assert not (tmp_path / "f" / "error_vs_reference.csv").exists()
+
+
+def test_library_error_exits_2_without_traceback(tmp_path, capsys, monkeypatch):
+    # an azimuthal mode operator with eigenvalues -1 +- i trips the eigenbasis guard
+    mode_operator = Sphere2._mode_operator
+
+    def patched(self, m):
+        block = np.array([[-1.0, 1.0], [-1.0, -1.0]])
+        return np.kron(np.eye(self.n_theta // 2), block) if m == 3 else mode_operator(self, m)
+
+    monkeypatch.setattr(Sphere2, "_mode_operator", patched)
+    cfg = write_config(tmp_path, SPH_CONFIG)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "s")]) == 2
+    err = capsys.readouterr().err
+    assert "HmflowError" in err and "azimuthal mode" in err
+    assert "Traceback" not in err

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from hmflow._rng import DOMAIN_FORWARD_PATH, DOMAIN_SAMPLE_PATH, path_normals
 from hmflow.errors import StepTooLarge, TimeOutOfRange
 from hmflow.forward import moment_check, simulate, time_change, weak_error_probe
+from hmflow.picard import solve
 from hmflow.sources import Circle, Sphere2, constant_radius, sine_radius
+from hmflow.verify import make_benchmark
 
 
 def test_zero_noise_paths_are_constant():
@@ -27,11 +30,44 @@ def test_seed_determinism():
     assert not np.array_equal(a.states, d.states)
 
 
-def test_threaded_generation_matches_serial():
-    c = Circle(constant_radius(1.0), n_theta=16)
-    a = simulate(c, 0.0, 0.0, 0.25, 1 / 64, 64, 5, threads=0)
-    b = simulate(c, 0.0, 0.0, 0.25, 1 / 64, 64, 5, threads=4)
-    np.testing.assert_array_equal(a.states, b.states)
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("domain", [DOMAIN_FORWARD_PATH, DOMAIN_SAMPLE_PATH],
+                         ids=["forward", "sample"])
+def test_path_reads_its_own_stream(domain, antithetic):
+    dt = 1 / 64
+    for source, x0 in ((Circle(constant_radius(1.0), n_theta=16), 0.0),
+                       (Sphere2(constant_radius(1.0), n_theta=8, n_phi=16),
+                        np.array([0.0, 0.0, 1.0]))):
+        ens = simulate(source, 0.0, x0, 0.25, dt, 6, 5, antithetic=antithetic,
+                       _domain=domain)
+        for p in range(6):
+            stream = p // 2 if antithetic else p
+            sign = -1.0 if antithetic and p % 2 else 1.0
+            expected = sign * (np.sqrt(dt) * path_normals(5, domain, stream, 16,
+                                                          source.ambient_dim))
+            np.testing.assert_array_equal(ens.increments[:, p], expected)
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_leading_paths_do_not_depend_on_ensemble_size(antithetic):
+    # simulate-forward dumps the first paths of its moment ensemble this way
+    s = Sphere2(constant_radius(1.0), n_theta=8, n_phi=16)
+    x0 = np.array([0.0, 0.6, 0.8])
+    big = simulate(s, 0.0, x0, 0.25, 1 / 64, 64, 5, antithetic=antithetic)
+    small = simulate(s, 0.0, x0, 0.25, 1 / 64, 16, 5, antithetic=antithetic)
+    np.testing.assert_array_equal(big.increments[:, :16], small.increments)
+    np.testing.assert_array_equal(big.states[:, :16], small.states)
+
+
+def test_solve_sample_reads_the_sample_domain():
+    case = make_benchmark("flat_heat", horizon=0.1, n_x=16)
+    _, _, sample = solve(case.source, case.target, case.terminal, 0.1, dt=0.01,
+                         master_seed=3, sample_paths=8)
+    own = simulate(case.source, 0.0, "grid", 0.1, 0.01, 8, 3,
+                   _domain=DOMAIN_SAMPLE_PATH)
+    forward = simulate(case.source, 0.0, "grid", 0.1, 0.01, 8, 3)
+    np.testing.assert_array_equal(sample.ensemble.increments, own.increments)
+    assert not np.any(sample.ensemble.increments == forward.increments)
 
 
 def test_antithetic_pairs():
