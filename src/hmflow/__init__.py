@@ -16,7 +16,7 @@ from .errors import (BlowUp, ConfigError, FieldLeftTube, GridTooCoarse,
 from .fields import MapField, c01_norm, difference_c01, sup_norm
 from .forward import (PathEnsemble, moment_check, simulate, time_change,
                       weak_error_probe)
-from .picard import PicardState, contraction_report, fixed_point_residual, solve
+from .picard import PicardState, contraction_report, solve
 from .sources import (Circle, RadiusProfile, SourceManifold, Sphere2,
                       constant_radius, shrinking_radius, sine_radius)
 from .targets import (FlatSpace, TargetManifold, UnitSphere,

@@ -17,6 +17,7 @@ DOMAIN_FORWARD_PATH = 0
 DOMAIN_MC_SLICE = 1
 DOMAIN_SAMPLE_PATH = 2
 DOMAIN_PROBE = 3
+DOMAIN_VERIFY_PATH = 4
 
 _INDEX_MASK = (1 << 56) - 1
 

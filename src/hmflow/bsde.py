@@ -20,7 +20,7 @@ import numpy as np
 
 from ._rng import DOMAIN_MC_SLICE, keyed_generator
 from .errors import BlowUp, HorizonMismatch, ShapeMismatch
-from .fields import MapField, c01_norm, difference_c01  # noqa: F401  (re-export)
+from .fields import MapField
 from .forward import PathEnsemble
 from .targets import sff_trace
 
@@ -35,7 +35,9 @@ def picard_map(u: MapField, h, backend: str = "semigroup", n_paths: int = 0,
     one-step Monte Carlo / Gauss-Hermite quadrature for the monte_carlo
     backend), then subtracts (dt/2) times the curvature driver with the
     gradient of u frozen at the current slice.  The driver's base point is
-    the conditional expectation (a one-step lag).
+    the conditional expectation (a one-step lag).  The frozen gradient is
+    u's kept `MapField.gradient`, computed on its first read; the returned
+    field has none until something reads it.
 
     Monte Carlo increments are keyed by (master_seed, slice) only, so the
     realized operator is one fixed deterministic map: iterating it measures
@@ -67,8 +69,7 @@ def picard_map(u: MapField, h, backend: str = "semigroup", n_paths: int = 0,
             cond = source.mc_step_mean(t_k, dt, w[k + 1], n_paths, rng, antithetic)
         else:
             cond = source.quadrature_step_mean(t_k, dt, w[k + 1])
-        z = source.frame_gradient(t_k, u.values[k])
-        w[k] = cond - 0.5 * dt * sff_trace(target, cond, z)
+        w[k] = cond - 0.5 * dt * sff_trace(target, cond, u.gradient[k])
         worst = float(np.max(np.linalg.norm(w[k], axis=-1)))
         if worst > bound:
             raise BlowUp(

@@ -27,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._rng import DOMAIN_VERIFY_PATH
 from .bsde import sample_solution
 from .errors import (ConfigError, FieldLeftTube, GridTooCoarse, HmflowError,
                      NoContraction, TerminalNotOnTarget, UnsupportedReduction)
@@ -414,7 +415,7 @@ def cmd_verify(config_path: str, out_dir: str, seed: int | None) -> int:
             "pass": bool(tension.max() <= vc["tension_tol"]),
         }
         ensemble = simulate(source, 0.0, "grid", field.horizon, field.dt,
-                            vc["sample_paths"], master_seed)
+                            vc["sample_paths"], master_seed, _domain=DOMAIN_VERIFY_PATH)
         report = stay_on_target(target, sample_solution(field, ensemble))
         checks["stay_on_target"] = {
             "value": report.max_dist,

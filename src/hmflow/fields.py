@@ -4,6 +4,9 @@ A MapField is the object the backward dynamics act on: values on the
 tensor grid of uniform time slices and the source chart grid, together
 with a fixed interpolation rule (linear in time, trigonometric on the
 circle, bilinear on the sphere) that makes it evaluable anywhere.
+
+A field owns the frame gradient of its slices, computed once on first
+read; `handover_c01` moves that array from one Picard iterate to the next.
 """
 
 from __future__ import annotations
@@ -32,6 +35,23 @@ class MapField:
             raise ShapeMismatch("values and times disagree on slice count")
         if not np.all(np.isfinite(self.values)):
             raise ShapeMismatch("non-finite values in map field")
+        # the field owns its values from here on, so a kept gradient cannot go stale
+        self.values.flags.writeable = False
+        self._gradient = None
+
+    @property
+    def gradient(self) -> np.ndarray:
+        """Frame gradient of every slice, (n_t + 1, *grid_shape, dim, value_dim).
+
+        Computed on first read, one `source.frame_gradient` call per slice,
+        and kept for the life of the field.
+        """
+        if self._gradient is None:
+            grad = np.empty(self.values.shape[:-1] + (self.source.dim, self.value_dim))
+            for k, t in enumerate(self.times):
+                grad[k] = self.source.frame_gradient(t, self.values[k])
+            self._gradient = grad
+        return self._gradient
 
     # -- basic shape -------------------------------------------------------
 
@@ -58,9 +78,6 @@ class MapField:
     @property
     def dt(self) -> float:
         return float(self.times[1] - self.times[0]) if self.n_t else 0.0
-
-    def copy(self) -> "MapField":
-        return MapField(self.times.copy(), self.values.copy(), self.source, self.target)
 
     @classmethod
     def constant_in_time(cls, source, target, terminal_values, horizon: float,
@@ -161,28 +178,58 @@ class MapField:
         return cls(times, values, source, target)
 
 
+def _value_sup(values) -> float:
+    """Sup over the nodes of the Euclidean value norm."""
+    return float(np.max(np.linalg.norm(values, axis=-1)))
+
+
+def _gradient_sup(gradient) -> float:
+    """Sup over the nodes of the metric gradient norm (frame and value axes)."""
+    return float(np.max(np.sqrt(np.sum(gradient * gradient, axis=(-2, -1)))))
+
+
 def sup_norm(field: MapField) -> float:
     """Sup over the grid of the pointwise Euclidean value norm."""
-    return float(np.max(np.linalg.norm(field.values, axis=-1)))
+    return _value_sup(field.values)
 
 
 def c01_norm(field: MapField) -> float:
-    """Sup of |u| plus sup of the metric gradient norm, over all slices and nodes.
+    """Sup of |u| over all slices and nodes plus sup of the metric gradient norm.
 
     This is the norm the contraction argument runs in, so measured Picard
     deltas and ratios are directly comparable to the theoretical bound.
+    The two sups are taken each on its own, not slice by slice as a sum.
     """
-    m0 = 0.0
-    m1 = 0.0
-    for k, t in enumerate(field.times):
-        sl = field.values[k]
-        m0 = max(m0, float(np.max(np.linalg.norm(sl, axis=-1))))
-        m1 = max(m1, float(np.max(field.source.gradient_gnorm(t, sl))))
-    return m0 + m1
+    return _value_sup(field.values) + max(map(_gradient_sup, field.gradient))
 
 
 def difference_c01(a: MapField, b: MapField) -> float:
-    """C^{0,1} norm of the difference of two compatible fields."""
+    """C^{0,1} norm of the difference of two compatible fields, from their kept gradients."""
     a.check_compatible(b)
-    diff = MapField(a.times, a.values - b.values, a.source, a.target)
-    return c01_norm(diff)
+    d0 = d1 = 0.0
+    for va, vb, ga, gb in zip(a.values, b.values, a.gradient, b.gradient):
+        d0 = max(d0, _value_sup(va - vb))
+        d1 = max(d1, _gradient_sup(ga - gb))
+    return d0 + d1
+
+
+def handover_c01(u: MapField, w: MapField) -> tuple[float, float]:
+    """C^{0,1} distance from u to w and the C^{0,1} norm of w, in one pass.
+
+    Each slice's gradient of w is computed once, compared with u's kept
+    gradient, and written over it, so afterwards w owns the array and u
+    has none: consecutive Picard iterates share one gradient array.
+    """
+    w.check_compatible(u)
+    grad = u.gradient
+    u._gradient = None
+    d0 = d1 = n0 = n1 = 0.0
+    for k, t in enumerate(w.times):
+        zw = w.source.frame_gradient(t, w.values[k])
+        d0 = max(d0, _value_sup(w.values[k] - u.values[k]))
+        d1 = max(d1, _gradient_sup(zw - grad[k]))
+        n0 = max(n0, _value_sup(w.values[k]))
+        n1 = max(n1, _gradient_sup(zw))
+        grad[k] = zw
+    w._gradient = grad
+    return d0 + d1, n0 + n1

@@ -110,7 +110,8 @@ def simulate(source, t: float, x, horizon: float, dt: float, n_paths: int,
     (master_seed, _domain, p) (see `_draw_increments`), so reruns give
     bit-identical ensembles and the first k paths of any larger ensemble
     equal a k-path ensemble.  The public functions draw from the forward
-    domain; `picard.solve` draws its sample from a domain of its own.
+    domain; `picard.solve` and the CLI's `verify` draw their samples from
+    domains of their own.
     """
     if isinstance(x, str):
         if x != "grid":

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from ._rng import DOMAIN_SAMPLE_PATH
-from .bsde import BsdeSolutionSample, picard_map, sample_solution
+from .bsde import picard_map, sample_solution
 from .errors import (BlowUp, InsufficientHistory, NoContraction,
                      TerminalNotOnTarget, TimeOutOfRange)
-from .fields import MapField, c01_norm, difference_c01
+from .fields import MapField, c01_norm, handover_c01
 from .forward import simulate
 
 _RATIO_TRIGGER = 0.9
@@ -63,6 +63,11 @@ def solve(source, target, h, t0_init: float, tol: float = 1e-10,
     Identical inputs (including the master seed for the Monte Carlo
     backend) reproduce identical iterate histories.
 
+    Memory: while it iterates, a solve holds two fields, the current
+    iterate and the next, and one gradient array.  Each pass freezes the
+    current iterate's kept gradient, then `handover_c01` overwrites it
+    slice by slice with the next iterate's gradient and hands it over.
+
     Contraction floor: the explicit backward step amplifies grid-top
     wavenumber perturbations by roughly dt * k_max per pass, so deltas
     stall (and may grow, tripping the halving) once they reach that
@@ -85,15 +90,12 @@ def solve(source, target, h, t0_init: float, tol: float = 1e-10,
     tried = []
     while True:
         tried.append(horizon)
-        n_t = max(int(round(horizon / dt)), 1)
-        u = MapField.constant_in_time(source, target, h, horizon, n_t)
-        state = PicardState(horizon=horizon, tolerance=tol,
-                            ball_radius=2.0 * c01_norm(u) + 1.0,
+        state = PicardState(horizon=horizon, tolerance=tol, ball_radius=0.0,
                             horizons_tried=list(tried))
         try:
-            u = _iterate(u, h, state, backend=backend, n_paths=n_paths,
-                         master_seed=master_seed, antithetic=antithetic,
-                         max_iter=max_iter, tol=tol)
+            u = _iterate(source, target, h, state, dt=dt, backend=backend,
+                         n_paths=n_paths, master_seed=master_seed,
+                         antithetic=antithetic, max_iter=max_iter, tol=tol)
         except (_Restart, BlowUp):
             horizon *= 0.5
             if horizon < _MIN_HORIZON:
@@ -111,13 +113,18 @@ def solve(source, target, h, t0_init: float, tol: float = 1e-10,
     return u, state, sample
 
 
-def _iterate(u, h, state, *, backend, n_paths, master_seed, antithetic,
-             max_iter, tol):
+def _iterate(source, target, h, state, *, dt, backend, n_paths, master_seed,
+             antithetic, max_iter, tol):
+    # the start iterate lives in this frame only, so the first pass frees it;
+    # it also sets the state's ball radius
+    n_t = max(int(round(state.horizon / dt)), 1)
+    u = MapField.constant_in_time(source, target, h, state.horizon, n_t)
+    state.ball_radius = 2.0 * c01_norm(u) + 1.0
     over_trigger = 0
     for n in range(1, max_iter + 1):
         w = picard_map(u, h, backend=backend, n_paths=n_paths,
                        master_seed=master_seed, antithetic=antithetic)
-        delta = difference_c01(w, u)
+        delta, w_norm = handover_c01(u, w)
         state.iterations = n
         ratio = None
         if state.deltas and state.deltas[-1] > 10.0 * tol:
@@ -127,7 +134,7 @@ def _iterate(u, h, state, *, backend, n_paths, master_seed, antithetic,
         state.deltas.append(delta)
         state.records.append({"n": n, "delta": delta, "ratio": ratio,
                               "horizon": state.horizon})
-        if c01_norm(w) > state.ball_radius:
+        if w_norm > state.ball_radius:
             state.ball_exceeded = True
         u = w
         if delta <= tol:
@@ -147,11 +154,3 @@ def contraction_report(state: PicardState) -> np.ndarray:
         ratio = rec["ratio"] if rec["ratio"] is not None else np.nan
         rows.append((rec["n"], rec["delta"], ratio))
     return np.array(rows)
-
-
-def fixed_point_residual(field: MapField, h, backend: str = "semigroup",
-                         n_paths: int = 10_000, master_seed: int = 0) -> float:
-    """Contraction-norm distance between the field and one more operator pass."""
-    again = picard_map(field, h, backend=backend, n_paths=n_paths,
-                       master_seed=master_seed)
-    return difference_c01(again, field)

@@ -25,6 +25,7 @@ _EIG_ROUNDING = 1e-10   # eigenvalue / spectral radius above this is not "<= 0"
 _EIG_MAX_COND = 1e6     # 1-norm cond(V) above this lets a step's rounding pass ~1e-10
 _STEP_QUAD_NODES = 40   # Gauss-Hermite nodes of the circle's quadrature step mean
 _PROBE_QUAD_NODES = 60  # Gauss-Hermite nodes of the circle's weak-error probe
+_MC_CHUNK_POINTS = 1 << 18  # node x path points per chunk of the sphere's Monte Carlo step
 
 
 class RadiusProfile:
@@ -229,11 +230,6 @@ class Circle(SourceManifold):
         self._require_grid(field)
         rho = float(self.profile(t))
         return (self._dtheta(field) / rho)[:, None, ...]
-
-    def gradient_gnorm(self, t, field):
-        z = self.frame_gradient(t, field)
-        axes = tuple(range(1, z.ndim))
-        return np.sqrt(np.sum(z * z, axis=axes))
 
     def laplace_beltrami(self, t, field):
         """(1/rho^2) d^2/dtheta^2 via the Fourier multiplier -k^2/rho^2."""
@@ -519,11 +515,6 @@ class Sphere2(SourceManifold):
         z_ph = self._dphi_spectral(field) / (rho * self._sin.reshape(shape))
         return np.stack([z_th, z_ph], axis=2)
 
-    def gradient_gnorm(self, t, field):
-        z = self.frame_gradient(t, field)
-        axes = tuple(range(2, z.ndim))
-        return np.sqrt(np.sum(z * z, axis=axes))
-
     def laplace_beltrami(self, t, field):
         """(1/rho^2)[f_tt + cot(t) f_t + f_pp / sin^2(t)] on the chart grid."""
         self._check_time(t)
@@ -708,20 +699,32 @@ class Sphere2(SourceManifold):
 
     def mc_step_mean(self, t, dt, field, n_paths: int, rng: np.random.Generator,
                      antithetic: bool = False):
-        """One-step Monte Carlo conditional expectation at every grid node."""
+        """One-step Monte Carlo conditional expectation at every grid node.
+
+        Nodes are walked in chunks of at most `_MC_CHUNK_POINTS` node x path
+        points (one node when n_paths alone exceeds it), so memory stays
+        bounded whatever n_nodes x n_paths is.  The chunks read the one
+        generator in node order, and Philox fills draws in C order, so the
+        result does not depend on the chunk size.
+        """
         self._check_time(t)
         field = np.asarray(field, dtype=float)
         self._require_grid(field)
         nodes = self.grid_points().reshape(-1, 3)
-        if antithetic:
-            half = rng.standard_normal((nodes.shape[0], n_paths // 2, 3))
-            incr = np.concatenate([half, -half], axis=1)
-        else:
-            incr = rng.standard_normal((nodes.shape[0], n_paths, 3))
-        moved, _ = self.step_paths(nodes[:, None, :], t, dt, np.sqrt(dt) * incr)
-        vals = self.interpolate_slice(field, moved.reshape(-1, 3))
-        vals = vals.reshape((nodes.shape[0], n_paths) + field.shape[2:])
-        return vals.mean(axis=1).reshape(field.shape)
+        out = np.empty((nodes.shape[0],) + field.shape[2:])
+        step = max(1, _MC_CHUNK_POINTS // n_paths)
+        for start in range(0, nodes.shape[0], step):
+            chunk = nodes[start:start + step]
+            if antithetic:
+                half = rng.standard_normal((chunk.shape[0], n_paths // 2, 3))
+                incr = np.concatenate([half, -half], axis=1)
+            else:
+                incr = rng.standard_normal((chunk.shape[0], n_paths, 3))
+            moved, _ = self.step_paths(chunk[:, None, :], t, dt, np.sqrt(dt) * incr)
+            vals = self.interpolate_slice(field, moved.reshape(-1, 3))
+            vals = vals.reshape((chunk.shape[0], n_paths) + field.shape[2:])
+            out[start:start + step] = vals.mean(axis=1)
+        return out.reshape(field.shape)
 
     def one_step_means(self, f, t, x, h_list, n_mc, master_seed):
         """E[f(X_{t+h})] from the unit vector x for each step h in h_list.

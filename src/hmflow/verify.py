@@ -208,8 +208,7 @@ def tension_residual(source, target, field: MapField):
         t = field.times[k]
         dudt = (field.values[k + 1] - field.values[k - 1]) / (2.0 * dt)
         lap = source.laplace_beltrami(t, field.values[k])
-        z = source.frame_gradient(t, field.values[k])
-        gamma = sff_trace(target, field.values[k], z)
+        gamma = sff_trace(target, field.values[k], field.gradient[k])
         res = dudt + 0.5 * (lap - gamma)
         out[k - 1] = np.linalg.norm(res, axis=-1)
     return field.times[1:-1], out
@@ -275,7 +274,7 @@ def weak_form_residual(source, field: MapField, test_fn) -> float:
         w_s = source.volume_weights(s)
         u = field.values[j]
         vol_dt[j] = space_int(u, source.volume_weights_dt(s), f)
-        z_u = source.frame_gradient(s, u)
+        z_u = field.gradient[j]
         z_f = source.frame_gradient(s, f)
         pair = np.sum(z_u * z_f[..., None], axis=len(field.grid_shape))
         grad_pair[j] = np.tensordot(w_s, pair, axes=pair.ndim - 1)
@@ -299,10 +298,9 @@ def semigroup_gradient_rate(source: Circle, taus, f=None):
     if f is None:
         f = np.sign(np.sin(source.thetas))
     taus = np.asarray(taus, dtype=float)
-    sups = np.array([
-        float(np.max(source.gradient_gnorm(0.0,
-                                           source.heat_semigroup_step(0.0, tau, f))))
-        for tau in taus])
+    grads = (source.frame_gradient(0.0, source.heat_semigroup_step(0.0, tau, f))
+             for tau in taus)
+    sups = np.array([float(np.max(np.linalg.norm(z, axis=-1))) for z in grads])
     rate = float(np.polyfit(np.log(taus), np.log(sups), 1)[0])
     return sups, rate
 

@@ -4,9 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hmflow import cli
 from hmflow.cli import (build_case, build_source, build_target, build_terminal,
                         load_config, main)
 from hmflow.fields import MapField
+from hmflow.forward import simulate
 from hmflow.sources import Circle, Sphere2, constant_radius
 from hmflow.targets import UnitSphere
 from hmflow.verify import make_benchmark, pde_reference
@@ -185,6 +187,23 @@ def test_verify_pass_and_failure_paths(tmp_path):
     assert not read_json(tmp_path / "v2" / "verdict.json")["all_pass"]
 
 
+def test_verify_draws_its_own_stream(tmp_path, monkeypatch):
+    # the stay-on-target ensemble shares no normals with simulate-forward's
+    cfg = write_config(tmp_path, PG_CONFIG.format(field_file="a/field.csv"))
+    main(["solve", "--config", cfg, "--out", str(tmp_path / "a")])
+    drawn = []
+
+    def recording(*args, **kwargs):
+        drawn.append((args, simulate(*args, **kwargs)))
+        return drawn[-1][1]
+
+    monkeypatch.setattr(cli, "simulate", recording)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
+    (args, ensemble), = drawn
+    forward = simulate(*args)   # the same call in the forward domain
+    assert not np.any(np.isin(ensemble.increments, forward.increments))
+
+
 def test_verify_corrupted_field_exits_2(tmp_path):
     cfg = write_config(tmp_path, PG_CONFIG.format(field_file="bad.csv"))
     (tmp_path / "bad.csv").write_text("not,a,field\n")
@@ -250,7 +269,7 @@ def test_verify_field_left_tube_exits_4(tmp_path):
     main(["solve", "--config", cfg, "--out", str(tmp_path / "a")])
     src = Circle(constant_radius(1.0), n_theta=128, horizon=0.5)
     field = MapField.load(tmp_path / "a" / "field.csv", src, UnitSphere(1))
-    field.values *= 1.5
+    field = MapField(field.times, 1.5 * field.values, field.source, field.target)
     field.save(tmp_path / "scaled.csv")
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 4
     verdict = json.loads((tmp_path / "v" / "verdict.json").read_text())

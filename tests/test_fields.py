@@ -3,7 +3,7 @@ import pytest
 
 from hmflow import fields
 from hmflow.errors import HorizonMismatch, ShapeMismatch
-from hmflow.fields import MapField, c01_norm, difference_c01, sup_norm
+from hmflow.fields import MapField, c01_norm, difference_c01, handover_c01, sup_norm
 from hmflow.sources import Circle, Sphere2, constant_radius
 from hmflow.targets import FlatSpace, UnitSphere
 
@@ -29,11 +29,38 @@ def test_c01_norm_identity_map():
 
 def test_difference_c01_and_mismatch():
     a = identity_field()
-    b = a.copy()
-    b.values[:] *= 0.5
+    b = MapField(a.times, 0.5 * a.values, a.source, a.target)
     assert difference_c01(a, b) == pytest.approx(1.0, abs=1e-10)
     with pytest.raises(HorizonMismatch):
         difference_c01(a, identity_field(n_t=11))
+
+
+def test_values_are_read_only_and_gradient_is_kept():
+    f = identity_field()
+    with pytest.raises(ValueError):
+        f.values[0] = 0.0
+    with pytest.raises(ValueError):
+        f.values *= 2.0
+    assert f.gradient is f.gradient
+    assert f.gradient.shape == (f.n_t + 1, 64, 1, 2)
+    np.testing.assert_array_equal(f.gradient[3],
+                                  f.source.frame_gradient(f.times[3], f.values[3]))
+
+
+def test_handover_matches_difference_and_norm():
+    u = identity_field()
+    w = MapField(u.times, u.values * np.linspace(0.5, 1.0, u.n_t + 1)[:, None, None],
+                 u.source, u.target)
+    expected = (difference_c01(w, u), c01_norm(w))
+    w_grad = w.gradient.copy()
+    u_grad = u.gradient
+    delta, norm = handover_c01(u, w)
+    assert delta == pytest.approx(expected[0], abs=1e-14)
+    assert norm == expected[1]
+    # w now owns u's former array, overwritten with w's own gradient
+    assert w.gradient is u_grad
+    np.testing.assert_array_equal(w.gradient, w_grad)
+    assert u._gradient is None
 
 
 def test_time_interpolation_linear():
@@ -70,7 +97,9 @@ def test_sup_norm():
 @pytest.mark.parametrize("fmt", ["csv", "bin"])
 def test_save_load_roundtrip(tmp_path, fmt):
     f = identity_field(n_theta=16, n_t=3)
-    f.values[1] *= 0.9993712345678912  # non-trivial digits
+    values = f.values.copy()
+    values[1] *= 0.9993712345678912  # non-trivial digits
+    f = MapField(f.times, values, f.source, f.target)
     path = tmp_path / f"field.{fmt}"
     f.save(path, fmt=fmt)
     g = MapField.load(path, f.source, f.target)

@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from hmflow.bsde import picard_map
 from hmflow.errors import (InsufficientHistory, NoContraction,
                            TerminalNotOnTarget, TimeOutOfRange)
-from hmflow.fields import c01_norm
-from hmflow.picard import (contraction_report, fixed_point_residual, solve)
-from hmflow.sources import Circle, constant_radius
+from hmflow.fields import c01_norm, difference_c01
+from hmflow.picard import contraction_report, solve
+from hmflow.sources import Circle, Sphere2, constant_radius, sine_radius
 from hmflow.targets import UnitSphere
+from hmflow.verify import terminal_case
 
 S1 = UnitSphere(1)
 
@@ -119,7 +123,7 @@ def test_fixed_point_residual_within_twice_tolerance():
     c, h = circle_h(lambda a: a + 0.3 * np.sin(a), n_theta=128)
     tol = 1e-9
     field, state, _ = solve(c, S1, h, 0.25, tol=tol, dt=2e-3, sample_paths=32)
-    assert fixed_point_residual(field, h) <= 2 * tol
+    assert difference_c01(picard_map(field, h), field) <= 2 * tol
 
 
 def test_ball_stability_reported():
@@ -165,3 +169,50 @@ def test_identity_first_delta_at_fine_step():
     c, h = circle_h(lambda a: a)
     _, state, _ = solve(c, S1, h, 0.25, tol=1e-10, dt=1e-4, sample_paths=16)
     assert state.deltas[0] <= 1e-5
+
+
+def _converged_solve(family, **kwargs):
+    """A short solve with a sine radius that converges at its first horizon."""
+    if family == "circle":
+        source = Circle(sine_radius(0.2, 1.0), n_theta=64, horizon=0.1)
+        case = terminal_case("perturbed_geodesic", source, S1, 0.1)
+    else:
+        source = Sphere2(sine_radius(0.2, 1.0), n_theta=8, n_phi=16, horizon=0.1)
+        case = terminal_case("equivariant", source, UnitSphere(2), 0.1)
+    field, state, _ = solve(source, case.target, case.terminal, 0.02, dt=2e-3,
+                            sample_paths=8, **kwargs)
+    assert state.converged and state.horizons_tried == [0.02]
+    return field, state
+
+
+@pytest.mark.parametrize("family", ["circle", "sphere"])
+def test_solve_computes_each_gradient_once_per_iterate(monkeypatch, family):
+    calls = []
+    for cls in (Circle, Sphere2):
+        original = cls.frame_gradient
+
+        def counting(self, t, f, original=original):
+            calls.append(t)
+            return original(self, t, f)
+
+        monkeypatch.setattr(cls, "frame_gradient", counting)
+    field, state = _converged_solve(family)
+    # the start iterate, one new iterate per pass, and the sample ensemble
+    assert len(calls) <= (field.n_t + 1) * (state.iterations + 2)
+
+
+def test_solve_holds_one_gradient_array():
+    # 64x128 sphere, 18 slices: F = one field's values, and a sphere
+    # gradient holds 2F; keeping both iterates' gradients would reach 6.4F
+    source = Sphere2(sine_radius(0.2, 1.0), n_theta=64, n_phi=128, horizon=0.1)
+    case = terminal_case("equivariant", source, UnitSphere(2), 0.1)
+    source.heat_semigroup_step(0.0, 1e-3, case.terminal)   # eigenbasis outside the trace
+    tracemalloc.start()
+    try:
+        field, state, _ = solve(source, case.target, case.terminal, 0.017,
+                                sample_paths=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.converged and state.horizons_tried == [0.017]
+    assert peak <= 5.5 * field.values.nbytes

@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from hmflow import sources
+from hmflow._rng import DOMAIN_MC_SLICE, keyed_generator
 from hmflow.errors import GridTooCoarse, HmflowError, TimeOutOfRange
 from hmflow.sources import (Circle, Sphere2, constant_radius, shrinking_radius,
                             sine_radius)
@@ -107,12 +111,13 @@ def test_embedding_isometry_finite_difference():
 def test_metric_gradient_circle():
     c = Circle(constant_radius(1.0), n_theta=256)
     u = np.sin(c.thetas)
-    np.testing.assert_allclose(c.gradient_gnorm(0.0, u), np.abs(np.cos(c.thetas)),
-                               atol=1e-12)
+    def gnorm(source, f):
+        return np.linalg.norm(source.frame_gradient(0.0, f), axis=-1)
+
+    np.testing.assert_allclose(gnorm(c, u), np.abs(np.cos(c.thetas)), atol=1e-12)
     c2 = Circle(constant_radius(2.0), n_theta=256)
-    np.testing.assert_allclose(c2.gradient_gnorm(0.0, u),
-                               np.abs(np.cos(c2.thetas)) / 2.0, atol=1e-12)
-    np.testing.assert_allclose(c.gradient_gnorm(0.0, np.ones(256)), 0.0, atol=1e-13)
+    np.testing.assert_allclose(gnorm(c2, u), np.abs(np.cos(c2.thetas)) / 2.0, atol=1e-12)
+    np.testing.assert_allclose(gnorm(c, np.ones(256)), 0.0, atol=1e-13)
 
 
 def test_gradient_identity_ambient_projection():
@@ -330,6 +335,37 @@ def test_sphere_mc_step_unbiased():
     target = np.exp(-dt) * f
     interp_bias = 1.5 * (np.pi / 32) ** 2 / 8.0
     assert np.mean(np.abs(mean - target) <= 4 * se + interp_bias + 2e-4) > 0.97
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_sphere_mc_step_does_not_depend_on_chunking(monkeypatch, antithetic):
+    s = Sphere2(sine_radius(0.2, 1.0), n_theta=8, n_phi=16)
+    f = s.grid_points()
+
+    def step(cap):
+        monkeypatch.setattr(sources, "_MC_CHUNK_POINTS", cap)
+        rng = keyed_generator(5, DOMAIN_MC_SLICE, 3)
+        return s.mc_step_mean(0.1, 1e-3, f, 64, rng, antithetic)
+
+    whole = step(1 << 40)
+    np.testing.assert_array_equal(step(1), whole)       # one node per chunk
+    np.testing.assert_array_equal(step(200), whole)     # 3 nodes, uneven last chunk
+
+
+def test_sphere_mc_step_memory_is_bounded(monkeypatch):
+    monkeypatch.setattr(sources, "_MC_CHUNK_POINTS", 4096)
+    s = Sphere2(constant_radius(1.0), n_theta=16, n_phi=32)
+    f = s.grid_points()
+    n_paths = 1000
+    one_shot_normals = s.n_nodes * n_paths * 3 * 8   # 12.3 MB drawn at once
+    rng = keyed_generator(5, DOMAIN_MC_SLICE, 0)
+    tracemalloc.start()
+    try:
+        s.mc_step_mean(0.0, 1e-3, f, n_paths, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * one_shot_normals
 
 
 def _held_nbytes(obj):
