@@ -6,6 +6,11 @@ independent of execution order and of how work is chunked: path p of an
 ensemble always sees the same numbers, whichever worker draws them.
 
 Domains keep unrelated consumers of the same master seed from colliding.
+A domain's number is part of every key drawn under it, so renumbering a
+domain would change all of its streams.
+
+The one sampler outside these streams is `targets.fit_g_inequality_constant`,
+which draws its random test points from `Philox(key=seed)`.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ import numpy as np
 DOMAIN_FORWARD_PATH = 0
 DOMAIN_MC_SLICE = 1
 DOMAIN_SAMPLE_PATH = 2
-DOMAIN_PROBE = 3
 DOMAIN_VERIFY_PATH = 4
 
 _INDEX_MASK = (1 << 56) - 1

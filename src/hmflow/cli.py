@@ -199,6 +199,9 @@ def _check_run(rc: dict, source):
         raise ConfigError(f"[run] dt = {rc['dt']} with t0 = {rc['t0']}: {exc}")
     if rc["n_paths"] < 0:
         raise ConfigError(f"[run] n_paths = {rc['n_paths']} must not be negative")
+    if rc["backend"] == "monte_carlo" and rc["antithetic"] and rc["n_paths"] % 2:
+        raise ConfigError(f"[run] n_paths = {rc['n_paths']} must be even with "
+                          "antithetic sampling")
     if rc["backend"] == "monte_carlo" and rc["n_paths"] == 0 \
             and not hasattr(source, "quadrature_step_mean"):
         raise ConfigError(f"[run] n_paths = 0 selects the quadrature fallback, "

@@ -110,10 +110,6 @@ class MapField:
             return self.values[k]
         return (1.0 - frac) * self.values[k] + frac * self.values[k + 1]
 
-    def evaluate(self, t: float, x) -> np.ndarray:
-        """Value at arbitrary (t, x): time-linear, then spatial interpolation."""
-        return self.source.interpolate_slice(self.slice_at(t), x)
-
     # -- serialization ---------------------------------------------------------
 
     def save(self, path, fmt: str | None = None):

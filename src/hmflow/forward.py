@@ -174,20 +174,19 @@ def moment_check(source, t: float, x, horizon: float, dt: float, n_paths: int,
     }
 
 
-def weak_error_probe(source, t: float, x, f, h_list, n_mc: int = 1_000_000,
-                     master_seed: int = 0) -> np.ndarray:
+def weak_error_probe(source, t: float, x, f, h_list) -> np.ndarray:
     """One-step weak-consistency table for the path integrator.
 
     For each step size h, measures |E[f(X_{t+h})] - f(x) - (h/2) Lap f(x)|
-    with the expectation from the source's `one_step_means`: Gauss-Hermite
-    quadrature on the circle, Monte Carlo (n_mc paths keyed by master_seed)
-    on the sphere.  Lap f(x) is the source's Laplace-Beltrami operator on f
+    with the expectation from the source's `one_step_means`: a deterministic
+    tensor Gauss-Hermite rule over the ambient increment, pushed through
+    `step_paths`.  Lap f(x) is the source's Laplace-Beltrami operator on f
     over the grid, interpolated at x.  Returns rows (h, residual).
     """
     f_x = float(np.asarray(f(np.asarray(x))))
     lap_grid = source.laplace_beltrami(t, f(source.grid_points()))
     lap_x = float(np.asarray(source.interpolate_slice(lap_grid, np.asarray(x))))
 
-    means = source.one_step_means(f, t, x, h_list, n_mc, master_seed)
+    means = source.one_step_means(f, t, x, h_list)
     return np.array([(h, abs(mean - f_x - 0.5 * h * lap_x))
                      for h, mean in zip(h_list, means)])

@@ -2,10 +2,10 @@
 
 Two closed-form families are built in: the circle and the 2-sphere, each
 with a prescribed time-varying radius.  Both expose the same surface: a
-chart grid, the time-dependent isometric embedding, tangent projection
-fields, intrinsic gradient/Laplacian on grid fields, quadrature weights,
-one-step conditional-expectation kernels for the backward dynamics, and
-the path integrator step for the forward diffusion.
+chart grid, intrinsic gradient/Laplacian on grid fields, quadrature
+weights, one-step conditional-expectation kernels for the backward
+dynamics, the path integrator step for the forward diffusion, and a
+deterministic one-step probe of that integrator's law.
 
 Grid fields are numpy arrays of shape ``grid_shape + value_shape``:
 ``(n,)``-leading for the circle, ``(n_theta, n_phi)``-leading for the
@@ -24,7 +24,7 @@ _TIME_SLACK = 1e-12
 _EIG_ROUNDING = 1e-10   # eigenvalue / spectral radius above this is not "<= 0"
 _EIG_MAX_COND = 1e6     # 1-norm cond(V) above this lets a step's rounding pass ~1e-10
 _STEP_QUAD_NODES = 40   # Gauss-Hermite nodes of the circle's quadrature step mean
-_PROBE_QUAD_NODES = 60  # Gauss-Hermite nodes of the circle's weak-error probe
+_PROBE_QUAD_NODES = 60  # Gauss-Hermite nodes per ambient axis of the weak-error probe
 _MC_CHUNK_POINTS = 1 << 18  # node x path points per chunk of the sphere's Monte Carlo step
 
 
@@ -117,6 +117,23 @@ class SourceManifold:
         tgrid = np.linspace(0.0, self.horizon, 1001)
         return float(np.max(np.abs(self._compat_scalar(tgrid))) * np.sqrt(self.dim))
 
+    def one_step_means(self, f, t, x, h_list):
+        """E[f(X_{t+h})] from the chart point x for each step h in h_list.
+
+        A tensor Gauss-Hermite rule, `_PROBE_QUAD_NODES` nodes per ambient
+        axis, integrates over the increment dW ~ N(0, h I), each node pushed
+        through `step_paths`.  The step keeps only the tangential part of
+        dW, and a tensor rule composed with a linear projection still
+        integrates the Gaussian law, so no tangent frame is needed.
+        """
+        nodes, weights = np.polynomial.hermite.hermgauss(_PROBE_QUAD_NODES)
+        idx = np.indices((_PROBE_QUAD_NODES,) * self.ambient_dim).reshape(self.ambient_dim, -1)
+        normals = np.sqrt(2.0) * nodes[idx].T
+        w = np.prod(weights[idx] / np.sqrt(np.pi), axis=0)
+        starts = np.broadcast_to(np.asarray(x, dtype=float), (len(w),) + self.point_shape)
+        return [float(np.sum(w * f(self.step_paths(starts, t, h, np.sqrt(h) * normals)[0])))
+                for h in h_list]
+
 
 class Circle(SourceManifold):
     """Circle of radius rho(t), chart angle theta in [0, 2 pi).
@@ -186,30 +203,6 @@ class Circle(SourceManifold):
         if field.shape[0] != self.n_theta:
             raise GridTooCoarse(f"field has {field.shape[0]} nodes, grid has {self.n_theta}")
         self.check_grid()
-
-    # -- embedding and projection fields -----------------------------------
-
-    def embed(self, t, x):
-        """Embedded position rho(t) (cos theta, sin theta)."""
-        self._check_time(t)
-        theta = np.asarray(x, dtype=float)
-        rho = self.profile(t)
-        return np.stack([rho * np.cos(theta), rho * np.sin(theta)], axis=-1)
-
-    def unit_tangent(self, x):
-        theta = np.asarray(x, dtype=float)
-        return np.stack([-np.sin(theta), np.cos(theta)], axis=-1)
-
-    def projection_fields(self, t, x):
-        """Orthogonal projector onto the embedded tangent line, (..., 2, 2).
-
-        Column i is the projection of the ambient basis vector e_i; the
-        matrix equals tau tau^T for the unit tangent tau and is independent
-        of the radius.
-        """
-        self._check_time(t)
-        tau = self.unit_tangent(x)
-        return tau[..., :, None] * tau[..., None, :]
 
     # -- spectral calculus ---------------------------------------------------
 
@@ -353,18 +346,6 @@ class Circle(SourceManifold):
             acc += w * self.interpolate_slice(field, np.mod(self.thetas + s, 2 * np.pi))
         return acc
 
-    def one_step_means(self, f, t, x, h_list, n_mc, master_seed):
-        """E[f(X_{t+h})] from the angle x for each step h in h_list.
-
-        Gauss-Hermite quadrature: the one-step law is Gaussian in the chart.
-        n_mc and master_seed are not used.
-        """
-        nodes, weights = np.polynomial.hermite.hermgauss(_PROBE_QUAD_NODES)
-        weights = weights / np.sqrt(np.pi)
-        rho = float(self.profile(t))
-        return [float(np.sum(weights * f(float(x) + np.sqrt(2.0 * h) / rho * nodes)))
-                for h in h_list]
-
     # -- forward path step ------------------------------------------------------
 
     def step_paths(self, states, t, dt, dW):
@@ -458,19 +439,6 @@ class Sphere2(SourceManifold):
                 f"field shape {field.shape[:2]} does not match grid "
                 f"({self.n_theta}, {self.n_phi})")
         self.check_grid()
-
-    # -- embedding and projection fields ---------------------------------------
-
-    def embed(self, t, x):
-        self._check_time(t)
-        return float(self.profile(t)) * np.asarray(x, dtype=float)
-
-    def projection_fields(self, t, x):
-        """Tangent-plane projector I - x x^T at unit vector(s) x, (..., 3, 3)."""
-        self._check_time(t)
-        x = np.asarray(x, dtype=float)
-        eye = np.eye(3)
-        return eye - x[..., :, None] * x[..., None, :]
 
     # -- padded colatitude differences ---------------------------------------
 
@@ -725,19 +693,6 @@ class Sphere2(SourceManifold):
             vals = vals.reshape((chunk.shape[0], n_paths) + field.shape[2:])
             out[start:start + step] = vals.mean(axis=1)
         return out.reshape(field.shape)
-
-    def one_step_means(self, f, t, x, h_list, n_mc, master_seed):
-        """E[f(X_{t+h})] from the unit vector x for each step h in h_list.
-
-        Monte Carlo over n_mc paths of `step_paths`, with the same base
-        normals scaled across the h-list so that a slope fitted to the
-        residuals is not scrambled by independent sampling noise.
-        """
-        rng = np.random.Generator(np.random.Philox(key=master_seed))
-        base = rng.standard_normal((n_mc, 3))
-        starts = np.broadcast_to(np.asarray(x, dtype=float), (n_mc, 3))
-        return [float(np.mean(f(self.step_paths(starts, t, h, np.sqrt(h) * base)[0])))
-                for h in h_list]
 
     # -- forward path step --------------------------------------------------------
 

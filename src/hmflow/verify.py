@@ -270,12 +270,15 @@ def weak_form_residual(source, field: MapField, test_fn) -> float:
     vol_dt = np.zeros((field.n_t + 1,) + term_a.shape)
     grad_pair = np.zeros_like(vol_dt)
     curv = np.zeros_like(vol_dt)
+    # f does not depend on time and a frame gradient scales as 1 / rho(s)
+    z_f0 = source.frame_gradient(field.times[0], f)
+    rho_0 = float(source.profile(field.times[0]))
     for j, s in enumerate(field.times):
         w_s = source.volume_weights(s)
         u = field.values[j]
         vol_dt[j] = space_int(u, source.volume_weights_dt(s), f)
         z_u = field.gradient[j]
-        z_f = source.frame_gradient(s, f)
+        z_f = z_f0 * (rho_0 / float(source.profile(s)))
         pair = np.sum(z_u * z_f[..., None], axis=len(field.grid_shape))
         grad_pair[j] = np.tensordot(w_s, pair, axes=pair.ndim - 1)
         curv[j] = space_int(sff_trace(field.target, u, z_u), w_s, f)

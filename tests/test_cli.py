@@ -326,6 +326,11 @@ BAD_CONFIGS = [
                  "n_paths", id="sphere_quadrature_fallback"),
     pytest.param("solve", _edit(PG_SOLVE, ("tol = 1e-10", "tol = 1e-10\nn_paths = -5")),
                  ["--backend", "monte-carlo"], "n_paths", id="negative_n_paths"),
+    pytest.param("solve", SPH_CONFIG + "n_paths = 7\nantithetic = true\n",
+                 ["--backend", "monte-carlo"], "[run] n_paths", id="sphere_odd_antithetic_paths"),
+    pytest.param("solve", _edit(PG_SOLVE, ("tol = 1e-10",
+                                           "tol = 1e-10\nn_paths = 7\nantithetic = true")),
+                 ["--backend", "monte-carlo"], "[run] n_paths", id="circle_odd_antithetic_paths"),
     pytest.param("simulate-forward", _edit(SPH_FWD_CONFIG, ("x0 = 0,0,1", "x0 = abc")), [],
                  "x0", id="sphere_x0_not_numbers"),
     pytest.param("simulate-forward", _edit(FWD_CONFIG, ("horizon = 1.0", "horizon = 2.0")),

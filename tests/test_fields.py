@@ -74,13 +74,6 @@ def test_time_interpolation_linear():
     np.testing.assert_array_equal(f.slice_at(1.0), f.values[4])
 
 
-def test_evaluate_spatial_spectral():
-    f = identity_field(n_theta=32, n_t=2)
-    q = 1.2345
-    np.testing.assert_allclose(f.evaluate(0.1, q), [np.cos(q), np.sin(q)],
-                               atol=1e-12)
-
-
 def test_non_finite_rejected():
     f = identity_field()
     bad = f.values.copy()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import erfcx
 
 from hmflow._rng import DOMAIN_FORWARD_PATH, DOMAIN_SAMPLE_PATH, path_normals
 from hmflow.errors import StepTooLarge, TimeOutOfRange
@@ -163,10 +164,43 @@ def test_weak_error_probe_sphere_light():
         return 0.6 * p[..., 2] + 0.8 * p[..., 0]
 
     x0 = np.array([0.0, 0.6, 0.8])
-    tab = weak_error_probe(s, 0.0, x0, f, [0.32, 0.16, 0.08], n_mc=200_000,
-                           master_seed=5)
+    tab = weak_error_probe(s, 0.0, x0, f, [0.32, 0.16, 0.08])
     slope = np.polyfit(np.log(tab[:, 0]), np.log(tab[:, 1]), 1)[0]
     assert 0.8 <= slope <= 2.4   # residual is quadratic, bent by the h^3 term
+
+
+def _linear_on_sphere(p):
+    p = np.asarray(p)
+    return 0.6 * p[..., 2] + 0.8 * p[..., 0]
+
+
+def _sphere_one_step_mean(x, h):
+    # rho = 1, f linear: E f = f(x) (1 - h) E[((1 - h)^2 + R^2)^(-1/2)], R^2 ~ h chi^2_2
+    return _linear_on_sphere(x) * (1 - h) * np.sqrt(np.pi / (2 * h)) \
+        * erfcx((1 - h) / np.sqrt(2 * h))
+
+
+SINE_CIRCLE = Circle(sine_radius(0.2, 1.0), n_theta=16, horizon=1.0)
+
+
+def _circle_one_step_mean(x, h):
+    # E cos(x + sqrt(h) Z / rho) = cos(x) exp(-h / (2 rho^2)), at t = 0.5
+    return np.cos(x) * np.exp(-h / (2 * float(SINE_CIRCLE.profile(0.5)) ** 2))
+
+
+@pytest.mark.parametrize("source,f,t,x,exact,tol", [
+    pytest.param(Sphere2(constant_radius(1.0), n_theta=8, n_phi=16), _linear_on_sphere, 0.0,
+                 np.array(x), _sphere_one_step_mean, 1e-8, id=f"sphere_{name}")
+    for name, x in [("off_axis", [0.0, 0.6, 0.8]), ("pole", [0.0, 0.0, 1.0]),
+                    ("equator", [1.0, 0.0, 0.0])]
+] + [
+    pytest.param(SINE_CIRCLE, np.cos, 0.5, 0.2, _circle_one_step_mean, 1e-12,
+                 id="circle_sine_radius"),
+])
+def test_one_step_means_closed_form(source, f, t, x, exact, tol):
+    h_list = [0.32, 0.16, 0.04, 1e-3]
+    means = source.one_step_means(f, t, x, h_list)
+    np.testing.assert_allclose(means, [exact(x, h) for h in h_list], rtol=0, atol=tol)
 
 
 def test_path_csv_dump(tmp_path):

@@ -21,87 +21,15 @@ SPHERE_HARMONICS = {
 
 
 # ---------------------------------------------------------------------------
-# embedding and projection fields
+# time domain
 # ---------------------------------------------------------------------------
-
-def test_embed_circle():
-    c = Circle(constant_radius(2.0))
-    np.testing.assert_allclose(c.embed(0.3, 0.0), [2.0, 0.0], atol=1e-15)
-    c1 = Circle(constant_radius(1.0))
-    np.testing.assert_allclose(c1.embed(0.0, np.pi / 2), [0.0, 1.0], atol=1e-15)
-
-
-def test_embed_sphere():
-    s = Sphere2(constant_radius(1.5))
-    np.testing.assert_allclose(s.embed(0.0, np.array([0.0, 0.0, 1.0])),
-                               [0.0, 0.0, 1.5], atol=1e-15)
-
 
 def test_embed_time_out_of_range():
     c = Circle(constant_radius(1.0), horizon=1.0)
     with pytest.raises(TimeOutOfRange):
-        c.embed(1.5, 0.0)
+        c.volume_weights(1.5)
     with pytest.raises(TimeOutOfRange):
-        c.embed(-0.1, 0.0)
-
-
-def test_projection_fields_circle_hand_values():
-    c = Circle(constant_radius(1.0))
-    A = c.projection_fields(0.0, np.pi / 2)   # point (0,1), tangent (-1,0)
-    np.testing.assert_allclose(A @ np.array([1.0, 0.0]), [1.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(A @ np.array([0.0, 1.0]), [0.0, 0.0], atol=1e-15)
-    A0 = c.projection_fields(0.0, 0.0)
-    np.testing.assert_allclose(A0 @ np.array([1.0, 0.0]), [0.0, 0.0], atol=1e-15)
-    np.testing.assert_allclose(A0 @ np.array([0.0, 1.0]), [0.0, 1.0], atol=1e-15)
-
-
-def test_projection_fields_sphere_normal_direction():
-    s = Sphere2(constant_radius(1.0))
-    A = s.projection_fields(0.0, np.array([0.0, 0.0, 1.0]))
-    np.testing.assert_allclose(A @ np.array([0.0, 0.0, 1.0]), 0.0, atol=1e-15)
-
-
-def test_projector_symmetric_idempotent_rank():
-    rng = np.random.default_rng(3)
-    c = Circle(sine_radius(0.2, 1.0))
-    for theta in rng.uniform(0, 2 * np.pi, 20):
-        A = c.projection_fields(0.5, theta)
-        np.testing.assert_allclose(A, A.T, atol=1e-10)
-        np.testing.assert_allclose(A @ A, A, atol=1e-10)
-        assert np.trace(A) == pytest.approx(1.0, abs=1e-10)
-    s = Sphere2(constant_radius(1.0))
-    x = rng.standard_normal((20, 3))
-    x /= np.linalg.norm(x, axis=-1, keepdims=True)
-    A = s.projection_fields(0.0, x)
-    np.testing.assert_allclose(A, np.swapaxes(A, -1, -2), atol=1e-10)
-    np.testing.assert_allclose(np.einsum("...ij,...jk->...ik", A, A), A, atol=1e-10)
-    np.testing.assert_allclose(np.trace(A, axis1=-2, axis2=-1), 2.0, atol=1e-10)
-
-
-def test_embedding_isometry_finite_difference():
-    # pull back the ambient metric through the embedding and compare with g_t
-    eps = 1e-6
-    c = Circle(sine_radius(0.2, 1.0), horizon=1.0)
-    rng = np.random.default_rng(5)
-    for t in (0.0, 0.4, 0.9):
-        rho = float(c.profile(t))
-        for theta in rng.uniform(0, 2 * np.pi, 5):
-            d = (c.embed(t, theta + eps) - c.embed(t, theta - eps)) / (2 * eps)
-            assert np.linalg.norm(d) == pytest.approx(rho, rel=1e-6)
-    s = Sphere2(sine_radius(0.1, 2.0), horizon=1.0)
-    for t in (0.0, 0.7):
-        rho = float(s.profile(t))
-        x = np.array([0.3, -0.5, 0.81])
-        x /= np.linalg.norm(x)
-        v = np.cross(x, [0.0, 0.0, 1.0])
-        v /= np.linalg.norm(v)
-
-        def curve(s_):
-            y = x + s_ * v
-            return y / np.linalg.norm(y)
-
-        d = (s.embed(t, curve(eps)) - s.embed(t, curve(-eps))) / (2 * eps)
-        assert np.linalg.norm(d) == pytest.approx(rho, rel=1e-6)
+        c.frame_gradient(-0.1, np.ones(c.n_theta))
 
 
 # ---------------------------------------------------------------------------
@@ -129,13 +57,14 @@ def test_gradient_identity_ambient_projection():
     z = c.frame_gradient(0.0, u)[:, 0]
     eps = 1e-6
     for j in range(0, 512, 37):
-        y = c.embed(0.0, c.thetas[j])
+        y = np.array([np.cos(c.thetas[j]), np.sin(c.thetas[j])])   # unit-radius embedding
+        tau = np.array([-y[1], y[0]])                               # unit tangent
         amb = np.array([
             (u_fn(np.arctan2(y[1], y[0] + eps)) - u_fn(np.arctan2(y[1], y[0] - eps))) / (2 * eps),
             (u_fn(np.arctan2(y[1] + eps, y[0])) - u_fn(np.arctan2(y[1] - eps, y[0]))) / (2 * eps),
         ])
-        proj = c.projection_fields(0.0, c.thetas[j]) @ amb
-        tangent = z[j] * c.unit_tangent(c.thetas[j])
+        proj = np.outer(tau, tau) @ amb
+        tangent = z[j] * tau
         np.testing.assert_allclose(proj, tangent, atol=1e-5)
 
 

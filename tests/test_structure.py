@@ -1,10 +1,12 @@
-"""Design guards: source families stay behind the source interface, and the
-demos import only names that hmflow exports."""
+"""Design guards: source families stay behind the source interface, the
+demos import only names that hmflow exports, and every random stream
+domain is in use under its pinned number."""
 
 import ast
 from pathlib import Path
 
 import hmflow
+from hmflow import _rng
 
 ROOT = Path(__file__).resolve().parents[1]
 FAMILIES = {"Circle", "Sphere2"}
@@ -41,3 +43,17 @@ def test_demo_imports_resolve():
                 missing += [f"{path.name}: {alias.name}" for alias in node.names
                             if not hasattr(hmflow, alias.name)]
     assert not missing, missing
+
+
+def test_stream_domains_are_read_and_pinned():
+    domains = {name: value for name, value in vars(_rng).items() if name.startswith("DOMAIN_")}
+    # a domain's number is part of its keys: renumbering one moves all its streams
+    assert domains == {"DOMAIN_FORWARD_PATH": 0, "DOMAIN_MC_SLICE": 1,
+                       "DOMAIN_SAMPLE_PATH": 2, "DOMAIN_VERIFY_PATH": 4}
+    read = set()
+    for path in sorted((ROOT / "src" / "hmflow").glob("*.py")):
+        if path.name == "_rng.py":
+            continue
+        read |= {node.id for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert sorted(set(domains) - read) == []
