@@ -31,7 +31,3 @@ for n_paths in (1_000, 10_000, 100_000):
     err = np.abs(w_mc.values - exact_mc).max()
     print(f"  {n_paths:>7} paths/node-batch: sup error = {err:.3e}")
 print("  (error shrinks like 1/sqrt(paths): pure sampling noise)")
-
-w_q = picard_map(u_mc, h, backend="monte_carlo", n_paths=0)
-print("\nquadrature fallback (n_paths=0, Gauss-Hermite):")
-print(f"  sup |w - exact| = {np.abs(w_q.values - exact_mc).max():.3e}")

@@ -32,7 +32,7 @@ def picard_map(u: MapField, h, backend: str = "semigroup", n_paths: int = 0,
     Stepping backward from w(horizon) = h: each slice first takes the
     one-step conditional expectation of the next slice (exact Fourier heat
     kernel on the circle, implicit heat step on the sphere, or per-node
-    one-step Monte Carlo / Gauss-Hermite quadrature for the monte_carlo
+    one-step Monte Carlo over n_paths >= 1 increments for the monte_carlo
     backend), then subtracts (dt/2) times the curvature driver with the
     gradient of u frozen at the current slice.  The driver's base point is
     the conditional expectation (a one-step lag).  The frozen gradient is
@@ -51,9 +51,8 @@ def picard_map(u: MapField, h, backend: str = "semigroup", n_paths: int = 0,
             f"{u.values.shape[1:]}")
     if backend not in ("semigroup", "monte_carlo"):
         raise ValueError(f"unknown backend {backend!r}")
-    if backend == "monte_carlo" and n_paths <= 0 \
-            and not hasattr(source, "quadrature_step_mean"):
-        raise ValueError(f"quadrature fallback is not available on {source!r}")
+    if backend == "monte_carlo" and n_paths < 1:
+        raise ValueError(f"monte_carlo backend needs n_paths >= 1, got {n_paths}")
 
     dt = u.dt
     n_t = u.n_t
@@ -64,11 +63,9 @@ def picard_map(u: MapField, h, backend: str = "semigroup", n_paths: int = 0,
         t_k = u.times[k]
         if backend == "semigroup":
             cond = source.heat_semigroup_step(t_k, dt, w[k + 1])
-        elif n_paths > 0:
+        else:
             rng = keyed_generator(master_seed, DOMAIN_MC_SLICE, k)
             cond = source.mc_step_mean(t_k, dt, w[k + 1], n_paths, rng, antithetic)
-        else:
-            cond = source.quadrature_step_mean(t_k, dt, w[k + 1])
         w[k] = cond - 0.5 * dt * sff_trace(target, cond, u.gradient[k])
         worst = float(np.max(np.linalg.norm(w[k], axis=-1)))
         if worst > bound:
@@ -124,19 +121,17 @@ def sample_solution(field: MapField, ensemble: PathEnsemble) -> BsdeSolutionSamp
 def bsde_residual(sample: BsdeSolutionSample) -> float:
     """Pathwise defect of the discrete backward identity.
 
-    Per path, sums over steps the increment of Y minus the driver term and
-    the martingale pairing of Z with the stored Brownian increments, then
-    returns the root-mean-square over paths of the summed defect norm.
+    Per path, takes the increment of Y over the ensemble's horizon minus the
+    driver terms and the martingale pairings of Z with the stored Brownian
+    increments, each evaluated on all steps at once and summed, then
+    returns the root-mean-square over paths of the defect norm.
     Refining the step halves the variance: the total decays like sqrt(dt).
     """
     ens = sample.ensemble
-    dt = ens.dt
     y, z = sample.y, sample.z
-    defect = np.zeros((ens.n_paths, y.shape[-1]))
-    for k in range(ens.n_steps):
-        drv = sff_trace(sample.target, y[k], z[k])
-        db = sample.source.frame_increments(ens.states[k], ens.increments[k])
-        mart = np.sum(z[k] * db[..., None], axis=1)
-        defect += y[k + 1] - y[k] - 0.5 * dt * drv - mart
+    drv = sff_trace(sample.target, y[:-1], z[:-1])
+    db = sample.source.frame_increments(ens.states[:-1], ens.increments)
+    mart = np.einsum("...ml,...m->...l", z[:-1], db)
+    defect = y[-1] - y[0] - np.sum(0.5 * ens.dt * drv + mart, axis=0)
     return float(np.sqrt(np.mean(np.sum(defect ** 2, axis=-1))))
 

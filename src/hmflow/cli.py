@@ -202,10 +202,9 @@ def _check_run(rc: dict, source):
     if rc["backend"] == "monte_carlo" and rc["antithetic"] and rc["n_paths"] % 2:
         raise ConfigError(f"[run] n_paths = {rc['n_paths']} must be even with "
                           "antithetic sampling")
-    if rc["backend"] == "monte_carlo" and rc["n_paths"] == 0 \
-            and not hasattr(source, "quadrature_step_mean"):
-        raise ConfigError(f"[run] n_paths = 0 selects the quadrature fallback, "
-                          f"which {source!r} does not have")
+    if rc["backend"] == "monte_carlo" and rc["n_paths"] == 0:
+        raise ConfigError("[run] n_paths = 0: the monte_carlo backend needs at least "
+                          "one path per node")
 
 
 def _check_forward(fc: dict, source):

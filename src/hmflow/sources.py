@@ -23,7 +23,6 @@ from .errors import GridTooCoarse, HmflowError, TimeOutOfRange
 _TIME_SLACK = 1e-12
 _EIG_ROUNDING = 1e-10   # eigenvalue / spectral radius above this is not "<= 0"
 _EIG_MAX_COND = 1e6     # 1-norm cond(V) above this lets a step's rounding pass ~1e-10
-_STEP_QUAD_NODES = 40   # Gauss-Hermite nodes of the circle's quadrature step mean
 _PROBE_QUAD_NODES = 60  # Gauss-Hermite nodes per ambient axis of the weak-error probe
 _MC_CHUNK_POINTS = 1 << 18  # node x path points per chunk of the sphere's Monte Carlo step
 
@@ -333,19 +332,6 @@ class Circle(SourceManifold):
         shape = (-1,) + (1,) * (field.ndim - 1)
         return np.fft.irfft(modes * chi.reshape(shape), n=self.n_theta, axis=0)
 
-    def quadrature_step_mean(self, t, dt, field):
-        """Gauss-Hermite evaluation of the one-step conditional expectation."""
-        self._check_time(t)
-        field = np.asarray(field, dtype=float)
-        self._require_grid(field)
-        rho = float(self.profile(t))
-        nodes, weights = np.polynomial.hermite.hermgauss(_STEP_QUAD_NODES)
-        shifts = np.sqrt(2.0 * dt) / rho * nodes
-        acc = np.zeros_like(field)
-        for w, s in zip(weights / np.sqrt(np.pi), shifts):
-            acc += w * self.interpolate_slice(field, np.mod(self.thetas + s, 2 * np.pi))
-        return acc
-
     # -- forward path step ------------------------------------------------------
 
     def step_paths(self, states, t, dt, dW):
@@ -573,7 +559,7 @@ class Sphere2(SourceManifold):
         pj = phi / self.dphi
         j0 = np.floor(pj).astype(int)
         fp = pj - j0
-        j0 = np.clip(j0, 0, self.n_phi - 1)
+        j0 %= self.n_phi  # phi rounds to 2*pi just below longitude 0
 
         wshape = (-1,) + (1,) * (field.ndim - 2)
         w00 = ((1 - ft) * (1 - fp)).reshape(wshape)

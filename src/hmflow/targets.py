@@ -1,9 +1,11 @@
 """Compact target manifolds embedded in Euclidean space.
 
 The closed-form families here back every curvature evaluation in the
-backward dynamics: nearest-point projection, second fundamental form and
-its cut-off extension to all of ambient space, and the truncated squared
-distance function used by the stay-on-target verification.
+backward dynamics: nearest-point projection, second fundamental form, one
+curvature kernel per target (`sff_trace`: the cut-off extended form traced
+over a stack of frame vectors, with `extended_sff` as its one-vector case),
+and the truncated squared distance function used by the stay-on-target
+verification.
 
 All point operations are vectorized: a "point" argument of shape
 (..., ambient_dim) is processed elementwise over the leading axes.
@@ -45,9 +47,9 @@ class TargetManifold:
     """Common interface of the embedded targets.
 
     Concrete families implement nearest_point / distance / tangent
-    projection / second fundamental form in closed form; the extension
-    machinery (cutoff, extended form, truncated squared distance) is
-    shared where it only depends on those primitives.
+    projection / second fundamental form and the curvature kernel sff_trace
+    in closed form; the extension machinery (cutoff, extended form,
+    truncated squared distance) is shared where it only depends on those.
     """
 
     ambient_dim: int
@@ -89,6 +91,15 @@ class TargetManifold:
         tau = np.clip((s - lo) / (hi - lo), 0.0, 1.0)
         inner = _chi_blend_d2(tau) / (hi - lo)
         return np.where((s <= lo) | (s >= hi), 0.0, inner)
+
+    def extended_sff(self, p, u):
+        """Cut-off extension of the second fundamental form along one ambient u.
+
+        The one-vector case of `sff_trace`: cutoff(dist) * H_{P(p)}(u, u)
+        inside the 2*delta tube, 0 outside.
+        """
+        p, u = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(u, dtype=float))
+        return self.sff_trace(p, u[..., None, :])
 
     def g_value(self, p):
         """Truncated squared distance G(p) = chi(dist^2)."""
@@ -155,40 +166,29 @@ class UnitSphere(TargetManifold):
         vt = self.project_tangent(p, v)
         return -np.sum(ut * vt, axis=-1, keepdims=True) * p
 
-    def _projection_hessian_quad(self, q, u):
-        """Full ambient Hessian of the radial projection at q on the sphere:
+    def sff_trace(self, p, z):
+        """Trace of the cut-off extended form over a frame stack z, (..., m, L).
 
-            H_q(u,u) = -2 <u,q> u + (3 <u,q>^2 - |u|^2) q
+        Equals cutoff(dist) * sum_a H_q(z_a, z_a) with q = p/|p| and H_q the
+        full ambient Hessian of the radial projection,
 
-        for arbitrary ambient u (no tangency assumed).  Restricting u to T_q
-        recovers the second fundamental form -|u|^2 q.
-        """
-        q = np.asarray(q, dtype=float)
-        u = np.asarray(u, dtype=float)
-        a = np.sum(u * q, axis=-1, keepdims=True)
-        u2 = np.sum(u * u, axis=-1, keepdims=True)
-        return -2.0 * a * u + (3.0 * a * a - u2) * q
+            sum_a H_q(z_a, z_a) = -2 sum_a <z_a,q> z_a
+                                  + (3 sum_a <z_a,q>^2 - sum_a |z_a|^2) q,
 
-    def extended_sff(self, p, u):
-        """Cut-off extension of the second fundamental form to all of ambient space.
-
-        Equals cutoff(dist) * H_{P(p)}(u, u) inside the 2*delta tube and 0
-        outside; u is an arbitrary ambient vector.
+        for arbitrary ambient z_a; tangent z_a recover -sum_a |z_a|^2 q.  The
+        result is exactly +0.0 wherever the cut-off vanishes, p = 0 included.
         """
         p = np.asarray(p, dtype=float)
-        u = np.asarray(u, dtype=float)
-        p, u = np.broadcast_arrays(p, u)
-        dist = self.distance(p)
-        phi = self.cutoff(dist)
-        out = np.zeros(p.shape, dtype=float)
-        inside = phi > 0.0
-        if np.any(inside):
-            pin = p[inside]
-            # radial projection, without the tube precondition: phi>0 forces
-            # dist < 2*delta so the projection is well defined here
-            q = pin / np.linalg.norm(pin, axis=-1, keepdims=True)
-            out[inside] = phi[inside][..., None] * self._projection_hessian_quad(q, u[inside])
-        return out
+        z = np.asarray(z, dtype=float)
+        r = np.linalg.norm(p, axis=-1, keepdims=True)
+        phi = self.cutoff(np.abs(r - 1.0))
+        # phi > 0 forces dist < 2*delta < 1, so r = 0 only where the result is 0
+        q = p / np.where(r > 0.0, r, 1.0)
+        a = np.einsum("...ml,...l->...m", z, q)
+        az = np.einsum("...m,...ml->...l", a, z)
+        a2 = np.einsum("...m,...m->...", a, a)[..., None]
+        z2 = np.einsum("...ml,...ml->...", z, z)[..., None]
+        return np.where(phi > 0.0, phi * (-2.0 * az + (3.0 * a2 - z2) * q), 0.0)
 
     # -- truncated squared distance: sphere closed forms --------------------
 
@@ -258,10 +258,9 @@ class FlatSpace(TargetManifold):
         p = np.asarray(p, dtype=float)
         return np.zeros(np.broadcast_shapes(p.shape, np.shape(u), np.shape(v)), dtype=float)
 
-    def extended_sff(self, p, u):
-        p = np.asarray(p, dtype=float)
-        u = np.asarray(u, dtype=float)
-        return np.zeros(np.broadcast_shapes(p.shape, u.shape), dtype=float)
+    def sff_trace(self, p, z):
+        z_shape = np.shape(z)
+        return np.zeros(np.broadcast_shapes(np.shape(p), z_shape[:-2] + z_shape[-1:]))
 
     def cutoff(self, s):
         return np.ones_like(np.asarray(s, dtype=float))
@@ -278,16 +277,13 @@ class FlatSpace(TargetManifold):
 
 
 def sff_trace(target, base_points, frame_vectors):
-    """g-trace of the extended second fundamental form over a frame gradient.
+    """Curvature term of the flow equation: target.sff_trace over the frame axis.
 
     base_points: (..., L2); frame_vectors: (..., m, L2) gradient components
-    in an orthonormal tangent frame.  Returns sum_a extended_sff(p)(z_a, z_a),
-    shape (..., L2): the curvature term of the flow equation.
+    in an orthonormal tangent frame.  Returns shape (..., L2).
     """
-    total = np.zeros_like(np.asarray(base_points, dtype=float))
-    for a in range(frame_vectors.shape[-2]):
-        total += target.extended_sff(base_points, frame_vectors[..., a, :])
-    return total
+    # bsde and verify call through this module attribute so perfbench/spans.py can trace it
+    return target.sff_trace(base_points, frame_vectors)
 
 
 def sff_finite_difference(target, p, u, v=None, step: float = 1e-4,

@@ -86,20 +86,14 @@ def test_backend_agreement_flat_override():
     assert np.all(diff <= 6 * sigma + 1e-9)
 
 
-def test_quadrature_fallback_matches_semigroup():
-    c, h = circle_identity(n_theta=128)
-    u = MapField.constant_in_time(c, S1, h, 0.1, 50)
-    w_sg = picard_map(u, h, backend="semigroup")
-    w_q = picard_map(u, h, backend="monte_carlo", n_paths=0)
-    assert np.abs(w_sg.values - w_q.values).max() <= 1e-9
-
-
-def test_quadrature_fallback_unavailable_on_sphere():
+def test_monte_carlo_needs_paths():
+    c, h = circle_identity(n_theta=16)
     s = Sphere2(constant_radius(1.0), n_theta=8, n_phi=16)
-    vals = s.grid_points()
-    u = MapField.constant_in_time(s, UnitSphere(2), vals, 0.05, 5)
-    with pytest.raises(ValueError):
-        picard_map(u, vals, backend="monte_carlo", n_paths=0)
+    for field, vals in ((MapField.constant_in_time(c, S1, h, 0.05, 5), h),
+                        (MapField.constant_in_time(s, UnitSphere(2), s.grid_points(), 0.05, 5),
+                         s.grid_points())):
+        with pytest.raises(ValueError, match="n_paths"):
+            picard_map(field, vals, backend="monte_carlo", n_paths=0)
 
 
 def test_norm_bound_coefficient_shrinks_with_horizon():

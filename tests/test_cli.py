@@ -323,7 +323,9 @@ BAD_CONFIGS = [
     pytest.param("solve", _edit(PG_SOLVE, ("t0 = 0.5", "t0 = 0.8")), [], "t0",
                  id="t0_past_source_horizon"),
     pytest.param("solve", SPH_CONFIG + "n_paths = 0\n", ["--backend", "monte-carlo"],
-                 "n_paths", id="sphere_quadrature_fallback"),
+                 "[run] n_paths", id="sphere_quadrature_fallback"),
+    pytest.param("solve", _edit(PG_SOLVE, ("tol = 1e-10", "tol = 1e-10\nn_paths = 0")),
+                 ["--backend", "monte-carlo"], "[run] n_paths", id="circle_monte_carlo_no_paths"),
     pytest.param("solve", _edit(PG_SOLVE, ("tol = 1e-10", "tol = 1e-10\nn_paths = -5")),
                  ["--backend", "monte-carlo"], "n_paths", id="negative_n_paths"),
     pytest.param("solve", SPH_CONFIG + "n_paths = 7\nantithetic = true\n",

@@ -1,12 +1,16 @@
 """Design guards: source families stay behind the source interface, the
-demos import only names that hmflow exports, and every random stream
-domain is in use under its pinned number."""
+demos import only names that hmflow exports, every random stream domain is
+in use under its pinned number, and every name the benchmark tracer wraps
+still exists."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import hmflow
 from hmflow import _rng
+from hmflow.sources import Circle, Sphere2
 
 ROOT = Path(__file__).resolve().parents[1]
 FAMILIES = {"Circle", "Sphere2"}
@@ -57,3 +61,17 @@ def test_stream_domains_are_read_and_pinned():
         read |= {node.id for node in ast.walk(ast.parse(path.read_text()))
                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     assert sorted(set(domains) - read) == []
+
+
+def test_traced_names_resolve():
+    # perfbench/spans.py swaps these names for wrappers; a refactor that
+    # moves one breaks the traced benchmark run
+    spec = importlib.util.spec_from_file_location("perfbench_spans",
+                                                  ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [f"{mod}.{attr}" for mod, attr in spans.FUNCTIONS.values()
+               if not hasattr(importlib.import_module(mod), attr)]
+    missing += [f"{cls.__name__}.{name}" for cls in (Circle, Sphere2)
+                for name in spans.SOURCE_METHODS if name not in cls.__dict__]
+    assert not missing, missing

@@ -188,11 +188,51 @@ def test_extended_sff_matches_sff_on_manifold():
                                s2.second_fundamental_form(p, ut, ut), atol=1e-12)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("m", [1, 2])
+def test_sff_trace_matches_finite_difference_oracle(dim, m):
+    # independent path: cutoff(dist(p)) * sum_a of the numerical Hessian of the
+    # nearest-point map at P(p), along ambient (not tangent) frame vectors
+    sph = UnitSphere(dim)
+    delta = sph.tube_radius
+    rng = np.random.default_rng(71 + 2 * dim + m)
+    q = random_sphere_points(12, 73 + dim, dim=dim)
+    side = np.where(np.arange(12) % 2, 1.0, -1.0)
+    dist = np.concatenate([rng.uniform(0.0, 0.95, 6), rng.uniform(1.05, 1.95, 6)]) * delta
+    p = q * (1.0 + side * dist)[:, None]
+    phi = sph.cutoff(sph.distance(p))
+    assert np.all(phi[:6] == 1.0) and np.all((phi[6:] > 0.0) & (phi[6:] < 1.0))
+    z = rng.standard_normal((12, m, dim + 1))
+    oracle = np.array([
+        phi_i * sum(sff_finite_difference(sph, sph.nearest_point(p_i), z_a) for z_a in z_i)
+        for phi_i, p_i, z_i in zip(phi, p, z)])
+    np.testing.assert_allclose(sph.sff_trace(p, z), oracle, atol=1e-6)
+
+
+def test_sff_trace_positive_zero_off_support():
+    for dim in (1, 2):
+        sph = UnitSphere(dim)
+        rng = np.random.default_rng(79 + dim)
+        q = random_sphere_points(8, 83 + dim, dim=dim)
+        # beyond 2 delta outside and inside the sphere, and the origin
+        dist = rng.uniform(2.05, 4.0, 8) * sph.tube_radius
+        radius = np.where(np.arange(8) % 2, 1.0 + dist, 1.0 - dist)
+        p = np.concatenate([q * radius[:, None], np.zeros((1, dim + 1))])
+        assert np.all(sph.cutoff(sph.distance(p)) == 0.0)
+        out = sph.sff_trace(p, rng.standard_normal((9, 2, dim + 1)))
+        assert out.shape == (9, dim + 1)
+        assert np.all(out == 0.0) and not np.any(np.signbit(out))
+
+
 def test_flat_space_has_no_curvature():
     fl = FlatSpace(2)
     p = np.array([[3.0, -1.0], [0.1, 0.2]])
     u = np.array([[1.0, 1.0], [2.0, 0.0]])
     np.testing.assert_allclose(fl.extended_sff(p, u), 0.0)
+    # frame stacks (..., m, L) trace to (..., L)
+    out = FlatSpace(3).sff_trace(np.ones((4, 5, 3)), np.ones((4, 5, 2, 3)))
+    assert out.shape == (4, 5, 3) and np.all(out == 0.0)
+    assert FlatSpace(3).sff_trace(np.zeros(3), np.ones((7, 1, 3))).shape == (7, 3)
     np.testing.assert_allclose(fl.distance(p), 0.0)
     np.testing.assert_allclose(fl.g_value(p), 0.0)
 
