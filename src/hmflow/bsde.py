@@ -33,11 +33,12 @@ def picard_map(u: MapField, h, backend: str = "semigroup", n_paths: int = 0,
     one-step conditional expectation of the next slice (exact Fourier heat
     kernel on the circle, implicit heat step on the sphere, or per-node
     one-step Monte Carlo over n_paths >= 1 increments for the monte_carlo
-    backend), then subtracts (dt/2) times the curvature driver with the
-    gradient of u frozen at the current slice.  The driver's base point is
-    the conditional expectation (a one-step lag).  The frozen gradient is
-    u's kept `MapField.gradient`, computed on its first read; the returned
-    field has none until something reads it.
+    backend, an even count when antithetic), then subtracts (dt/2) times
+    the curvature driver with the gradient of u frozen at the current
+    slice.  The driver's base point is the conditional expectation (a
+    one-step lag).  The frozen gradient is u's kept `MapField.gradient`,
+    computed on its first read; the returned field has none until
+    something reads it.
 
     Monte Carlo increments are keyed by (master_seed, slice) only, so the
     realized operator is one fixed deterministic map: iterating it measures
@@ -53,6 +54,8 @@ def picard_map(u: MapField, h, backend: str = "semigroup", n_paths: int = 0,
         raise ValueError(f"unknown backend {backend!r}")
     if backend == "monte_carlo" and n_paths < 1:
         raise ValueError(f"monte_carlo backend needs n_paths >= 1, got {n_paths}")
+    if backend == "monte_carlo" and antithetic and n_paths % 2:
+        raise ValueError("antithetic sampling needs an even path count")
 
     dt = u.dt
     n_t = u.n_t
@@ -100,21 +103,34 @@ class BsdeSolutionSample:
 
 
 def sample_solution(field: MapField, ensemble: PathEnsemble) -> BsdeSolutionSample:
-    """Evaluate the field and its gradient along every path of the ensemble."""
+    """Evaluate the field and its gradient along every path of the ensemble.
+
+    At each ensemble time the slice and its frame gradient are stacked and
+    interpolated at the paths in one call.  An ensemble on the field's own
+    slice times (as the solve's sample and `verify` run) reads
+    `field.values[k]` and the kept `field.gradient[k]`; any other ensemble
+    takes the slice at its time and computes that slice's gradient.
+    """
     source = field.source
     if ensemble.horizon > field.horizon + 1e-9:
         raise HorizonMismatch("ensemble runs past the field horizon")
+    own_slices = (ensemble.n_steps == field.n_t
+                  and np.allclose(ensemble.times, field.times, rtol=0.0, atol=1e-12))
     n = ensemble.n_steps + 1
     l2 = field.value_dim
     m = source.dim
     y = np.empty((n, ensemble.n_paths, l2))
     z = np.empty((n, ensemble.n_paths, m, l2))
     for k, t in enumerate(ensemble.times):
-        sl = field.slice_at(t)
-        zs = source.frame_gradient(t, sl)
-        x = ensemble.states[k]
-        y[k] = source.interpolate_slice(sl, x)
-        z[k] = source.interpolate_slice(zs, x)
+        if own_slices:
+            sl, zs = field.values[k], field.gradient[k]
+        else:
+            sl = field.slice_at(t)
+            zs = source.frame_gradient(t, sl)
+        yz = source.interpolate_slice(np.concatenate([sl[..., None, :], zs], axis=-2),
+                                      ensemble.states[k])
+        y[k] = yz[:, 0]
+        z[k] = yz[:, 1:]
     return BsdeSolutionSample(ensemble, y, z, source, field.target)
 
 

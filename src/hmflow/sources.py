@@ -25,6 +25,8 @@ _EIG_ROUNDING = 1e-10   # eigenvalue / spectral radius above this is not "<= 0"
 _EIG_MAX_COND = 1e6     # 1-norm cond(V) above this lets a step's rounding pass ~1e-10
 _PROBE_QUAD_NODES = 60  # Gauss-Hermite nodes per ambient axis of the weak-error probe
 _MC_CHUNK_POINTS = 1 << 18  # node x path points per chunk of the sphere's Monte Carlo step
+_PHASE_BLOCK = 12           # low powers per block of the circle's phase tables
+_PHASE_CHUNK = 1 << 9       # angles per chunk of the circle's phase-table kernels
 
 
 class RadiusProfile:
@@ -270,23 +272,53 @@ class Circle(SourceManifold):
 
     # -- interpolation ---------------------------------------------------------
 
+    def _phase_tables(self, x):
+        """Blocked phase tables of 1-D angles x: e^{ikx} = hi[k // B] * lo[k % B].
+
+        lo[b] = e^{ibx} for b < B = `_PHASE_BLOCK` and hi[a] = e^{iaBx}, with
+        enough rows of hi to cover every rfft wavenumber.  The power axis
+        comes first, so each row is one in-place multiply of contiguous rows.
+        """
+        n_hi = -(-len(self._k) // _PHASE_BLOCK)
+        lo = np.empty((_PHASE_BLOCK, len(x)), dtype=complex)
+        hi = np.empty((n_hi, len(x)), dtype=complex)
+        lo[0] = 1.0
+        np.cos(x, out=lo[1].real)
+        np.sin(x, out=lo[1].imag)
+        for b in range(2, _PHASE_BLOCK):
+            np.multiply(lo[b - 1], lo[1], out=lo[b])
+        hi[0] = 1.0
+        if n_hi > 1:
+            np.multiply(lo[-1], lo[1], out=hi[1])
+        for a in range(2, n_hi):
+            np.multiply(hi[a - 1], hi[1], out=hi[a])
+        return lo, hi
+
     def interpolate_slice(self, field, x):
-        """Trigonometric interpolation of a grid field at angles x."""
+        """Trigonometric interpolation of a grid field at angles x.
+
+        The angles are taken in chunks of `_PHASE_CHUNK`.  Each chunk's
+        Fourier basis is one broadcast product of its blocked phase tables,
+        about n_modes complex multiplies per angle, contracted with the
+        field's weighted modes, so temporaries stay near 1.5 MB whatever
+        the number of angles.
+        """
         field = np.asarray(field, dtype=float)
         self._require_grid(field)
-        theta = np.atleast_1d(np.asarray(x, dtype=float))
-        modes = np.fft.rfft(field, axis=0)
-        weights = np.full(len(self._k), 2.0 / self.n_theta)
+        theta = np.asarray(x, dtype=float).ravel()
+        n_modes = len(self._k)
+        weights = np.full(n_modes, 2.0 / self.n_theta)
         weights[0] = 1.0 / self.n_theta
         if self.n_theta % 2 == 0:
             weights[-1] = 1.0 / self.n_theta
-        basis = np.exp(1j * np.outer(theta, self._k))
-        flat = modes.reshape(len(self._k), -1)
-        vals = np.real(basis @ (weights[:, None] * flat))
-        out = vals.reshape(theta.shape + field.shape[1:])
-        if np.isscalar(x) or np.ndim(x) == 0:
-            return out[0]
-        return out
+        coef = weights[:, None] * np.fft.rfft(field, axis=0).reshape(n_modes, -1)
+        vals = np.empty((len(theta), coef.shape[1]))
+        for start in range(0, len(theta), _PHASE_CHUNK):
+            lo, hi = self._phase_tables(theta[start:start + _PHASE_CHUNK])
+            basis = (hi[:, None, :] * lo).reshape(-1, lo.shape[1])[:n_modes]
+            vals[start:start + _PHASE_CHUNK] = np.real(basis.T @ coef)
+            del lo, hi, basis   # free this chunk's tables before the next are built
+        return vals.reshape(np.shape(x) + field.shape[1:])
 
     # -- one-step conditional expectations ---------------------------------------
 
@@ -309,25 +341,27 @@ class Circle(SourceManifold):
         estimator mean_j w(theta + delta_j) is a circular convolution with
         the empirical increment distribution.  It is evaluated exactly by
         multiplying the field's Fourier modes with the sample's empirical
-        characteristic function: unbiased per node, no interpolation error,
-        O(n_modes * n_paths) per slice.
+        characteristic function: unbiased per node, no interpolation error.
+        The draws are taken in chunks of `_PHASE_CHUNK`; each chunk adds the
+        phase sums of all n_modes wavenumbers as one small complex GEMM of
+        its blocked phase tables, hi @ lo.T, so a slice costs about
+        n_modes * n_paths multiply-adds in BLAS and under 0.5 MB of temporaries.
+        Antithetic sampling draws n_paths // 2 increments and pairs each
+        with its negation, whose phases are the complex conjugates.
         """
         self._check_time(t)
         field = np.asarray(field, dtype=float)
         self._require_grid(field)
         rho = float(self.profile(t))
+        n_draws = n_paths // 2 if antithetic else n_paths
+        sums = 0.0
+        for start in range(0, n_draws, _PHASE_CHUNK):
+            delta = rng.standard_normal(min(_PHASE_CHUNK, n_draws - start))
+            lo, hi = self._phase_tables(delta * (np.sqrt(dt) / rho))
+            sums = sums + (hi @ lo.T).ravel()
+        chi = sums[:len(self._k)] / n_draws
         if antithetic:
-            half = rng.standard_normal(n_paths // 2)
-            delta = np.concatenate([half, -half])
-        else:
-            delta = rng.standard_normal(n_paths)
-        delta = delta * (np.sqrt(dt) / rho)
-        base = np.exp(1j * delta)
-        chi = np.empty(len(self._k), dtype=complex)
-        cur = np.ones_like(base)
-        for k in range(len(self._k)):
-            chi[k] = cur.mean()
-            cur *= base
+            chi = chi.real
         modes = np.fft.rfft(field, axis=0)
         shape = (-1,) + (1,) * (field.ndim - 1)
         return np.fft.irfft(modes * chi.reshape(shape), n=self.n_theta, axis=0)

@@ -96,6 +96,16 @@ def test_monte_carlo_needs_paths():
             picard_map(field, vals, backend="monte_carlo", n_paths=0)
 
 
+def test_monte_carlo_antithetic_needs_even_paths():
+    c, h = circle_identity(n_theta=16)
+    s = Sphere2(constant_radius(1.0), n_theta=8, n_phi=16)
+    for field, vals in ((MapField.constant_in_time(c, S1, h, 0.05, 5), h),
+                        (MapField.constant_in_time(s, UnitSphere(2), s.grid_points(), 0.05, 5),
+                         s.grid_points())):
+        with pytest.raises(ValueError, match="antithetic sampling needs an even path count"):
+            picard_map(field, vals, backend="monte_carlo", n_paths=7, antithetic=True)
+
+
 def test_norm_bound_coefficient_shrinks_with_horizon():
     # fit c01(T(u)) ~ alpha |h| + beta(T0) |u|^2 over a family of gradients;
     # the quadratic coefficient must decrease as the horizon does
@@ -127,6 +137,39 @@ def test_solution_sample_and_z_bound_stability():
         maxima.append(np.linalg.norm(sample.z, axis=(-2, -1)).max())
     ratio = maxima[1] / maxima[0]
     assert 0.8 <= ratio <= 1.25, maxima
+
+
+def test_sample_on_own_slices_reads_kept_gradient(monkeypatch):
+    from hmflow.picard import solve
+    c = Circle(sine_radius(0.2, 1.0), n_theta=64, horizon=0.1)
+    phi = c.thetas + 0.3 * np.sin(c.thetas)
+    h = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+    field, state, _ = solve(c, S1, h, 0.02, dt=2e-3, sample_paths=8)
+    assert state.converged and field.n_t == 10
+    calls = []
+    original = Circle.frame_gradient
+
+    def counting(self, t, f):
+        calls.append(t)
+        return original(self, t, f)
+
+    monkeypatch.setattr(Circle, "frame_gradient", counting)
+    ens = simulate(c, 0.0, "grid", field.horizon, field.dt, 50, 9)
+    own = sample_solution(field, ens)
+    assert calls == []
+    # the first half of the horizon at the same step draws the same paths and
+    # times, but is not the field's own slice grid, so it takes the per-time path
+    half = simulate(c, 0.0, "grid", field.horizon / 2, field.dt, 50, 9)
+    np.testing.assert_array_equal(half.states, ens.states[:6])
+    per_time = sample_solution(field, half)
+    assert len(calls) == 6
+    np.testing.assert_allclose(per_time.y, own.y[:6], rtol=0, atol=1e-13)
+    np.testing.assert_allclose(per_time.z, own.z[:6], rtol=0, atol=1e-13)
+    # a half-step ensemble reads slices between the field's slice times
+    fine = sample_solution(field, simulate(c, 0.0, "grid", field.horizon, field.dt / 2, 50, 9))
+    assert fine.y.shape == (21, 50, 2) and fine.z.shape == (21, 50, 1, 2)
+    assert len(calls) == 6 + 21
+    np.testing.assert_allclose(fine.y[0], own.y[0], rtol=0, atol=1e-13)
 
 
 def test_bsde_residual_zero_noise_constant_field():

@@ -192,6 +192,25 @@ def test_circle_interpolation_exact_for_bandlimited():
     np.testing.assert_allclose(c.interpolate_slice(f, q), exact, atol=1e-12)
 
 
+@pytest.mark.parametrize("n_theta", [64, 65])
+@pytest.mark.parametrize("value_shape", [(), (2,), (1, 2)])
+def test_circle_interpolation_matches_direct_sum(n_theta, value_shape):
+    # reference: sum_k w_k Re(c_k e^{ik theta}) over the rfft modes, with the
+    # halved weights at k = 0 and, for even n_theta, at the Nyquist mode
+    c = Circle(constant_radius(1.0), n_theta=n_theta)
+    rng = np.random.default_rng(n_theta)
+    f = rng.standard_normal((n_theta,) + value_shape)
+    theta = rng.uniform(-np.pi, 3.0 * np.pi, 2 * sources._PHASE_CHUNK + 37)
+    k = np.arange(n_theta // 2 + 1)
+    w = np.where((k == 0) | (2 * k == n_theta), 1.0, 2.0) / n_theta
+    modes = np.fft.rfft(f, axis=0).reshape(len(k), -1)
+    direct = np.real(np.exp(1j * np.outer(theta, k)) @ (w[:, None] * modes))
+    got = c.interpolate_slice(f, theta)
+    assert got.shape == theta.shape + value_shape
+    np.testing.assert_allclose(got.reshape(len(theta), -1), direct, rtol=0, atol=1e-13)
+    assert np.shape(c.interpolate_slice(f, 0.3)) == value_shape
+
+
 def test_sphere_interpolation_second_order():
     rng = np.random.default_rng(17)
     pts = rng.standard_normal((400, 3))
@@ -250,6 +269,51 @@ def test_circle_mc_step_unbiased_and_deterministic():
     rng2 = np.random.Generator(np.random.Philox(key=7))
     np.testing.assert_array_equal(c.mc_step_mean(0.0, 0.01, f, 500, rng1),
                                   c.mc_step_mean(0.0, 0.01, f, 500, rng2))
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_circle_mc_step_matches_per_mode_formula(antithetic):
+    # the same draws (a cloned Philox key) through the explicit empirical
+    # characteristic function chi_k = mean_j exp(i k delta_j); the draws span
+    # more than one chunk, with an uneven last chunk
+    c = Circle(sine_radius(0.2, 1.0), n_theta=256)
+    f = np.stack([np.cos(c.thetas + 0.3 * np.sin(c.thetas)), np.sin(3 * c.thetas)], axis=-1)
+    t, dt = 0.1, 5e-3
+    n_paths = 4 * sources._PHASE_CHUNK + 202
+    got = c.mc_step_mean(t, dt, f, n_paths, np.random.Generator(np.random.Philox(key=11)),
+                         antithetic)
+    rng = np.random.Generator(np.random.Philox(key=11))
+    if antithetic:
+        half = rng.standard_normal(n_paths // 2)
+        draws = np.concatenate([half, -half])
+    else:
+        draws = rng.standard_normal(n_paths)
+    delta = draws * (np.sqrt(dt) / float(c.profile(t)))
+    chi = np.array([np.mean(np.exp(1j * k * delta)) for k in range(c.n_theta // 2 + 1)])
+    modes = np.fft.rfft(f, axis=0)
+    expected = np.fft.irfft(modes * chi[:, None], n=c.n_theta, axis=0)
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
+
+
+def test_circle_phase_kernels_memory_is_bounded():
+    # 2e5 angles at 256 nodes: a dense basis would hold 2e5 x 129 complex
+    # numbers (413 MB); the chunked kernels keep a few MB beyond their output
+    c = Circle(constant_radius(1.0), n_theta=256)
+    f = np.cos(c.thetas)
+    theta = np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, 200_000)
+    rng = keyed_generator(5, DOMAIN_MC_SLICE, 0)
+    tracemalloc.start()
+    try:
+        out = c.interpolate_slice(f, theta)
+        interp_peak = tracemalloc.get_traced_memory()[1]
+        del out
+        tracemalloc.reset_peak()
+        c.mc_step_mean(0.0, 1e-3, f, 200_000, rng)
+        mc_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert interp_peak - theta.nbytes < 3e6
+    assert mc_peak < 1e6
 
 
 def test_sphere_mc_step_unbiased():
