@@ -52,10 +52,6 @@ def picard_map(u: MapField, h, backend: str = "semigroup", n_paths: int = 0,
             f"{u.values.shape[1:]}")
     if backend not in ("semigroup", "monte_carlo"):
         raise ValueError(f"unknown backend {backend!r}")
-    if backend == "monte_carlo" and n_paths < 1:
-        raise ValueError(f"monte_carlo backend needs n_paths >= 1, got {n_paths}")
-    if backend == "monte_carlo" and antithetic and n_paths % 2:
-        raise ValueError("antithetic sampling needs an even path count")
 
     dt = u.dt
     n_t = u.n_t

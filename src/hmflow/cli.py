@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -123,6 +124,8 @@ def load_config(path: str) -> dict:
                 raise ConfigError(
                     f"config key '{key}' in [{sec}]: cannot parse {raw!r} as "
                     f"{typ.__name__}")
+            if typ is float and not math.isfinite(cfg[sec][key]):
+                raise ConfigError(f"config key '{key}' in [{sec}] must be finite, got {raw!r}")
     for sec, keys in cfg.items():
         for key, val in keys.items():
             if isinstance(val, (int, float)) and not isinstance(val, bool):

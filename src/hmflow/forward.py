@@ -149,8 +149,9 @@ def moment_check(source, t: float, x, horizon: float, dt: float, n_paths: int,
     The mean of the source's `first_harmonic` decays by exp(-dim tau / 2)
     (E[cos theta] on the circle, E[<X, x0>] on the sphere), with tau the
     integral of rho^-2 over the run.  Returns the sample mean, exact value,
-    standard error and the 3-sigma verdict.  Raises ValueError for fewer
-    than two paths, which have no standard error.
+    standard error and the 3-sigma verdict, which fails when the
+    statistics are not finite.  Raises ValueError for fewer than two
+    paths, which have no standard error.
     """
     if n_paths < 2:
         raise ValueError(f"n_paths = {n_paths}: a standard error needs at least 2 paths")
@@ -168,7 +169,7 @@ def moment_check(source, t: float, x, horizon: float, dt: float, n_paths: int,
         "expected": expected,
         "stderr": se,
         "zscore": float(z),
-        "pass": bool(abs(z) <= 3.0),
+        "pass": bool(np.isfinite([mean, se]).all() and abs(z) <= 3.0),
         "n_paths": n_paths,
         "max_constraint_violation": ens.max_violation,
     }

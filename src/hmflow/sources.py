@@ -83,6 +83,7 @@ class SourceManifold:
     point_shape: tuple
     chart_columns: tuple
     moment_label: str
+    _cells: np.ndarray      # quadrature cell sizes at unit radius
 
     def __init__(self, profile: RadiusProfile, horizon: float):
         self.profile = profile
@@ -103,6 +104,39 @@ class SourceManifold:
         """Raise GridTooCoarse unless every grid dimension has at least 8 nodes."""
         if min(self.grid_shape) < 8:
             raise GridTooCoarse(f"{self!r} needs at least 8 nodes per grid dimension")
+
+    def _require_grid(self, field):
+        shape = field.shape[:len(self.grid_shape)]
+        if shape != self.grid_shape:
+            raise GridTooCoarse(f"field shape {shape} does not match grid {self.grid_shape}")
+        self.check_grid()
+
+    def _slice(self, t, field):
+        """(field as floats, rho(t)) for a per-slice kernel, after its time and grid checks."""
+        self._check_time(t)
+        field = np.asarray(field, dtype=float)
+        self._require_grid(field)
+        return field, float(self.profile(t))
+
+    @staticmethod
+    def _draw_count(n_paths: int, antithetic: bool) -> int:
+        """Independent increments behind a one-step Monte Carlo mean of n_paths samples."""
+        if n_paths < 1:
+            raise ValueError(f"a Monte Carlo step needs n_paths >= 1, got {n_paths}")
+        if antithetic and n_paths % 2:
+            raise ValueError("antithetic sampling needs an even path count")
+        return n_paths // 2 if antithetic else n_paths
+
+    def volume_weights(self, t):
+        """Quadrature weights: the unit-radius cell sizes times rho(t)^dim."""
+        self._check_time(t)
+        return float(self.profile(t)) ** self.dim * self._cells
+
+    def volume_weights_dt(self, t):
+        """Time derivative of the quadrature weights, from the closed-form rho'."""
+        self._check_time(t)
+        rho, drho = float(self.profile(t)), float(self.profile.derivative(t))
+        return self.dim * rho ** (self.dim - 1) * drho * self._cells
 
     def min_radius(self, t0: float, t1: float) -> float:
         tgrid = np.linspace(t0, t1, 1001)
@@ -161,6 +195,7 @@ class Circle(SourceManifold):
         self._k_d1 = self._k.copy()
         if self.n_theta % 2 == 0:
             self._k_d1[-1] = 0.0
+        self._cells = np.full(self.n_theta, 2.0 * np.pi / self.n_theta)
 
     def __repr__(self):
         return f"Circle(rho={self.profile.label!r}, n_theta={self.n_theta})"
@@ -180,8 +215,8 @@ class Circle(SourceManifold):
 
     def chart_point(self, coords):
         """Chart point (an angle) from its one coordinate."""
-        if len(coords) != 1:
-            raise ValueError(f"a circle point is one angle, got {len(coords)} numbers")
+        if len(coords) != 1 or not np.isfinite(coords[0]):
+            raise ValueError(f"a circle point is one finite angle, got {list(coords)}")
         return float(coords[0])
 
     def profile_map(self, psi, ambient_dim: int):
@@ -200,17 +235,16 @@ class Circle(SourceManifold):
         """
         return np.cos(points)
 
-    def _require_grid(self, field):
-        if field.shape[0] != self.n_theta:
-            raise GridTooCoarse(f"field has {field.shape[0]} nodes, grid has {self.n_theta}")
-        self.check_grid()
-
     # -- spectral calculus ---------------------------------------------------
 
-    def _dtheta(self, field):
-        modes = np.fft.rfft(field, axis=0)
+    def _fourier(self, field, mult):
+        """Apply the Fourier multiplier mult, one value per rfft wavenumber, along the angle."""
         shape = (-1,) + (1,) * (field.ndim - 1)
-        return np.fft.irfft(modes * (1j * self._k_d1.reshape(shape)), n=self.n_theta, axis=0)
+        return np.fft.irfft(np.fft.rfft(field, axis=0) * mult.reshape(shape),
+                            n=self.n_theta, axis=0)
+
+    def _dtheta(self, field):
+        return self._fourier(field, 1j * self._k_d1)
 
     def frame_gradient(self, t, field):
         """Intrinsic gradient in the orthonormal tangent frame.
@@ -219,22 +253,13 @@ class Circle(SourceManifold):
         (n, 1) for scalar fields, (n, 1, value_dim) for vector fields; the
         Euclidean norm over trailing axes is the g_t-norm of the gradient.
         """
-        self._check_time(t)
-        field = np.asarray(field, dtype=float)
-        self._require_grid(field)
-        rho = float(self.profile(t))
+        field, rho = self._slice(t, field)
         return (self._dtheta(field) / rho)[:, None, ...]
 
     def laplace_beltrami(self, t, field):
         """(1/rho^2) d^2/dtheta^2 via the Fourier multiplier -k^2/rho^2."""
-        self._check_time(t)
-        field = np.asarray(field, dtype=float)
-        self._require_grid(field)
-        rho = float(self.profile(t))
-        modes = np.fft.rfft(field, axis=0)
-        shape = (-1,) + (1,) * (field.ndim - 1)
-        mult = -(self._k ** 2).reshape(shape) / rho ** 2
-        return np.fft.irfft(modes * mult, n=self.n_theta, axis=0)
+        field, rho = self._slice(t, field)
+        return self._fourier(field, -(self._k ** 2) / rho ** 2)
 
     def generator_residual(self, t, field):
         """Pointwise defect of the sum-of-squares identity for the projection fields.
@@ -243,10 +268,7 @@ class Circle(SourceManifold):
         along each projection field and subtracts the Laplace-Beltrami
         value; for smooth fields the residual is spectrally small.
         """
-        self._check_time(t)
-        field = np.asarray(field, dtype=float)
-        self._require_grid(field)
-        rho = float(self.profile(t))
+        field, rho = self._slice(t, field)
         comp = np.stack([-np.sin(self.thetas), np.cos(self.thetas)], axis=0)
         df = self._dtheta(field) / rho
         total = np.zeros_like(field)
@@ -254,17 +276,6 @@ class Circle(SourceManifold):
             ci = comp[i].reshape((-1,) + (1,) * (field.ndim - 1))
             total += ci * (self._dtheta(ci * df) / rho)
         return total - self.laplace_beltrami(t, field)
-
-    def volume_weights(self, t):
-        self._check_time(t)
-        rho = float(self.profile(t))
-        return np.full(self.n_theta, 2.0 * np.pi * rho / self.n_theta)
-
-    def volume_weights_dt(self, t):
-        """Time derivative of the quadrature weights, from the closed-form rho'."""
-        self._check_time(t)
-        drho = float(self.profile.derivative(t))
-        return np.full(self.n_theta, 2.0 * np.pi * drho / self.n_theta)
 
     def _compat_scalar(self, tgrid):
         # circle: Ric = 0, d(g)/dt = (2 rho'/rho) g
@@ -324,14 +335,8 @@ class Circle(SourceManifold):
 
     def heat_semigroup_step(self, t, dt, field):
         """Exact periodic heat kernel over one step with diffusivity rho(t)^-2 / 2."""
-        self._check_time(t)
-        field = np.asarray(field, dtype=float)
-        self._require_grid(field)
-        rho = float(self.profile(t))
-        modes = np.fft.rfft(field, axis=0)
-        shape = (-1,) + (1,) * (field.ndim - 1)
-        decay = np.exp(-0.5 * (self._k ** 2).reshape(shape) * dt / rho ** 2)
-        return np.fft.irfft(modes * decay, n=self.n_theta, axis=0)
+        field, rho = self._slice(t, field)
+        return self._fourier(field, np.exp(-0.5 * self._k ** 2 * dt / rho ** 2))
 
     def mc_step_mean(self, t, dt, field, n_paths: int, rng: np.random.Generator,
                      antithetic: bool = False):
@@ -349,11 +354,8 @@ class Circle(SourceManifold):
         Antithetic sampling draws n_paths // 2 increments and pairs each
         with its negation, whose phases are the complex conjugates.
         """
-        self._check_time(t)
-        field = np.asarray(field, dtype=float)
-        self._require_grid(field)
-        rho = float(self.profile(t))
-        n_draws = n_paths // 2 if antithetic else n_paths
+        field, rho = self._slice(t, field)
+        n_draws = self._draw_count(n_paths, antithetic)
         sums = 0.0
         for start in range(0, n_draws, _PHASE_CHUNK):
             delta = rng.standard_normal(min(_PHASE_CHUNK, n_draws - start))
@@ -362,9 +364,7 @@ class Circle(SourceManifold):
         chi = sums[:len(self._k)] / n_draws
         if antithetic:
             chi = chi.real
-        modes = np.fft.rfft(field, axis=0)
-        shape = (-1,) + (1,) * (field.ndim - 1)
-        return np.fft.irfft(modes * chi.reshape(shape), n=self.n_theta, axis=0)
+        return self._fourier(field, chi)
 
     # -- forward path step ------------------------------------------------------
 
@@ -412,6 +412,9 @@ class Sphere2(SourceManifold):
         self._m = np.fft.rfftfreq(self.n_phi, d=1.0 / self.n_phi)
         self._sin = np.sin(self.thetas)
         self._cot = np.cos(self.thetas) / self._sin
+        # exact spherical cell areas: their total is 4 pi up to rounding
+        caps = np.cos(self.thetas - 0.5 * self.dtheta) - np.cos(self.thetas + 0.5 * self.dtheta)
+        self._cells = np.broadcast_to((self.dphi * caps)[:, None], self.grid_shape)
 
     def __repr__(self):
         return (f"Sphere2(rho={self.profile.label!r}, "
@@ -434,8 +437,9 @@ class Sphere2(SourceManifold):
     def chart_point(self, coords):
         """Chart point (a unit vector) along three coordinates."""
         x = np.asarray(coords, dtype=float)
-        if x.shape != (3,) or not np.linalg.norm(x) > 0:
-            raise ValueError("a sphere point needs three numbers, not all zero")
+        if x.shape != (3,) or not np.all(np.isfinite(x)) or not np.any(x):
+            raise ValueError("a sphere point needs three finite numbers, not all zero")
+        x = x / np.max(np.abs(x))   # so that the norm neither overflows nor underflows
         return x / np.linalg.norm(x)
 
     def profile_map(self, psi, ambient_dim: int):
@@ -453,28 +457,28 @@ class Sphere2(SourceManifold):
         """<X, x0> at unit vectors X: a Laplacian eigenfunction, mean decays by exp(-tau)."""
         return np.sum(points * np.asarray(x0, dtype=float), axis=-1)
 
-    def _require_grid(self, field):
-        if field.shape[:2] != (self.n_theta, self.n_phi):
-            raise GridTooCoarse(
-                f"field shape {field.shape[:2]} does not match grid "
-                f"({self.n_theta}, {self.n_phi})")
-        self.check_grid()
-
     # -- padded colatitude differences ---------------------------------------
 
-    def _pad_poles(self, field):
-        """Two ghost rings beyond each pole via f(-theta, phi) = f(theta, phi+pi)."""
-        roll = self.n_phi // 2
-        top = np.roll(field[1::-1], roll, axis=1)       # rows at -3h/2, -h/2
-        bot = np.roll(field[:-3:-1], roll, axis=1)      # rows at pi+h/2, pi+3h/2
-        return np.concatenate([top, field, bot], axis=0)
+    def _pad_poles(self, field, sign=None):
+        """Two ghost rows beyond each pole via f(-theta, phi) = f(theta, phi + pi).
 
-    def _dtheta_fd(self, field):
-        p = self._pad_poles(field)
+        The one statement of the cross-pole rule.  A grid field (sign None)
+        is rolled by n_phi / 2; the colatitude column of azimuthal mode m, or
+        a matrix of such columns, has its mirrored rows multiplied by
+        sign = (-1)^m.  So `_mode_operator` is `laplace_beltrami`'s own
+        stencil applied to one mode.
+        """
+        def ghost(rows):
+            return np.roll(rows, self.n_phi // 2, axis=1) if sign is None else sign * rows
+        # rows at -3h/2, -h/2 above, pi + h/2, pi + 3h/2 below
+        return np.concatenate([ghost(field[1::-1]), field, ghost(field[:-3:-1])], axis=0)
+
+    def _dtheta_fd(self, field, sign=None):
+        p = self._pad_poles(field, sign)
         return (p[:-4] - 8.0 * p[1:-3] + 8.0 * p[3:-1] - p[4:]) / (12.0 * self.dtheta)
 
-    def _d2theta_fd(self, field):
-        p = self._pad_poles(field)
+    def _d2theta_fd(self, field, sign=None):
+        p = self._pad_poles(field, sign)
         return (-p[:-4] + 16.0 * p[1:-3] - 30.0 * p[2:-2] + 16.0 * p[3:-1] - p[4:]) \
             / (12.0 * self.dtheta ** 2)
 
@@ -494,10 +498,7 @@ class Sphere2(SourceManifold):
 
         Output shape (n_theta, n_phi, 2, *value_shape).
         """
-        self._check_time(t)
-        field = np.asarray(field, dtype=float)
-        self._require_grid(field)
-        rho = float(self.profile(t))
+        field, rho = self._slice(t, field)
         shape = (self.n_theta, 1) + (1,) * (field.ndim - 2)
         z_th = self._dtheta_fd(field) / rho
         z_ph = self._dphi_spectral(field) / (rho * self._sin.reshape(shape))
@@ -505,10 +506,7 @@ class Sphere2(SourceManifold):
 
     def laplace_beltrami(self, t, field):
         """(1/rho^2)[f_tt + cot(t) f_t + f_pp / sin^2(t)] on the chart grid."""
-        self._check_time(t)
-        field = np.asarray(field, dtype=float)
-        self._require_grid(field)
-        rho = float(self.profile(t))
+        field, rho = self._slice(t, field)
         shape = (self.n_theta, 1) + (1,) * (field.ndim - 2)
         lap = (self._d2theta_fd(field)
                + self._cot.reshape(shape) * self._dtheta_fd(field)
@@ -532,11 +530,9 @@ class Sphere2(SourceManifold):
 
     def generator_residual(self, t, field):
         """Defect of composing projection-field derivatives twice vs the Laplacian."""
-        self._check_time(t)
-        field = np.asarray(field, dtype=float)
+        field, _ = self._slice(t, field)
         if field.ndim != 2:
             raise GridTooCoarse("generator residual is defined for scalar fields")
-        self._require_grid(field)
         e_th, e_ph = self._frames(self.thetas[:, None], self.phis[None, :])
         z = self.frame_gradient(t, field)
         grad_amb = z[..., 0, None] * e_th + z[..., 1, None] * e_ph
@@ -545,22 +541,6 @@ class Sphere2(SourceManifold):
             zi = self.frame_gradient(t, grad_amb[..., i])
             total += zi[..., 0] * e_th[..., i] + zi[..., 1] * e_ph[..., i]
         return total - self.laplace_beltrami(t, field)
-
-    def volume_weights(self, t):
-        """Exact spherical cell areas: total is 4 pi rho^2 up to rounding."""
-        self._check_time(t)
-        rho = float(self.profile(t))
-        caps = np.cos(self.thetas - 0.5 * self.dtheta) - np.cos(self.thetas + 0.5 * self.dtheta)
-        return np.broadcast_to((rho ** 2 * self.dphi * caps)[:, None],
-                               (self.n_theta, self.n_phi)).copy()
-
-    def volume_weights_dt(self, t):
-        self._check_time(t)
-        rho = float(self.profile(t))
-        drho = float(self.profile.derivative(t))
-        caps = np.cos(self.thetas - 0.5 * self.dtheta) - np.cos(self.thetas + 0.5 * self.dtheta)
-        return np.broadcast_to((2.0 * rho * drho * self.dphi * caps)[:, None],
-                               (self.n_theta, self.n_phi)).copy()
 
     def _compat_scalar(self, tgrid):
         # sphere: Ric = g / rho^2, d(g)/dt = (2 rho'/rho) g
@@ -579,9 +559,7 @@ class Sphere2(SourceManifold):
         theta = np.arccos(np.clip(xr[:, 2], -1.0, 1.0))
         phi = np.mod(np.arctan2(xr[:, 1], xr[:, 0]), 2.0 * np.pi)
 
-        roll = self.n_phi // 2
-        padded = np.concatenate([np.roll(field[:1], roll, axis=1), field,
-                                 np.roll(field[-1:], roll, axis=1)], axis=0)
+        padded = self._pad_poles(field)[1:-1]   # one ghost row beyond each pole
         padded = np.concatenate([padded, padded[:, :1]], axis=1)
 
         ti = (theta - 0.5 * self.dtheta) / self.dtheta  # index into padded rows - 1
@@ -607,34 +585,10 @@ class Sphere2(SourceManifold):
     # -- one-step conditional expectations -------------------------------------------
 
     def _mode_operator(self, m: int):
-        n, h = self.n_theta, self.dtheta
-        sign = -1.0 if m % 2 else 1.0
-        D1 = np.zeros((n, n))
-        D2 = np.zeros((n, n))
-
-        def add(mat, i, j, val):
-            if j == -1:
-                mat[i, 0] += sign * val
-            elif j == -2:
-                mat[i, 1] += sign * val
-            elif j == n:
-                mat[i, n - 1] += sign * val
-            elif j == n + 1:
-                mat[i, n - 2] += sign * val
-            else:
-                mat[i, j] += val
-
-        for i in range(n):
-            add(D1, i, i - 2, 1.0 / (12 * h))
-            add(D1, i, i - 1, -8.0 / (12 * h))
-            add(D1, i, i + 1, 8.0 / (12 * h))
-            add(D1, i, i + 2, -1.0 / (12 * h))
-            add(D2, i, i - 2, -1.0 / (12 * h * h))
-            add(D2, i, i - 1, 16.0 / (12 * h * h))
-            add(D2, i, i, -30.0 / (12 * h * h))
-            add(D2, i, i + 1, 16.0 / (12 * h * h))
-            add(D2, i, i + 2, -1.0 / (12 * h * h))
-        return D2 + np.diag(self._cot) @ D1 - np.diag(m ** 2 / self._sin ** 2)
+        """A_m: rho^2 times `laplace_beltrami` on the colatitude column of azimuthal mode m."""
+        eye, sign = np.eye(self.n_theta), (-1.0) ** m
+        return (self._d2theta_fd(eye, sign) + self._cot[:, None] * self._dtheta_fd(eye, sign)
+                - np.diag(m ** 2 / self._sin ** 2))
 
     @cached_property
     def _eigenbasis(self):
@@ -666,17 +620,16 @@ class Sphere2(SourceManifold):
 
         Longitude is diagonalized by FFT; each azimuthal mode m applies
         (I - kappa A_m)^-1 = V_m diag(1 / (1 - kappa lam_m)) V_m^-1 with
-        kappa = dt / (2 rho(t)^2), where A_m is the colatitude operator with
-        the cross-pole parity folded in.  The eigenbasis does not depend on t
+        kappa = dt / (2 rho(t)^2), where A_m is `laplace_beltrami`'s own
+        stencil on mode m, its pole rows from `_pad_poles` with sign (-1)^m
+        (see `_mode_operator`).  The eigenbasis does not depend on t
         or dt: it is built once per source, on the first step, at a cost of
         O(n_modes n_theta^3), and holds 2 n_modes n_theta^2 doubles.
         Unconditionally stable, O(dt) accurate.
         """
-        self._check_time(t)
-        field = np.asarray(field, dtype=float)
-        self._require_grid(field)
+        field, rho = self._slice(t, field)
         vecs, lam, inv = self._eigenbasis
-        kappa = 0.5 * dt / float(self.profile(t)) ** 2
+        kappa = 0.5 * dt / rho ** 2
         modes = np.fft.rfft(field, axis=1)
         # (n_modes, n_theta, k) complex columns as (n_modes, n_theta, 2k) real ones
         rhs = np.ascontiguousarray(
@@ -695,19 +648,16 @@ class Sphere2(SourceManifold):
         generator in node order, and Philox fills draws in C order, so the
         result does not depend on the chunk size.
         """
-        self._check_time(t)
-        field = np.asarray(field, dtype=float)
-        self._require_grid(field)
+        field, _ = self._slice(t, field)
+        n_draws = self._draw_count(n_paths, antithetic)
         nodes = self.grid_points().reshape(-1, 3)
         out = np.empty((nodes.shape[0],) + field.shape[2:])
         step = max(1, _MC_CHUNK_POINTS // n_paths)
         for start in range(0, nodes.shape[0], step):
             chunk = nodes[start:start + step]
+            incr = rng.standard_normal((chunk.shape[0], n_draws, 3))
             if antithetic:
-                half = rng.standard_normal((chunk.shape[0], n_paths // 2, 3))
-                incr = np.concatenate([half, -half], axis=1)
-            else:
-                incr = rng.standard_normal((chunk.shape[0], n_paths, 3))
+                incr = np.concatenate([incr, -incr], axis=1)
             moved, _ = self.step_paths(chunk[:, None, :], t, dt, np.sqrt(dt) * incr)
             vals = self.interpolate_slice(field, moved.reshape(-1, 3))
             vals = vals.reshape((chunk.shape[0], n_paths) + field.shape[2:])

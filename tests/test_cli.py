@@ -365,6 +365,15 @@ BAD_CONFIGS = [
                                 ("name = perturbed_geodesic", "name = identity"),
                                 ("dt = 2e-3", "dt = 0.5")),
                  [], "[run] dt", id="run_dt_past_stability_bound"),
+    # a non-finite number is named at its key, before any computing
+    pytest.param("solve", _edit(PG_SOLVE, ("radius = 1.0", "radius = nan")), [], "'radius'",
+                 id="source_radius_nan"),
+    pytest.param("solve", _edit(PG_SOLVE, ("tol = 1e-10", "tol = nan")), [], "'tol'",
+                 id="run_tol_nan"),
+    pytest.param("simulate-forward", _edit(FWD_CONFIG, ("x0 = 0", "x0 = nan")), [], "x0",
+                 id="circle_x0_nan"),
+    pytest.param("simulate-forward", _edit(SPH_FWD_CONFIG, ("x0 = 0,0,1", "x0 = 1,0,inf")), [],
+                 "x0", id="sphere_x0_inf"),
 ]
 
 

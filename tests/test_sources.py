@@ -254,6 +254,26 @@ def test_sphere_heat_step_implicit_euler():
     np.testing.assert_allclose(out, f / (1 + dt), atol=1e-5)
 
 
+def test_sphere_chart_point_at_any_scale():
+    s = Sphere2(constant_radius(1.0), n_theta=8, n_phi=16)
+    for scale in (1e-200, 1.0, 1e300):
+        np.testing.assert_allclose(s.chart_point([0.0, 0.6 * scale, 0.8 * scale]),
+                                   [0.0, 0.6, 0.8], rtol=1e-15)
+
+
+def test_sphere_mode_operator_is_laplacian_per_mode():
+    # A_m, the heat step's colatitude operator, is laplace_beltrami's own
+    # stencil on azimuthal mode m, scaled by rho^2
+    s = Sphere2(sine_radius(0.2, 1.0), n_theta=16, n_phi=32)
+    t = 0.3
+    f = np.random.default_rng(9).standard_normal((16, 32, 3))
+    modes = np.fft.rfft(f, axis=1)
+    lap = float(s.profile(t)) ** 2 * np.fft.rfft(s.laplace_beltrami(t, f), axis=1)
+    for m in range(s.n_phi // 2 + 1):
+        got = s._mode_operator(m) @ modes[:, m]
+        assert np.linalg.norm(got - lap[:, m]) <= 1e-9 * np.linalg.norm(lap[:, m]), m
+
+
 def test_circle_mc_step_unbiased_and_deterministic():
     c = Circle(constant_radius(1.0), n_theta=64)
     f = np.cos(c.thetas)
@@ -362,6 +382,17 @@ def test_sphere_mc_step_memory_is_bounded(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 0.25 * one_shot_normals
+
+
+@pytest.mark.parametrize("source", [Circle(constant_radius(1.0), n_theta=16),
+                                    Sphere2(constant_radius(1.0), n_theta=8, n_phi=16)],
+                         ids=["circle", "sphere"])
+def test_mc_step_rejects_bad_path_counts(source):
+    f = source.grid_points()
+    with pytest.raises(ValueError, match="antithetic sampling needs an even path count"):
+        source.mc_step_mean(0.0, 1e-3, f, 7, keyed_generator(5, DOMAIN_MC_SLICE, 0), True)
+    with pytest.raises(ValueError, match="n_paths"):
+        source.mc_step_mean(0.0, 1e-3, f, 0, keyed_generator(5, DOMAIN_MC_SLICE, 0))
 
 
 def _held_nbytes(obj):

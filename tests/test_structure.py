@@ -75,3 +75,10 @@ def test_traced_names_resolve():
     missing += [f"{cls.__name__}.{name}" for cls in (Circle, Sphere2)
                 for name in spans.SOURCE_METHODS if name not in cls.__dict__]
     assert not missing, missing
+
+
+def test_grid_rules_have_one_owner():
+    # the grid check and the quadrature weights are stated once, in SourceManifold
+    shared = {"_require_grid", "volume_weights", "volume_weights_dt"}
+    assert {cls.__name__: sorted(shared & set(cls.__dict__)) for cls in (Circle, Sphere2)} \
+        == {"Circle": [], "Sphere2": []}
