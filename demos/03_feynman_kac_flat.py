@@ -10,14 +10,15 @@ Run:  python3 demos/03_feynman_kac_flat.py
 
 import numpy as np
 
-from hmflow import Circle, FlatSpace, MapField, constant_radius, picard_map
+from hmflow import (Circle, FlatSpace, MapField, constant_radius, picard_map,
+                    step_operators)
 
 circle = Circle(constant_radius(1.0), n_theta=256, horizon=1.0)
 h = np.stack([np.cos(circle.thetas), np.sin(circle.thetas)], axis=-1)
 flat = FlatSpace(2)
 
 u = MapField.constant_in_time(circle, flat, h, 1.0, 1000)
-w = picard_map(u, h, backend="semigroup")
+w = picard_map(u, h, step_operators(u, "semigroup"))
 exact = np.exp(-0.5 * (1.0 - w.times))[:, None, None] * h[None]
 print("semigroup backend (exact Fourier heat kernel per slice):")
 print(f"  sup |w - exp(-(T-t)/2) h| = {np.abs(w.values - exact).max():.3e}")
@@ -26,8 +27,8 @@ print("\nMonte Carlo backend, one shared increment sample per slice:")
 u_mc = MapField.constant_in_time(circle, flat, h, 1.0, 100)
 exact_mc = np.exp(-0.5 * (1.0 - u_mc.times))[:, None, None] * h[None]
 for n_paths in (1_000, 10_000, 100_000):
-    w_mc = picard_map(u_mc, h, backend="monte_carlo", n_paths=n_paths,
-                      master_seed=7)
+    w_mc = picard_map(u_mc, h, step_operators(u_mc, "monte_carlo", n_paths=n_paths,
+                                              master_seed=7))
     err = np.abs(w_mc.values - exact_mc).max()
     print(f"  {n_paths:>7} paths/node-batch: sup error = {err:.3e}")
 print("  (error shrinks like 1/sqrt(paths): pure sampling noise)")

@@ -7,7 +7,8 @@ its fixed point and verified against closed-form reductions and geometric
 invariants.
 """
 
-from .bsde import BsdeSolutionSample, bsde_residual, picard_map, sample_solution
+from .bsde import (BsdeSolutionSample, bsde_residual, picard_map, sample_solution,
+                   step_operators)
 from .errors import (BlowUp, ConfigError, FieldLeftTube, GridTooCoarse,
                      HmflowError, HorizonMismatch, InsufficientHistory,
                      NoContraction, PointNotOnManifold, PointOutsideTube,

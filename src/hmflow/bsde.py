@@ -4,8 +4,9 @@
 system: given a frozen-gradient field u and terminal data h, it steps the
 linear backward equation from the terminal slice to time zero.  Each step
 takes the one-step conditional expectation of the next slice under the
-forward diffusion and subtracts the curvature driver evaluated at that
-conditional expectation with the frozen gradient of u.
+forward diffusion, one of the operators `step_operators` builds, and
+subtracts the curvature driver evaluated at that conditional expectation
+with the frozen gradient of u.
 
 `sample_solution` and `bsde_residual` reconstruct the stochastic solution
 pair along a forward ensemble and check the discrete backward identity
@@ -15,6 +16,7 @@ pathwise against the very increments that drove the paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -25,16 +27,36 @@ from .forward import PathEnsemble
 from .targets import sff_trace
 
 
-def picard_map(u: MapField, h, backend: str = "semigroup", n_paths: int = 0,
-               master_seed: int = 0, antithetic: bool = False) -> MapField:
+def step_operators(u: MapField, backend: str = "semigroup", n_paths: int = 0,
+                   master_seed: int = 0, antithetic: bool = False) -> list:
+    """The n_t one-step conditional-expectation operators of u's time grid.
+
+    Operator k maps slice k + 1 of a field to its conditional expectation
+    at slice k: the exact Fourier heat kernel on the circle or the implicit
+    heat step on the sphere for the semigroup backend, or the source's
+    `mc_step_operator` over n_paths >= 1 increments (an even count when
+    antithetic) from stream (master_seed, slice k) for the monte_carlo
+    backend.  They depend only on the source and the time grid, so a solve
+    builds them once per horizon and every `picard_map` pass applies them.
+    """
+    source, dt = u.source, u.dt
+    times = u.times[:-1]
+    if backend == "semigroup":
+        return [partial(source.heat_semigroup_step, t, dt) for t in times]
+    if backend == "monte_carlo":
+        return [source.mc_step_operator(
+                    t, dt, n_paths, partial(keyed_generator, master_seed, DOMAIN_MC_SLICE, k),
+                    antithetic)
+                for k, t in enumerate(times)]
+    raise ValueError(f"unknown backend {backend!r}")
+
+
+def picard_map(u: MapField, h, steps) -> MapField:
     """One application of the backward-flow operator to the frozen field u.
 
-    Stepping backward from w(horizon) = h: each slice first takes the
-    one-step conditional expectation of the next slice (exact Fourier heat
-    kernel on the circle, implicit heat step on the sphere, or per-node
-    one-step Monte Carlo over n_paths >= 1 increments for the monte_carlo
-    backend, an even count when antithetic), then subtracts (dt/2) times
-    the curvature driver with the gradient of u frozen at the current
+    Stepping backward from w(horizon) = h: each slice k first applies
+    steps[k] (see `step_operators`) to slice k + 1, then subtracts (dt/2)
+    times the curvature driver with the gradient of u frozen at the current
     slice.  The driver's base point is the conditional expectation (a
     one-step lag).  The frozen gradient is u's kept `MapField.gradient`,
     computed on its first read; the returned field has none until
@@ -42,7 +64,9 @@ def picard_map(u: MapField, h, backend: str = "semigroup", n_paths: int = 0,
 
     Monte Carlo increments are keyed by (master_seed, slice) only, so the
     realized operator is one fixed deterministic map: iterating it measures
-    genuine contraction, not sampling churn.
+    genuine contraction, not sampling churn.  A solve therefore builds the
+    steps once per horizon and hands the same ones to every pass; on the
+    circle they are Fourier multipliers, n_t times len(_k) complex numbers.
     """
     source, target = u.source, u.target
     h = np.asarray(h, dtype=float)
@@ -50,21 +74,15 @@ def picard_map(u: MapField, h, backend: str = "semigroup", n_paths: int = 0,
         raise HorizonMismatch(
             f"terminal data shape {h.shape} does not match field slices "
             f"{u.values.shape[1:]}")
-    if backend not in ("semigroup", "monte_carlo"):
-        raise ValueError(f"unknown backend {backend!r}")
-
     dt = u.dt
     n_t = u.n_t
+    if len(steps) != n_t:
+        raise HorizonMismatch(f"{len(steps)} step operators for a field of {n_t} slices")
     bound = 10.0 * (float(np.max(np.linalg.norm(h, axis=-1))) + 1.0)
     w = np.empty_like(u.values)
     w[n_t] = h
     for k in range(n_t - 1, -1, -1):
-        t_k = u.times[k]
-        if backend == "semigroup":
-            cond = source.heat_semigroup_step(t_k, dt, w[k + 1])
-        else:
-            rng = keyed_generator(master_seed, DOMAIN_MC_SLICE, k)
-            cond = source.mc_step_mean(t_k, dt, w[k + 1], n_paths, rng, antithetic)
+        cond = steps[k](w[k + 1])
         w[k] = cond - 0.5 * dt * sff_trace(target, cond, u.gradient[k])
         worst = float(np.max(np.linalg.norm(w[k], axis=-1)))
         if worst > bound:

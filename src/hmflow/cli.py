@@ -267,8 +267,7 @@ def cmd_solve(config_path: str, out_dir: str, seed: int | None,
     wall = time.perf_counter() - start
 
     field.save(out / "field.csv", fmt="csv")
-    _json_dump([{k: rec[k] for k in ("n", "delta", "ratio", "horizon")}
-                for rec in state.records], out / "iterations.json")
+    _json_dump(state.records, out / "iterations.json")
 
     summary = {
         "converged": state.converged,

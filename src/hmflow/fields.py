@@ -21,6 +21,17 @@ _MAGIC = b"HMF1"
 _CSV_BLOCK_ROWS = 1 << 16
 
 
+def write_rows(fh, rows, row: str):
+    """Write each row of the 2-D array rows through the %-format row.
+
+    One formatting pass per block of `_CSV_BLOCK_ROWS` rows keeps the text
+    in memory bounded.
+    """
+    for start in range(0, len(rows), _CSV_BLOCK_ROWS):
+        block = rows[start:start + _CSV_BLOCK_ROWS]
+        fh.write(row * len(block) % tuple(block.ravel().tolist()))
+
+
 @dataclass
 class MapField:
     times: np.ndarray     # (n_t + 1,), uniform from 0 to horizon
@@ -128,10 +139,7 @@ class MapField:
             row = ",".join(["%.17g"] * self.value_dim) + "\n"
             with open(path, "w") as fh:
                 fh.write(f"{self.n_t},{self.n_nodes},{self.value_dim},{self.horizon:.17g}\n")
-                # one formatting pass per block of rows keeps the text in memory bounded
-                for start in range(0, len(flat), _CSV_BLOCK_ROWS):
-                    block = flat[start:start + _CSV_BLOCK_ROWS]
-                    fh.write(row * len(block) % tuple(block.ravel().tolist()))
+                write_rows(fh, flat, row)
         elif fmt == "bin":
             with open(path, "wb") as fh:
                 fh.write(_MAGIC)

@@ -8,7 +8,6 @@ used to validate the integrators against the generator.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +15,7 @@ from scipy.integrate import quad
 
 from ._rng import DOMAIN_FORWARD_PATH, path_normals
 from .errors import StepTooLarge, TimeOutOfRange
+from .fields import write_rows
 
 
 def time_change(profile, t0: float, t1: float) -> float:
@@ -51,15 +51,21 @@ class PathEnsemble:
         return len(self.times) - 1
 
     def to_csv(self, path):
-        """Dump paths as rows (path_id, step, time, chart coordinates...)."""
+        """Dump paths as rows (path_id, step, time, chart coordinates...).
+
+        Header and rows end in CRLF, as `csv.writer` writes them, and floats
+        carry 17 significant digits.
+        """
+        columns = ("path_id", "step", "time", *self.source.chart_columns)
+        n_rows, n_coords = self.n_paths * len(self.times), len(columns) - 3
+        path_id, step = np.divmod(np.arange(n_rows), len(self.times))
+        coords = self.states.reshape(len(self.times), self.n_paths, n_coords)
+        rows = np.column_stack([path_id, step, self.times[step],
+                                coords.transpose(1, 0, 2).reshape(n_rows, n_coords)])
+        row = ",".join(["%d", "%d"] + ["%.17g"] * (1 + n_coords)) + "\r\n"
         with open(str(path), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["path_id", "step", "time", *self.source.chart_columns])
-            for p in range(self.n_paths):
-                for k, t in enumerate(self.times):
-                    state = self.states[k, p]
-                    coords = [state] if np.ndim(state) == 0 else list(state)
-                    writer.writerow([p, k, f"{t:.17g}"] + [f"{c:.17g}" for c in coords])
+            fh.write(",".join(columns) + "\r\n")
+            write_rows(fh, rows, row)
 
 
 def _draw_increments(master_seed, domain, n_paths, n_steps, dim, dt, antithetic):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from ._rng import DOMAIN_SAMPLE_PATH
-from .bsde import picard_map, sample_solution
+from .bsde import picard_map, sample_solution, step_operators
 from .errors import (BlowUp, InsufficientHistory, NoContraction,
                      TerminalNotOnTarget, TimeOutOfRange)
 from .fields import MapField, c01_norm, handover_c01
@@ -27,7 +27,14 @@ _MIN_HORIZON = 1e-4
 
 @dataclass
 class PicardState:
-    """Iteration history of one solve."""
+    """Iteration history of one solve.
+
+    `records` holds one entry per pass over every horizon tried, each with
+    its horizon; the entry that closes an abandoned horizon says why under
+    "halved": "ratio" for the ratio trigger, or the `BlowUp` message, which
+    names the slice, on an entry with null delta and ratio.  The other
+    counters describe the final horizon only.
+    """
 
     horizon: float
     tolerance: float
@@ -63,6 +70,12 @@ def solve(source, target, h, t0_init: float, tol: float = 1e-10,
     Identical inputs (including the master seed for the Monte Carlo
     backend) reproduce identical iterate histories.
 
+    The n_t one-step operators (`step_operators`) are built once per
+    horizon, and rebuilt after a halving, since the slice times change.
+    On the circle the Monte Carlo operators are Fourier multipliers, n_t
+    times len(_k) complex numbers in all; the sphere's draw their
+    increments again in every pass, so they hold none.
+
     Memory: while it iterates, a solve holds two fields, the current
     iterate and the next, and one gradient array.  Each pass freezes the
     current iterate's kept gradient, then `handover_c01` overwrites it
@@ -87,16 +100,16 @@ def solve(source, target, h, t0_init: float, tol: float = 1e-10,
             f"terminal map leaves the target by {float(np.max(dist)):.3g}")
 
     horizon = float(t0_init)
-    tried = []
+    tried, records = [], []
     while True:
         tried.append(horizon)
         state = PicardState(horizon=horizon, tolerance=tol, ball_radius=0.0,
-                            horizons_tried=list(tried))
+                            horizons_tried=list(tried), records=records)
         try:
             u = _iterate(source, target, h, state, dt=dt, backend=backend,
                          n_paths=n_paths, master_seed=master_seed,
                          antithetic=antithetic, max_iter=max_iter, tol=tol)
-        except (_Restart, BlowUp):
+        except _Restart:
             horizon *= 0.5
             if horizon < _MIN_HORIZON:
                 raise NoContraction(
@@ -116,14 +129,20 @@ def solve(source, target, h, t0_init: float, tol: float = 1e-10,
 def _iterate(source, target, h, state, *, dt, backend, n_paths, master_seed,
              antithetic, max_iter, tol):
     # the start iterate lives in this frame only, so the first pass frees it;
-    # it also sets the state's ball radius
+    # it also sets the state's ball radius.  The step operators depend on
+    # the horizon's time grid only, so every pass applies the same ones.
     n_t = max(int(round(state.horizon / dt)), 1)
     u = MapField.constant_in_time(source, target, h, state.horizon, n_t)
+    steps = step_operators(u, backend, n_paths, master_seed, antithetic)
     state.ball_radius = 2.0 * c01_norm(u) + 1.0
     over_trigger = 0
     for n in range(1, max_iter + 1):
-        w = picard_map(u, h, backend=backend, n_paths=n_paths,
-                       master_seed=master_seed, antithetic=antithetic)
+        try:
+            w = picard_map(u, h, steps)
+        except BlowUp as exc:
+            state.records.append({"n": n, "delta": None, "ratio": None,
+                                  "horizon": state.horizon, "halved": str(exc)})
+            raise _Restart from exc
         delta, w_norm = handover_c01(u, w)
         state.iterations = n
         ratio = None
@@ -141,16 +160,19 @@ def _iterate(source, target, h, state, *, dt, backend, n_paths, master_seed,
             state.converged = True
             return u
         if over_trigger >= 2:
+            state.records[-1]["halved"] = "ratio"
             raise _Restart
     return u
 
 
 def contraction_report(state: PicardState) -> np.ndarray:
-    """History rows (n, delta, ratio); ratio is NaN where not recorded."""
+    """History rows (n, delta, ratio) of the final horizon; ratio is NaN where not recorded."""
     if state.iterations < 2:
         raise InsufficientHistory("need at least two iterations for a report")
     rows = []
     for rec in state.records:
+        if rec["horizon"] != state.horizon:
+            continue
         ratio = rec["ratio"] if rec["ratio"] is not None else np.nan
         rows.append((rec["n"], rec["delta"], ratio))
     return np.array(rows)

@@ -127,6 +127,17 @@ class SourceManifold:
             raise ValueError("antithetic sampling needs an even path count")
         return n_paths // 2 if antithetic else n_paths
 
+    def mc_step_operator(self, t, dt, n_paths: int, new_rng, antithetic: bool = False):
+        """The one-step Monte Carlo conditional expectation at time t, as a map of a field.
+
+        new_rng() returns the slice's generator, keyed afresh on each call.
+        This form draws the increments again on every application, through
+        `mc_step_mean`, so it holds nothing but its arguments.
+        """
+        self._check_time(t)
+        self._draw_count(n_paths, antithetic)
+        return lambda field: self.mc_step_mean(t, dt, field, n_paths, new_rng(), antithetic)
+
     def volume_weights(self, t):
         """Quadrature weights: the unit-radius cell sizes times rho(t)^dim."""
         self._check_time(t)
@@ -338,24 +349,27 @@ class Circle(SourceManifold):
         field, rho = self._slice(t, field)
         return self._fourier(field, np.exp(-0.5 * self._k ** 2 * dt / rho ** 2))
 
-    def mc_step_mean(self, t, dt, field, n_paths: int, rng: np.random.Generator,
-                     antithetic: bool = False):
-        """One-step Monte Carlo conditional expectation at every grid node.
+    def mc_step_operator(self, t, dt, n_paths: int, new_rng, antithetic: bool = False):
+        """The one-step Monte Carlo conditional expectation at time t, as a map of a field.
 
         The node batch shares one increment sample per slice, so the
         estimator mean_j w(theta + delta_j) is a circular convolution with
-        the empirical increment distribution.  It is evaluated exactly by
-        multiplying the field's Fourier modes with the sample's empirical
-        characteristic function: unbiased per node, no interpolation error.
-        The draws are taken in chunks of `_PHASE_CHUNK`; each chunk adds the
-        phase sums of all n_modes wavenumbers as one small complex GEMM of
-        its blocked phase tables, hi @ lo.T, so a slice costs about
-        n_modes * n_paths multiply-adds in BLAS and under 0.5 MB of temporaries.
-        Antithetic sampling draws n_paths // 2 increments and pairs each
-        with its negation, whose phases are the complex conjugates.
+        the empirical increment distribution: the Fourier multiplier chi,
+        the sample's empirical characteristic function, len(_k) complex
+        numbers that are drawn from one new_rng() and computed once here.
+        Each application is then one rfft/irfft pair: unbiased per node, no
+        interpolation error.  The draws are taken in chunks of
+        `_PHASE_CHUNK`; each chunk adds the phase sums of all n_modes
+        wavenumbers as one small complex GEMM of its blocked phase tables,
+        hi @ lo.T, so building chi costs about n_modes * n_paths multiply-adds
+        in BLAS and under 0.5 MB of temporaries.  Antithetic sampling draws
+        n_paths // 2 increments and pairs each with its negation, whose
+        phases are the complex conjugates, so chi is real.
         """
-        field, rho = self._slice(t, field)
+        self._check_time(t)
+        rho = float(self.profile(t))
         n_draws = self._draw_count(n_paths, antithetic)
+        rng = new_rng()
         sums = 0.0
         for start in range(0, n_draws, _PHASE_CHUNK):
             delta = rng.standard_normal(min(_PHASE_CHUNK, n_draws - start))
@@ -364,7 +378,20 @@ class Circle(SourceManifold):
         chi = sums[:len(self._k)] / n_draws
         if antithetic:
             chi = chi.real
-        return self._fourier(field, chi)
+
+        def apply(field):
+            field = np.asarray(field, dtype=float)
+            self._require_grid(field)
+            return self._fourier(field, chi)
+        return apply
+
+    def mc_step_mean(self, t, dt, field, n_paths: int, rng: np.random.Generator,
+                     antithetic: bool = False):
+        """One-step Monte Carlo conditional expectation at every grid node.
+
+        `mc_step_operator` built from the increments of rng and applied once.
+        """
+        return self.mc_step_operator(t, dt, n_paths, lambda: rng, antithetic)(field)
 
     # -- forward path step ------------------------------------------------------
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hmflow.bsde import bsde_residual, picard_map
+from hmflow.bsde import bsde_residual, picard_map, step_operators
 from hmflow.cli import main as cli_main
 from hmflow.fields import MapField
 from hmflow.forward import time_change, weak_error_probe
@@ -37,7 +37,7 @@ def test_criterion_01_flat_target_feynman_kac():
     flat = FlatSpace(2)
 
     u = MapField.constant_in_time(c, flat, h, 1.0, 1000)   # dt = 1e-3
-    w = picard_map(u, h, backend="semigroup")
+    w = picard_map(u, h, step_operators(u, "semigroup"))
     exact = np.exp(-0.5 * (1.0 - w.times))[:, None, None] * h[None]
     sup_err = float(np.abs(w.values - exact).max())
 
@@ -45,11 +45,12 @@ def test_criterion_01_flat_target_feynman_kac():
     # estimated from ten independent runs at 1e3 paths, scaled by sqrt(10)
     u_mc = MapField.constant_in_time(c, flat, h, 1.0, 100)  # dt = 1e-2
     exact_mc = np.exp(-0.5 * (1.0 - u_mc.times))[:, None, None] * h[None]
-    runs = np.array([picard_map(u_mc, h, backend="monte_carlo", n_paths=1000,
-                                master_seed=1000 + r).values for r in range(10)])
+    runs = np.array([picard_map(u_mc, h, step_operators(u_mc, "monte_carlo", n_paths=1000,
+                                                        master_seed=1000 + r)).values
+                     for r in range(10)])
     sigma = runs.std(axis=0, ddof=1) * np.sqrt(1000.0 / 10_000.0)
-    w_mc = picard_map(u_mc, h, backend="monte_carlo", n_paths=10_000,
-                      master_seed=7).values
+    w_mc = picard_map(u_mc, h, step_operators(u_mc, "monte_carlo", n_paths=10_000,
+                                              master_seed=7)).values
     diff = np.abs(w_mc - exact_mc)
     frac = float(np.mean(diff[:-1] <= 3 * sigma[:-1] + 1e-14))
     worst = float(np.max(diff[:-1] - 6 * sigma[:-1]))

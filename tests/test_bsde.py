@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hmflow.bsde import bsde_residual, picard_map, sample_solution
+from hmflow.bsde import bsde_residual, picard_map, sample_solution, step_operators
 from hmflow.errors import BlowUp, HorizonMismatch
 from hmflow.fields import MapField, c01_norm
 from hmflow.forward import simulate
@@ -20,7 +20,7 @@ def circle_identity(n_theta=256, horizon=1.0):
 def test_flat_target_heat_semigroup_exact():
     c, h = circle_identity()
     u = MapField.constant_in_time(c, FlatSpace(2), h, 1.0, 1000)
-    w = picard_map(u, h, backend="semigroup")
+    w = picard_map(u, h, step_operators(u, "semigroup"))
     exact = np.exp(-0.5 * (1.0 - w.times))[:, None, None] * h[None]
     assert np.abs(w.values - exact).max() <= 1e-6
 
@@ -28,7 +28,7 @@ def test_flat_target_heat_semigroup_exact():
 def test_terminal_slice_is_exact():
     c, h = circle_identity(n_theta=64)
     u = MapField.constant_in_time(c, S1, h, 0.25, 50)
-    w = picard_map(u, h)
+    w = picard_map(u, h, step_operators(u))
     assert np.array_equal(w.values[-1], h)
 
 
@@ -37,7 +37,7 @@ def test_harmonic_identity_is_operator_fixed_point():
     # the O(T dt) scheme error
     c, h = circle_identity()
     u = MapField.constant_in_time(c, S1, h, 0.25, 1250)  # dt = 2e-4
-    w = picard_map(u, h)
+    w = picard_map(u, h, step_operators(u))
     assert np.abs(w.values - u.values).max() <= 1e-5
 
 
@@ -45,7 +45,9 @@ def test_horizon_mismatch():
     c, h = circle_identity(n_theta=64)
     u = MapField.constant_in_time(c, S1, h, 0.25, 50)
     with pytest.raises(HorizonMismatch):
-        picard_map(u, h[:32])
+        picard_map(u, h[:32], step_operators(u))
+    with pytest.raises(HorizonMismatch):   # operators built for another time grid
+        picard_map(u, h, step_operators(MapField.constant_in_time(c, S1, h, 0.25, 25)))
 
 
 def test_blowup_guard():
@@ -53,7 +55,7 @@ def test_blowup_guard():
     huge = 15.0 * np.stack([np.cos(20 * c.thetas), np.sin(20 * c.thetas)], axis=-1)
     u = MapField.constant_in_time(c, S1, huge, 0.25, 250)
     with pytest.raises(BlowUp):
-        picard_map(u, h)
+        picard_map(u, h, step_operators(u))
 
 
 def test_frame_gradient_block_norms():
@@ -74,9 +76,10 @@ def test_backend_agreement_flat_override():
     # error bars estimated from an independent-seed ensemble
     c, h = circle_identity(n_theta=128)
     u = MapField.constant_in_time(c, FlatSpace(2), h, 0.3, 15)
-    exact = picard_map(u, h, backend="semigroup")
-    runs = np.array([picard_map(u, h, backend="monte_carlo", n_paths=2000,
-                                master_seed=100 + r).values for r in range(12)])
+    exact = picard_map(u, h, step_operators(u, "semigroup"))
+    runs = np.array([picard_map(u, h, step_operators(u, "monte_carlo", n_paths=2000,
+                                                     master_seed=100 + r)).values
+                     for r in range(12)])
     # the Monte Carlo standard error of one run is its per-node standard
     # deviation, estimated across the independent-seed ensemble
     sigma = runs.std(axis=0, ddof=1)
@@ -93,7 +96,7 @@ def test_monte_carlo_needs_paths():
                         (MapField.constant_in_time(s, UnitSphere(2), s.grid_points(), 0.05, 5),
                          s.grid_points())):
         with pytest.raises(ValueError, match="n_paths"):
-            picard_map(field, vals, backend="monte_carlo", n_paths=0)
+            picard_map(field, vals, step_operators(field, "monte_carlo", n_paths=0))
 
 
 def test_monte_carlo_antithetic_needs_even_paths():
@@ -103,7 +106,8 @@ def test_monte_carlo_antithetic_needs_even_paths():
                         (MapField.constant_in_time(s, UnitSphere(2), s.grid_points(), 0.05, 5),
                          s.grid_points())):
         with pytest.raises(ValueError, match="antithetic sampling needs an even path count"):
-            picard_map(field, vals, backend="monte_carlo", n_paths=7, antithetic=True)
+            picard_map(field, vals, step_operators(field, "monte_carlo", n_paths=7,
+                                                   antithetic=True))
 
 
 def test_norm_bound_coefficient_shrinks_with_horizon():
@@ -119,7 +123,7 @@ def test_norm_bound_coefficient_shrinks_with_horizon():
             u = MapField.constant_in_time(c, S1, uv, horizon,
                                           int(round(horizon / 1e-3)))
             xs.append(c01_norm(u) ** 2)
-            ys.append(c01_norm(picard_map(u, h)))
+            ys.append(c01_norm(picard_map(u, h, step_operators(u))))
         betas.append(np.polyfit(xs, ys, 1)[0])
     assert all(b1 > b2 > 0 for b1, b2 in zip(betas, betas[1:])), betas
 
@@ -215,7 +219,7 @@ def test_sphere_picard_map_smoke():
     s = Sphere2(constant_radius(1.0), n_theta=16, n_phi=32, horizon=0.5)
     vals = s.grid_points()
     u = MapField.constant_in_time(s, UnitSphere(2), vals, 0.05, 10)
-    w = picard_map(u, vals)
+    w = picard_map(u, vals, step_operators(u))
     # identity sphere map is harmonic: one pass stays close
     assert np.abs(w.values - u.values).max() <= 5e-3
 
@@ -223,10 +227,10 @@ def test_sphere_picard_map_smoke():
 def test_mc_backend_antithetic_deterministic():
     c, h = circle_identity(n_theta=64)
     u = MapField.constant_in_time(c, FlatSpace(2), h, 0.1, 10)
-    a = picard_map(u, h, backend="monte_carlo", n_paths=400, master_seed=3,
-                   antithetic=True)
-    b = picard_map(u, h, backend="monte_carlo", n_paths=400, master_seed=3,
-                   antithetic=True)
+    a = picard_map(u, h, step_operators(u, "monte_carlo", n_paths=400, master_seed=3,
+                                        antithetic=True))
+    b = picard_map(u, h, step_operators(u, "monte_carlo", n_paths=400, master_seed=3,
+                                        antithetic=True))
     np.testing.assert_array_equal(a.values, b.values)
-    plain = picard_map(u, h, backend="monte_carlo", n_paths=400, master_seed=3)
+    plain = picard_map(u, h, step_operators(u, "monte_carlo", n_paths=400, master_seed=3))
     assert not np.array_equal(a.values, plain.values)

@@ -1,7 +1,10 @@
+import csv
+
 import numpy as np
 import pytest
 from scipy.special import erfcx
 
+import hmflow.fields as fields_mod
 from hmflow._rng import DOMAIN_FORWARD_PATH, DOMAIN_SAMPLE_PATH, path_normals
 from hmflow.errors import StepTooLarge, TimeOutOfRange
 from hmflow.forward import moment_check, simulate, time_change, weak_error_probe
@@ -214,6 +217,31 @@ def test_path_csv_dump(tmp_path):
     ens.to_csv(out)
     assert out.read_text().splitlines() == lines  # rewrite is identical
 
+
+
+def _csv_writer_dump(ens, path):
+    """Reference: the row-by-row `csv.writer` dump of an ensemble."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["path_id", "step", "time", *ens.source.chart_columns])
+        for p in range(ens.n_paths):
+            for k, t in enumerate(ens.times):
+                state = ens.states[k, p]
+                coords = [state] if np.ndim(state) == 0 else list(state)
+                writer.writerow([p, k, f"{t:.17g}"] + [f"{c:.17g}" for c in coords])
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("source, x0", [
+    (Circle(sine_radius(0.2, 1.0), n_theta=16), 0.3),
+    (Sphere2(constant_radius(1.0), n_theta=8, n_phi=16), np.array([0.0, 0.6, 0.8])),
+])
+def test_path_csv_matches_csv_writer(tmp_path, monkeypatch, source, x0, antithetic):
+    monkeypatch.setattr(fields_mod, "_CSV_BLOCK_ROWS", 7)   # several blocks, a ragged last one
+    ens = simulate(source, 0.0, x0, 0.25, 1 / 32, 6, 13, antithetic=antithetic)
+    ens.to_csv(tmp_path / "paths.csv")
+    _csv_writer_dump(ens, tmp_path / "ref.csv")
+    assert (tmp_path / "paths.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 def test_sphere_states_stay_unit_norm():
     s = Sphere2(constant_radius(1.0), n_theta=8, n_phi=16)

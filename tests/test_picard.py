@@ -3,8 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hmflow.bsde import picard_map
-from hmflow.errors import (InsufficientHistory, NoContraction,
+import hmflow.bsde as bsde_mod
+import hmflow.picard as picard_mod
+from hmflow._rng import DOMAIN_MC_SLICE, keyed_generator
+from hmflow.bsde import picard_map, step_operators
+from hmflow.errors import (BlowUp, InsufficientHistory, NoContraction,
                            TerminalNotOnTarget, TimeOutOfRange)
 from hmflow.fields import c01_norm, difference_c01
 from hmflow.picard import contraction_report, solve
@@ -75,6 +78,36 @@ def test_adaptive_halving_engages_for_long_horizon():
     assert len(state.horizons_tried) > 1          # halving sequence engaged
     assert state.converged
     assert state.horizon == pytest.approx(2.0 / 2 ** (len(state.horizons_tried) - 1))
+    # every horizon keeps its records, and each abandoned one says why it ended
+    horizons = [rec["horizon"] for rec in state.records]
+    assert sorted(set(horizons), reverse=True) == state.horizons_tried
+    for horizon in state.horizons_tried[:-1]:
+        recs = [rec for rec in state.records if rec["horizon"] == horizon]
+        assert [rec.get("halved") for rec in recs] == [None] * (len(recs) - 1) + ["ratio"]
+    assert not any("halved" in rec for rec in state.records if rec["horizon"] == state.horizon)
+    rows = contraction_report(state)
+    np.testing.assert_array_equal(rows[:, 1], state.deltas)
+
+
+def test_blowup_halving_is_recorded(monkeypatch):
+    c, h = circle_h(lambda a: a + 0.3 * np.sin(a), n_theta=64)
+    calls = []
+
+    def blow_up_once(u, h, steps):
+        calls.append(u.horizon)
+        if len(calls) == 1:
+            raise BlowUp("|w| reached 99 > 20 at slice 7; horizon too long for "
+                         "the contraction regime")
+        return picard_map(u, h, steps)
+
+    monkeypatch.setattr(picard_mod, "picard_map", blow_up_once)
+    _, state, _ = solve(c, S1, h, 0.2, tol=1e-10, dt=2e-3, sample_paths=16)
+    assert state.converged and state.horizons_tried == [0.2, 0.1]
+    assert state.records[0] == {"n": 1, "delta": None, "ratio": None, "horizon": 0.2,
+                                "halved": "|w| reached 99 > 20 at slice 7; horizon too "
+                                          "long for the contraction regime"}
+    assert all(rec["horizon"] == 0.1 and "halved" not in rec for rec in state.records[1:])
+    assert len(state.records) == 1 + state.iterations
 
 
 def test_no_contraction_below_floor():
@@ -83,7 +116,6 @@ def test_no_contraction_below_floor():
     c = Circle(constant_radius(1.0), n_theta=128, horizon=5.0)
     phi = 3 * c.thetas + 0.8 * np.sin(c.thetas)
     h = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-    import hmflow.picard as picard_mod
     old = picard_mod._MIN_HORIZON
     picard_mod._MIN_HORIZON = 1.9   # floor right below the initial horizon
     try:
@@ -123,7 +155,7 @@ def test_fixed_point_residual_within_twice_tolerance():
     c, h = circle_h(lambda a: a + 0.3 * np.sin(a), n_theta=128)
     tol = 1e-9
     field, state, _ = solve(c, S1, h, 0.25, tol=tol, dt=2e-3, sample_paths=32)
-    assert difference_c01(picard_map(field, h), field) <= 2 * tol
+    assert difference_c01(picard_map(field, h, step_operators(field)), field) <= 2 * tol
 
 
 def test_ball_stability_reported():
@@ -216,3 +248,44 @@ def test_solve_holds_one_gradient_array():
         tracemalloc.stop()
     assert state.converged and state.horizons_tried == [0.017]
     assert peak <= 5.5 * field.values.nbytes
+
+
+def _per_pass_steps(u, backend, n_paths, master_seed, antithetic):
+    """Reference operators: `mc_step_mean` on a freshly keyed generator at every application."""
+    def step(k, t):
+        return lambda f: u.source.mc_step_mean(
+            t, u.dt, f, n_paths, keyed_generator(master_seed, DOMAIN_MC_SLICE, k), antithetic)
+    return [step(k, t) for k, t in enumerate(u.times[:-1])]
+
+
+@pytest.mark.parametrize("family, antithetic", [("circle", False), ("circle", True),
+                                                ("sphere", False)])
+def test_monte_carlo_operators_built_once_match_per_pass_draws(monkeypatch, family,
+                                                                 antithetic):
+    kwargs = dict(backend="monte_carlo", n_paths=64, master_seed=4, antithetic=antithetic)
+    field, state = _converged_solve(family, **kwargs)
+    monkeypatch.setattr(picard_mod, "step_operators", _per_pass_steps)
+    ref_field, ref_state = _converged_solve(family, **kwargs)
+    assert state.iterations == ref_state.iterations > 1
+    assert state.deltas == ref_state.deltas
+    np.testing.assert_array_equal(field.values, ref_field.values)
+
+
+def test_circle_monte_carlo_keys_each_slice_once_per_horizon(monkeypatch):
+    keys = []
+    original = bsde_mod.keyed_generator
+
+    def counting(master_seed, domain, index):
+        keys.append((domain, index))
+        return original(master_seed, domain, index)
+
+    monkeypatch.setattr(bsde_mod, "keyed_generator", counting)
+    c = Circle(constant_radius(1.0), n_theta=128, horizon=5.0)
+    phi = 3 * c.thetas + 0.8 * np.sin(c.thetas)
+    h = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+    _, state, _ = solve(c, S1, h, 2.0, tol=1e-9, dt=5e-3, sample_paths=16, max_iter=30,
+                        backend="monte_carlo", n_paths=200, master_seed=3)
+    assert len(state.horizons_tried) > 1 and state.iterations > 1
+    expected = sorted((DOMAIN_MC_SLICE, k) for horizon in state.horizons_tried
+                      for k in range(round(horizon / 5e-3)))
+    assert sorted(keys) == expected
