@@ -66,17 +66,3 @@ for tau, s in zip(taus, sups):
     print(f"  tau = {tau:.4f}: sup |grad P_tau f| = {s:7.2f}")
 print(f"fitted growth exponent: {rate:.3f} (bounded rough data smooths at "
       "rate tau^(-1/2); the prefactor is reported, not asserted)")
-try:
-    import matplotlib
-    matplotlib.use("Agg")
-    import matplotlib.pyplot as plt
-    fig, ax = plt.subplots(figsize=(4.5, 3.2))
-    ax.loglog(taus, sups, "o-")
-    ax.set_xlabel("tau")
-    ax.set_ylabel("sup |grad P_tau f|")
-    ax.set_title(f"semigroup gradient growth (slope {rate:.3f})")
-    fig.tight_layout()
-    fig.savefig("gradient_growth.svg")
-    print("wrote gradient_growth.svg")
-except ImportError:
-    pass

@@ -119,28 +119,20 @@ class BsdeSolutionSample:
 def sample_solution(field: MapField, ensemble: PathEnsemble) -> BsdeSolutionSample:
     """Evaluate the field and its gradient along every path of the ensemble.
 
-    At each ensemble time the slice and its frame gradient are stacked and
-    interpolated at the paths in one call.  An ensemble on the field's own
-    slice times (as the solve's sample and `verify` run) reads
-    `field.values[k]` and the kept `field.gradient[k]`; any other ensemble
-    takes the slice at its time and computes that slice's gradient.
+    The ensemble must run on the field's own slice times, as the solve's
+    sample and `verify` do; any other ensemble raises HorizonMismatch.  At
+    each slice k, `field.values[k]` and the kept `field.gradient[k]` are
+    stacked and interpolated at the paths in one call.
     """
+    if not (ensemble.n_steps == field.n_t
+            and np.allclose(ensemble.times, field.times, rtol=0.0, atol=1e-12)):
+        raise HorizonMismatch(
+            f"ensemble of {ensemble.n_steps} steps to T={ensemble.horizon} is not on the "
+            f"field's {field.n_t} slices to T={field.horizon}")
     source = field.source
-    if ensemble.horizon > field.horizon + 1e-9:
-        raise HorizonMismatch("ensemble runs past the field horizon")
-    own_slices = (ensemble.n_steps == field.n_t
-                  and np.allclose(ensemble.times, field.times, rtol=0.0, atol=1e-12))
-    n = ensemble.n_steps + 1
-    l2 = field.value_dim
-    m = source.dim
-    y = np.empty((n, ensemble.n_paths, l2))
-    z = np.empty((n, ensemble.n_paths, m, l2))
-    for k, t in enumerate(ensemble.times):
-        if own_slices:
-            sl, zs = field.values[k], field.gradient[k]
-        else:
-            sl = field.slice_at(t)
-            zs = source.frame_gradient(t, sl)
+    y = np.empty((field.n_t + 1, ensemble.n_paths, field.value_dim))
+    z = np.empty(y.shape[:2] + (source.dim, field.value_dim))
+    for k, (sl, zs) in enumerate(zip(field.values, field.gradient)):
         yz = source.interpolate_slice(np.concatenate([sl[..., None, :], zs], axis=-2),
                                       ensemble.states[k])
         y[k] = yz[:, 0]

@@ -71,7 +71,6 @@ _SCHEMA = {
         "sample_paths": (int, 1000),
         "master_seed": (int, 12345),
         "antithetic": (bool, False),
-        "plots": (bool, False),
     },
     "forward": {
         "x0": (str, "0"),
@@ -266,7 +265,7 @@ def cmd_solve(config_path: str, out_dir: str, seed: int | None,
         return 3
     wall = time.perf_counter() - start
 
-    field.save(out / "field.csv", fmt="csv")
+    field.save(out / "field.csv")
     _json_dump(state.records, out / "iterations.json")
 
     summary = {
@@ -297,8 +296,6 @@ def cmd_solve(config_path: str, out_dir: str, seed: int | None,
         summary["reference_sup_error"] = float(err.max())
         _write_benchmark_csv(out, field, ref)
     _json_dump(summary, out / "summary.json")
-    if rc["plots"]:
-        _emit_plots(out, state, field, ref)
     if state.converged:
         out.joinpath("run.log").write_text(
             f"solve finished in {wall:.3f} s, {state.iterations} iterations\n")
@@ -324,32 +321,6 @@ def _write_benchmark_csv(out: Path, field, ref):
     rows = ["quantity,computed,reference,error"]
     rows += [f"{name},{a:.17g},{b:.17g},{abs(a - b):.17g}" for name, a, b in pairs]
     out.joinpath("benchmark.csv").write_text("\n".join(rows) + "\n")
-
-
-def _emit_plots(out: Path, state, field, ref):
-    try:
-        import matplotlib
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        print("matplotlib unavailable; skipping plots", file=sys.stderr)
-        return
-    fig, axes = plt.subplots(1, 2 if ref is not None else 1, figsize=(9, 3.5))
-    axes = np.atleast_1d(axes)
-    axes[0].semilogy(range(1, len(state.deltas) + 1), state.deltas, "o-")
-    axes[0].set_xlabel("iteration")
-    axes[0].set_ylabel("delta")
-    axes[0].set_title("fixed-point deltas")
-    if ref is not None:
-        err = np.linalg.norm(field.values - ref.values, axis=-1).max(
-            axis=tuple(range(1, field.values.ndim - 1)))
-        axes[1].semilogy(field.times, np.maximum(err, 1e-18))
-        axes[1].set_xlabel("t")
-        axes[1].set_ylabel("sup error")
-        axes[1].set_title("error vs reference")
-    fig.tight_layout()
-    fig.savefig(out / "plots.svg")
-    plt.close(fig)
 
 
 def cmd_simulate_forward(config_path: str, out_dir: str, seed: int | None) -> int:
@@ -401,6 +372,7 @@ def cmd_verify(config_path: str, out_dir: str, seed: int | None) -> int:
     _echo_config(config_path, out)
     source = build_source(cfg)
     target = build_target(cfg)
+    test_fn = _resolve_test_fn(vc["test_fn"], source)
     field_path = Path(vc["field_file"])
     if not field_path.exists():
         field_path = Path(config_path).parent / vc["field_file"]
@@ -427,7 +399,7 @@ def cmd_verify(config_path: str, out_dir: str, seed: int | None) -> int:
             "pass": bool(report.max_dist <= vc["max_dist_tol"]),
             "gronwall_c_fit": report.c_fit,
         }
-        wf = weak_form_residual(source, field, _resolve_test_fn(vc["test_fn"], source))
+        wf = weak_form_residual(source, field, test_fn)
         checks["weak_form_residual"] = {
             "value": wf,
             "threshold": vc["weak_form_tol"],

@@ -1,9 +1,9 @@
 """Discretized maps from [0, horizon] x M into the ambient target space.
 
 A MapField is the object the backward dynamics act on: values on the
-tensor grid of uniform time slices and the source chart grid, together
-with a fixed interpolation rule (linear in time, trigonometric on the
-circle, bilinear on the sphere) that makes it evaluable anywhere.
+tensor grid of uniform time slices and the source chart grid.  Within a
+slice the source's interpolation rule (trigonometric on the circle,
+bilinear on the sphere) evaluates it off the grid nodes.
 
 A field owns the frame gradient of its slices, computed once on first
 read; `handover_c01` moves that array from one Picard iterate to the next.
@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import HorizonMismatch, ShapeMismatch
 
-_MAGIC = b"HMF1"
 _CSV_BLOCK_ROWS = 1 << 16
 
 
@@ -106,79 +105,52 @@ class MapField:
                 f"fields disagree: {self.values.shape}@T={self.horizon} vs "
                 f"{other.values.shape}@T={other.horizon}")
 
-    # -- evaluation ----------------------------------------------------------
-
-    def slice_at(self, t: float) -> np.ndarray:
-        """Grid values at time t, linear between bracketing slices."""
-        if self.n_t == 0:
-            return self.values[0]
-        pos = np.clip((t - self.times[0]) / self.dt, 0.0, self.n_t)
-        k = int(np.floor(pos))
-        if k == self.n_t:
-            return self.values[-1]
-        frac = pos - k
-        if frac == 0.0:
-            return self.values[k]
-        return (1.0 - frac) * self.values[k] + frac * self.values[k + 1]
-
     # -- serialization ---------------------------------------------------------
 
-    def save(self, path, fmt: str | None = None):
-        """Write to `path`; format from `fmt` or the extension (.csv else binary).
+    def save(self, path):
+        """Write to `path` as CSV.
 
-        Layout in both formats: header (n_t, n_nodes, value_dim, horizon),
-        then values row-major over (slice, node), one row per node with
-        value_dim columns.  CSV floats carry 17 significant digits so the
-        round trip is exact.
+        Layout: header (n_t, n_nodes, value_dim, horizon), then values
+        row-major over (slice, node), one row per node with value_dim
+        columns.  Floats carry 17 significant digits so the round trip is
+        exact.
         """
-        path = str(path)
-        if fmt is None:
-            fmt = "csv" if path.endswith(".csv") else "bin"
         flat = self.values.reshape(len(self.times) * self.n_nodes, self.value_dim)
-        if fmt == "csv":
-            row = ",".join(["%.17g"] * self.value_dim) + "\n"
-            with open(path, "w") as fh:
-                fh.write(f"{self.n_t},{self.n_nodes},{self.value_dim},{self.horizon:.17g}\n")
-                write_rows(fh, flat, row)
-        elif fmt == "bin":
-            with open(path, "wb") as fh:
-                fh.write(_MAGIC)
-                np.array([self.n_t, self.n_nodes, self.value_dim],
-                         dtype="<i8").tofile(fh)
-                np.array([self.horizon], dtype="<f8").tofile(fh)
-                flat.astype("<f8").tofile(fh)
-        else:
-            raise ValueError(f"unknown format {fmt!r}")
+        row = ",".join(["%.17g"] * self.value_dim) + "\n"
+        with open(path, "w") as fh:
+            fh.write(f"{self.n_t},{self.n_nodes},{self.value_dim},{self.horizon:.17g}\n")
+            write_rows(fh, flat, row)
 
     @classmethod
     def load(cls, path, source, target) -> "MapField":
-        """Read a field saved by `save`; the source supplies the grid shape."""
-        path = str(path)
-        with open(path, "rb") as fh:
-            head = fh.read(4)
-        if head == _MAGIC:
-            with open(path, "rb") as fh:
-                fh.seek(4)
-                n_t, n_nodes, l2 = np.fromfile(fh, dtype="<i8", count=3)
-                horizon = float(np.fromfile(fh, dtype="<f8", count=1)[0])
-                flat = np.fromfile(fh, dtype="<f8")
-        else:
-            with open(path, "r") as fh:
+        """Read a field saved by `save`; the source supplies the grid shape.
+
+        Raises ShapeMismatch when the header is malformed, or does not fit
+        the source's grid and horizon or the target's ambient dimension, or
+        when the rows do not hold the values the header implies.
+        """
+        with open(path) as fh:
+            try:
                 header = fh.readline().strip().split(",")
-                if len(header) != 4:
-                    raise ShapeMismatch("malformed map-field header")
-                n_t, n_nodes, l2 = (int(header[0]), int(header[1]), int(header[2]))
-                horizon = float(header[3])
-                flat = np.loadtxt(fh, delimiter=",", ndmin=2).ravel()
-        expected = (int(n_t) + 1) * int(n_nodes) * int(l2)
+                n_t, n_nodes, l2, horizon = (*map(int, header[:3]), float(header[3]))
+            except (ValueError, IndexError):
+                raise ShapeMismatch("malformed map-field header")
+            if len(header) != 4 or n_t < 1 or not 0 < horizon <= source.horizon + 1e-12:
+                raise ShapeMismatch(f"map-field header {','.join(header)!r} needs four entries, "
+                                    f"n_t >= 1 and a horizon in (0, {source.horizon}]")
+            if n_nodes != source.n_nodes:
+                raise ShapeMismatch(
+                    f"field has {n_nodes} nodes, source grid has {source.n_nodes}")
+            if l2 != target.ambient_dim:
+                raise ShapeMismatch(
+                    f"field takes values in R^{l2}, the target in R^{target.ambient_dim}")
+            flat = np.loadtxt(fh, delimiter=",", ndmin=2).ravel()
+        expected = (n_t + 1) * n_nodes * l2
         if flat.size != expected:
             raise ShapeMismatch(
                 f"field file holds {flat.size} values, header implies {expected}")
-        if int(n_nodes) != source.n_nodes:
-            raise ShapeMismatch(
-                f"field has {n_nodes} nodes, source grid has {source.n_nodes}")
-        values = flat.reshape((int(n_t) + 1,) + source.grid_shape + (int(l2),))
-        times = np.linspace(0.0, horizon, int(n_t) + 1)
+        values = flat.reshape((n_t + 1,) + source.grid_shape + (l2,))
+        times = np.linspace(0.0, horizon, n_t + 1)
         return cls(times, values, source, target)
 
 

@@ -106,7 +106,7 @@ def step_count(source, t: float, horizon: float, dt: float) -> int:
 
 
 def simulate(source, t: float, x, horizon: float, dt: float, n_paths: int,
-             master_seed: int, antithetic: bool = False, zero_noise: bool = False,
+             master_seed: int, antithetic: bool = False,
              _domain: int = DOMAIN_FORWARD_PATH) -> PathEnsemble:
     """Simulate the forward diffusion from time t to the horizon.
 
@@ -126,12 +126,8 @@ def simulate(source, t: float, x, horizon: float, dt: float, n_paths: int,
         x = np.resize(source.grid_points().reshape((-1,) + source.point_shape), shape)
     n_steps = step_count(source, t, horizon, dt)
 
-    dim = source.ambient_dim
-    if zero_noise:
-        increments = np.zeros((n_steps, n_paths, dim))
-    else:
-        increments = _draw_increments(master_seed, _domain, n_paths, n_steps, dim, dt,
-                                      antithetic)
+    increments = _draw_increments(master_seed, _domain, n_paths, n_steps, source.ambient_dim,
+                                  dt, antithetic)
 
     x = np.asarray(x, dtype=float)
     if x.ndim > len(source.point_shape) and x.shape[0] != n_paths:

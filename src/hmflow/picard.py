@@ -81,11 +81,15 @@ def solve(source, target, h, t0_init: float, tol: float = 1e-10,
     current iterate's kept gradient, then `handover_c01` overwrites it
     slice by slice with the next iterate's gradient and hands it over.
 
-    Contraction floor: the explicit backward step amplifies grid-top
-    wavenumber perturbations by roughly dt * k_max per pass, so deltas
-    stall (and may grow, tripping the halving) once they reach that
-    rounding-scale floor, around 1e-8 for dt=2e-2 on 256 nodes.  Pick
-    tol above the floor, or refine dt, when working at coarse steps.
+    Contraction floor: on the circle the explicit backward step amplifies
+    grid-top wavenumber perturbations by roughly dt * k_max per pass, so
+    deltas stall (and may grow, tripping the halving) once they reach that
+    rounding-scale floor, around 1e-8 for dt=2e-2 on 256 nodes.  Pick tol
+    above the floor, or refine dt, when working at coarse steps.  On fine
+    sphere grids the halvings come instead from a growing mode: high
+    azimuthal modes of the first colatitude row, where the longitude
+    derivative is divided by sin(dtheta/2), grow by 3-4x per pass once the
+    deltas reach about 1e-10.
     """
     h = np.asarray(h, dtype=float)
     if t0_init <= 0 or tol <= 0:

@@ -224,9 +224,6 @@ class StayOnTargetReport:
     integral: np.ndarray      # integral of mean_g from each node to the horizon
     c_fit: float              # smallest c with mean_g <= c * integral where defined
 
-    def table(self) -> np.ndarray:
-        return np.column_stack([self.times, self.mean_g, self.integral])
-
 
 def stay_on_target(target, sample: BsdeSolutionSample) -> StayOnTargetReport:
     """Maximum target distance along the sample plus the decay-of-G curve.

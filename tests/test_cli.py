@@ -210,6 +210,51 @@ def test_verify_corrupted_field_exits_2(tmp_path):
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 2
 
 
+def _field_text(header, rows):
+    return header + "\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
+
+
+_THETAS = np.arange(32) * (2 * np.pi / 32)
+_ROWS_3D = np.tile(np.stack([np.cos(_THETAS), np.sin(_THETAS), 0 * _THETAS], axis=-1), (5, 1))
+_ROWS_2D = _ROWS_3D[:, :2]
+BAD_FIELDS = [
+    pytest.param(_field_text("4,32,3,0.5", _ROWS_3D), id="value_dim_past_target"),
+    pytest.param("-1,32,2,0.5\n", id="no_slices"),
+    pytest.param(_field_text("4,32,2,nan", _ROWS_2D), id="nan_horizon"),
+    pytest.param(_field_text("4,32,2,2.0", _ROWS_2D), id="horizon_past_source"),
+    pytest.param(b"HMF1" + np.array([4, 32, 2], dtype="<i8").tobytes()
+                 + np.array([0.5], dtype="<f8").tobytes()
+                 + _ROWS_2D.astype("<f8").tobytes(), id="retired_binary_format"),
+]
+
+
+@pytest.mark.parametrize("content", BAD_FIELDS)
+def test_verify_field_that_does_not_fit_exits_2(tmp_path, capsys, content):
+    text = _edit(PG_CONFIG.format(field_file="bad_field"), ("n_theta = 128", "n_theta = 32"))
+    cfg = write_config(tmp_path, text)
+    path = tmp_path / "bad_field"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 2
+    err = capsys.readouterr().err
+    assert "cannot load field file" in err and "Traceback" not in err
+
+
+def test_verify_rejects_unknown_test_fn_before_computing(tmp_path, capsys, monkeypatch):
+    src = Circle(constant_radius(1.0), n_theta=32, horizon=0.5)
+    MapField.constant_in_time(src, UnitSphere(1), _ROWS_2D[:32], 0.5, 4).save(tmp_path / "f.csv")
+    text = _edit(PG_CONFIG.format(field_file="f.csv"), ("n_theta = 128", "n_theta = 32"),
+                 ("field_file = f.csv", "field_file = f.csv\ntest_fn = bogus"))
+    calls = []
+    monkeypatch.setattr(cli, "tension_residual", lambda *args: calls.append(args))
+    assert main(["verify", "--config", write_config(tmp_path, text),
+                 "--out", str(tmp_path / "v")]) == 2
+    assert "bogus" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_verify_missing_field_file_key_exits_2(tmp_path):
     cfg = write_config(tmp_path, FWD_CONFIG)
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 2
@@ -227,15 +272,6 @@ def test_solve_backend_override_monte_carlo(tmp_path):
     assert summary["backend"] == "monte_carlo"
     assert summary["master_seed"] == 5
     assert summary["converged"] and summary["iterations"] == 2
-
-
-def test_solve_plots_flag(tmp_path):
-    pytest.importorskip("matplotlib")
-    text = PG_CONFIG.format(field_file="x").replace(
-        "master_seed = 42", "master_seed = 42\nplots = true")
-    cfg = write_config(tmp_path, text)
-    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "p")]) == 0
-    assert (tmp_path / "p" / "plots.svg").exists()
 
 
 def test_solve_no_contraction_exits_3(tmp_path, monkeypatch):
@@ -374,6 +410,9 @@ BAD_CONFIGS = [
                  id="circle_x0_nan"),
     pytest.param("simulate-forward", _edit(SPH_FWD_CONFIG, ("x0 = 0,0,1", "x0 = 1,0,inf")), [],
                  "x0", id="sphere_x0_inf"),
+    # the plots key and its matplotlib output are gone
+    pytest.param("solve", _edit(PG_SOLVE, ("master_seed = 42", "master_seed = 42\nplots = true")),
+                 [], "unknown config key 'plots'", id="run_plots_retired"),
 ]
 
 

@@ -63,17 +63,6 @@ def test_handover_matches_difference_and_norm():
     assert u._gradient is None
 
 
-def test_time_interpolation_linear():
-    f = identity_field(n_t=4, horizon=1.0)
-    ramp = np.linspace(0.0, 1.0, 5)[:, None, None]
-    f = MapField(f.times, f.values * ramp, f.source, f.target)
-    sl = f.slice_at(0.375)
-    np.testing.assert_allclose(sl, 0.375 * f.values[-1], atol=1e-14)
-    # endpoints are returned exactly
-    assert f.slice_at(0.0) is f.values[0] or np.array_equal(f.slice_at(0.0), f.values[0])
-    np.testing.assert_array_equal(f.slice_at(1.0), f.values[4])
-
-
 def test_non_finite_rejected():
     f = identity_field()
     bad = f.values.copy()
@@ -87,14 +76,13 @@ def test_sup_norm():
     assert sup_norm(f) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("fmt", ["csv", "bin"])
-def test_save_load_roundtrip(tmp_path, fmt):
+def test_save_load_roundtrip(tmp_path):
     f = identity_field(n_theta=16, n_t=3)
     values = f.values.copy()
     values[1] *= 0.9993712345678912  # non-trivial digits
     f = MapField(f.times, values, f.source, f.target)
-    path = tmp_path / f"field.{fmt}"
-    f.save(path, fmt=fmt)
+    path = tmp_path / "field.csv"
+    f.save(path)
     g = MapField.load(path, f.source, f.target)
     np.testing.assert_array_equal(g.values, f.values)
     np.testing.assert_array_equal(g.times, f.times)
@@ -115,13 +103,16 @@ def test_csv_bytes_match_per_value_formatting(tmp_path, monkeypatch):
     np.testing.assert_array_equal(MapField.load(tmp_path / "f.csv", c, f.target).values, values)
 
 
-def test_load_extension_sniffing(tmp_path):
+def test_load_rejects_binary_format(tmp_path):
+    # a field in the retired HMF1 layout: magic, (n_t, n_nodes, value_dim) as
+    # <i8, the horizon as <f8, then the values
     f = identity_field(n_theta=16, n_t=2)
-    f.save(tmp_path / "field.csv")          # csv by extension
-    f.save(tmp_path / "field.dat")          # binary by default
-    a = MapField.load(tmp_path / "field.csv", f.source, f.target)
-    b = MapField.load(tmp_path / "field.dat", f.source, f.target)
-    np.testing.assert_array_equal(a.values, b.values)
+    p = tmp_path / "field.bin"
+    p.write_bytes(b"HMF1" + np.array([2, 16, 2], dtype="<i8").tobytes()
+                  + np.array([f.horizon], dtype="<f8").tobytes()
+                  + f.values.astype("<f8").tobytes())
+    with pytest.raises(ShapeMismatch):
+        MapField.load(p, f.source, f.target)
 
 
 def test_load_rejects_wrong_grid(tmp_path):
@@ -146,7 +137,7 @@ def test_sphere_field_roundtrip(tmp_path):
     s = Sphere2(constant_radius(1.0), n_theta=8, n_phi=16)
     vals = s.grid_points()
     f = MapField.constant_in_time(s, UnitSphere(2), vals, 0.1, 2)
-    f.save(tmp_path / "f.bin")
-    g = MapField.load(tmp_path / "f.bin", s, f.target)
+    f.save(tmp_path / "f.csv")
+    g = MapField.load(tmp_path / "f.csv", s, f.target)
     np.testing.assert_array_equal(g.values, f.values)
     assert g.grid_shape == (8, 16)

@@ -15,13 +15,16 @@ from hmflow.verify import make_benchmark
 
 def test_zero_noise_paths_are_constant():
     c = Circle(constant_radius(1.0), n_theta=16)
-    ens = simulate(c, 0.0, 0.7, 0.5, 0.01, 8, 1, zero_noise=True)
-    np.testing.assert_array_equal(ens.states, np.full_like(ens.states, 0.7))
+    x = np.full(8, 0.7)
+    for k in range(50):
+        x, _ = c.step_paths(x, 0.01 * k, 0.01, np.zeros((8, 2)))
+    np.testing.assert_array_equal(x, np.full(8, 0.7))
     s = Sphere2(constant_radius(1.0), n_theta=8, n_phi=16)
     x0 = np.array([0.0, 0.6, 0.8])
-    ens = simulate(s, 0.0, x0, 0.2, 0.01, 4, 1, zero_noise=True)
-    np.testing.assert_allclose(ens.states, np.broadcast_to(x0, ens.states.shape),
-                               atol=1e-14)
+    x = np.broadcast_to(x0, (4, 3))
+    for k in range(20):
+        x, _ = s.step_paths(x, 0.01 * k, 0.01, np.zeros((4, 3)))
+    np.testing.assert_allclose(x, np.broadcast_to(x0, (4, 3)), atol=1e-14)
 
 
 def test_seed_determinism():

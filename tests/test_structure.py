@@ -1,7 +1,7 @@
 """Design guards: source families stay behind the source interface, the
 demos import only names that hmflow exports, every random stream domain is
-in use under its pinned number, and every name the benchmark tracer wraps
-still exists."""
+in use under its pinned number, every name the benchmark tracer wraps
+still exists, and no test skips itself."""
 
 import ast
 import importlib
@@ -82,3 +82,13 @@ def test_grid_rules_have_one_owner():
     shared = {"_require_grid", "volume_weights", "volume_weights_dt"}
     assert {cls.__name__: sorted(shared & set(cls.__dict__)) for cls in (Circle, Sphere2)} \
         == {"Circle": [], "Sphere2": []}
+
+
+def test_no_test_skips():
+    # a skipped test checks nothing: every test runs on the declared toolbox
+    skipping = {"importorskip", "skip", "skipif", "xfail"}
+    offenders = [f"{path.name}:{node.lineno} {node.attr}"
+                 for path in sorted((ROOT / "tests").glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Attribute) and node.attr in skipping]
+    assert not offenders, offenders

@@ -163,7 +163,7 @@ def test_stay_on_target_flat_subspace_is_exact():
     rep = stay_on_target(flat, sample_solution(f, ens))
     assert rep.max_dist == 0.0
     assert rep.c_fit == 0.0
-    assert rep.table().shape == (21, 3)
+    assert rep.times.shape == rep.mean_g.shape == rep.integral.shape == (21,)
 
 
 # ---------------------------------------------------------------------------
