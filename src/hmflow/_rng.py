@@ -16,6 +16,9 @@ which draws its random test points from `Philox(key=seed)`.
 from __future__ import annotations
 
 import numpy as np
+# numpy 2 loads numpy.random on first use; importing it here books its load
+# (about 15 ms) to the import of hmflow rather than to the first draw
+import numpy.random  # noqa: F401
 
 # Domain words (bits 56..63 of the low key word).
 DOMAIN_FORWARD_PATH = 0

@@ -11,6 +11,7 @@ read; `handover_c01` moves that array from one Picard iterate to the next.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,7 +145,10 @@ class MapField:
             if l2 != target.ambient_dim:
                 raise ShapeMismatch(
                     f"field takes values in R^{l2}, the target in R^{target.ambient_dim}")
-            flat = np.loadtxt(fh, delimiter=",", ndmin=2).ravel()
+            with warnings.catch_warnings():
+                # an empty body reads as no values, which the size check rejects
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                flat = np.loadtxt(fh, delimiter=",", ndmin=2).ravel()
         expected = (n_t + 1) * n_nodes * l2
         if flat.size != expected:
             raise ShapeMismatch(

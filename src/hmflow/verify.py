@@ -11,11 +11,10 @@ space-time integral formulation by quadrature.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 
 from .bsde import BsdeSolutionSample
 from .errors import ConfigError, FieldLeftTube, UnsupportedReduction
@@ -122,8 +121,12 @@ def pde_reference(case: BenchmarkCase, n_t: int, n_x: int | None = None) -> MapF
     target lifts to the scalar heat equation on the angle.  Both are solved
     exactly per Fourier mode with the adaptive time-change integral.  A
     psi_terminal integrates the equivariant colatitude profile by method of
-    lines (n_x interior nodes).  Shares no stepping code with the backward
-    operator.
+    lines on n_x + 1 colatitude knots, with classical RK4 in time: each
+    slice takes ceil(span L / 2) substeps, L = (4/h^2 + max|cot|/h +
+    1/sin^2 h) / (2 rho_min^2) bounding the Jacobian over the slice, so
+    every substep lies in RK4's real stability interval.  A not-a-knot
+    cubic spline reads the profiles at the grid colatitudes.  Shares no
+    stepping code with the backward operator.
     """
     source = case.source
     times = np.linspace(0.0, case.horizon, n_t + 1)
@@ -157,30 +160,81 @@ def pde_reference(case: BenchmarkCase, n_t: int, n_x: int | None = None) -> MapF
         hstep = grid[1] - grid[0]
         sin_i = np.sin(inner)
         cot_i = np.cos(inner) / sin_i
-        psi_T = case.psi_terminal(grid)
+        two_sin2_i = 2.0 * sin_i ** 2
+        # bound on the Jacobian of rhs at unit radius: stencil, cot term, sin(2 psi) term
+        jac_bound = 0.5 * (4.0 / hstep ** 2 + np.max(np.abs(cot_i)) / hstep + 1.0 / sin_i[0] ** 2)
 
-        def rhs(s, psi_in):
-            # backward substitution s = horizon - t; boundary pins 0 and pi
+        def rhs(t, psi_in):
+            # d psi / d(-t) of the backward flow; boundary pins 0 and pi
             full = np.concatenate([[0.0], psi_in, [np.pi]])
             d1 = (full[2:] - full[:-2]) / (2.0 * hstep)
             d2 = (full[2:] - 2.0 * full[1:-1] + full[:-2]) / hstep ** 2
-            rho = float(source.profile(case.horizon - s))
-            return 0.5 / rho ** 2 * (d2 + cot_i * d1
-                                     - np.sin(2.0 * psi_in) / (2.0 * sin_i ** 2))
+            rho = float(source.profile(t))
+            return 0.5 / rho ** 2 * (d2 + cot_i * d1 - np.sin(2.0 * psi_in) / two_sin2_i)
 
-        sol = solve_ivp(rhs, (0.0, case.horizon), psi_T[1:-1], method="BDF",
-                        t_eval=case.horizon - times[::-1], rtol=1e-9, atol=1e-11)
-        if not sol.success:
-            raise UnsupportedReduction(f"equivariant reference failed: {sol.message}")
-        values = np.empty((n_t + 1,) + source.grid_shape + (3,))
-        for j in range(n_t + 1):
-            psi_in = sol.y[:, n_t - j]  # t_eval was reversed in s
-            spline = CubicSpline(grid, np.concatenate([[0.0], psi_in, [np.pi]]))
-            values[j] = source.profile_map(spline(source.thetas), case.target.ambient_dim)
+        psi = np.empty((n_t + 1, n_x + 1))
+        psi[:, 0], psi[:, -1] = 0.0, np.pi
+        psi[n_t, 1:-1] = case.psi_terminal(inner)
+        for j in range(n_t, 0, -1):
+            # classical RK4 from t_j down to t_{j-1}: substep x Jacobian bound
+            # stays within 2, inside RK4's real stability interval [-2.78, 0]
+            span = times[j] - times[j - 1]
+            rho_min = source.min_radius(times[j - 1], times[j])
+            n_sub = math.ceil(span * jac_bound / rho_min ** 2 / 2.0)
+            k = span / n_sub
+            y = psi[j, 1:-1]
+            for i in range(n_sub):
+                t = times[j] - i * k
+                k1 = rhs(t, y)
+                k2 = rhs(t - 0.5 * k, y + 0.5 * k * k1)
+                k3 = rhs(t - 0.5 * k, y + 0.5 * k * k2)
+                k4 = rhs(t - k, y + k * k3)
+                y = y + k / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            psi[j - 1, 1:-1] = y
+        on_grid = _not_a_knot_spline(grid, psi.T, source.thetas).T
+        values = np.stack([source.profile_map(p, case.target.ambient_dim) for p in on_grid])
         return MapField(times, values, source, case.target)
 
     raise UnsupportedReduction(
         f"no reference reduction for benchmark {case.name!r}")
+
+
+def _not_a_knot_spline(x, y, x_new):
+    """Not-a-knot cubic spline through knots x with values y (n, m), read at x_new.
+
+    The knot slopes solve one tridiagonal system for all m columns at once,
+    by elimination without pivoting, which the diagonally dominant interior
+    rows keep stable.  Each interval is then the cubic Hermite piece of
+    its end values and slopes.  Needs at least four knots.
+    """
+    dx = np.diff(x)
+    slope = np.diff(y, axis=0) / dx[:, None]
+    # row i reads lower[i] s[i-1] + diag[i] s[i] + upper[i] s[i+1] = rhs[i]; the
+    # end rows make the third derivative continuous at the second and last-but-one knot
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    lower = [0.0, *dx[1:], d1]
+    diag = [dx[1], *(2.0 * (dx[:-1] + dx[1:])), dx[-2]]
+    upper = [d0, *dx[:-1], 0.0]
+    rhs = np.empty_like(y)
+    rhs[0] = ((dx[0] + 2.0 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
+    rhs[1:-1] = 3.0 * (dx[1:, None] * slope[:-1] + dx[:-1, None] * slope[1:])
+    rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+    n = len(x)
+    for i in range(1, n):
+        w = lower[i] / diag[i - 1]
+        diag[i] -= w * upper[i - 1]
+        rhs[i] -= w * rhs[i - 1]
+    s = np.empty_like(rhs)
+    s[-1] = rhs[-1] / diag[-1]
+    for i in range(n - 2, -1, -1):
+        s[i] = (rhs[i] - upper[i] * s[i + 1]) / diag[i]
+
+    i = np.clip(np.searchsorted(x, x_new, side="right") - 1, 0, n - 2)
+    h = dx[i, None]
+    u = (x_new - x[i])[:, None]
+    c3 = (s[i] + s[i + 1] - 2.0 * slope[i]) / h
+    c2 = (slope[i] - s[i]) / h - c3
+    return ((c3 / h * u + c2) * u + s[i]) * u + y[i]
 
 
 # ---------------------------------------------------------------------------

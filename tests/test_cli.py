@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -240,6 +243,19 @@ def test_verify_field_that_does_not_fit_exits_2(tmp_path, capsys, content):
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 2
     err = capsys.readouterr().err
     assert "cannot load field file" in err and "Traceback" not in err
+
+
+def test_verify_header_only_field_exits_2_without_warning(tmp_path):
+    # numpy's loader warns on an empty body; verify reports the shape error alone
+    text = _edit(PG_CONFIG.format(field_file="f.csv"), ("n_theta = 128", "n_theta = 32"))
+    cfg = write_config(tmp_path, text)
+    (tmp_path / "f.csv").write_text("4,32,2,0.5\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-m", "hmflow.cli", "verify", "--config", cfg,
+                          "--out", str(tmp_path / "v")], capture_output=True, text=True, env=env)
+    assert run.returncode == 2, run.stderr
+    assert "header implies 320" in run.stderr and "Warning" not in run.stderr
 
 
 def test_verify_rejects_unknown_test_fn_before_computing(tmp_path, capsys, monkeypatch):

@@ -2,6 +2,7 @@ import csv
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import erfcx
 
 import hmflow.fields as fields_mod
@@ -9,7 +10,7 @@ from hmflow._rng import DOMAIN_FORWARD_PATH, DOMAIN_SAMPLE_PATH, path_normals
 from hmflow.errors import StepTooLarge, TimeOutOfRange
 from hmflow.forward import moment_check, simulate, time_change, weak_error_probe
 from hmflow.picard import solve
-from hmflow.sources import Circle, Sphere2, constant_radius, sine_radius
+from hmflow.sources import Circle, Sphere2, constant_radius, shrinking_radius, sine_radius
 from hmflow.verify import make_benchmark
 
 
@@ -126,6 +127,39 @@ def test_time_change_law():
     ss = Sphere2(sine_radius(0.2, 1.0), n_theta=8, n_phi=16, horizon=1.0)
     rep = moment_check(ss, 0.0, np.array([0.0, 0.0, 1.0]), 0.5, 1 / 128, 20_000, 11)
     assert rep["pass"], rep
+
+
+def _shrinking_tau(t0, t1):
+    return 0.5 * np.log((1.0 - 2.0 * t0) / (1.0 - 2.0 * t1))
+
+
+@pytest.mark.parametrize("profile, t0, t1, exact", [
+    (constant_radius(1.7), 0.1, 0.9, 0.8 / 1.7 ** 2),
+    (constant_radius(1.0), 0.0, 1.0, 1.0),
+    (shrinking_radius(), 0.0, 0.45, _shrinking_tau(0.0, 0.45)),
+    (shrinking_radius(), 0.4, 0.499, _shrinking_tau(0.4, 0.499)),
+    (shrinking_radius(), 0.0, 0.4999, _shrinking_tau(0.0, 0.4999)),
+])
+def test_time_change_closed_forms(profile, t0, t1, exact):
+    # near t = 1/2 the shrinking radius makes the integrand blow up, so panels bisect
+    assert time_change(profile, t0, t1) == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+
+# quad reports roundoff when it cannot prove 1e-14; its value still matches to about 1e-15
+@pytest.mark.filterwarnings("ignore:The occurrence of roundoff error")
+@pytest.mark.parametrize("t0, t1", [(0.0, 1.0), (0.1, 0.9), (0.5, 0.501), (0.0, 0.034)])
+def test_time_change_matches_adaptive_quadrature(t0, t1):
+    profile = sine_radius(0.5, 3.0)
+    ref, _ = quad(lambda s: profile(s) ** -2, t0, t1, epsabs=1e-17, epsrel=1e-14, limit=200)
+    assert time_change(profile, t0, t1) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def test_time_change_rejects_a_vanishing_radius():
+    # the shrinking radius reaches 0 at t = 1/2, where rho^-2 stops being integrable
+    with pytest.raises(ValueError, match="did not converge"):
+        time_change(shrinking_radius(), 0.0, 0.5)
+    with pytest.raises(ValueError, match="not positive"):
+        time_change(shrinking_radius(), 0.0, 0.6)
 
 
 def test_sphere_constraint_violation_linear_in_dt():

@@ -1,11 +1,14 @@
 """Design guards: source families stay behind the source interface, the
 demos import only names that hmflow exports, every random stream domain is
 in use under its pinned number, every name the benchmark tracer wraps
-still exists, and no test skips itself."""
+still exists, no test skips itself, and the library runs on numpy alone."""
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import hmflow
@@ -92,3 +95,70 @@ def test_no_test_skips():
                  for node in ast.walk(ast.parse(path.read_text()))
                  if isinstance(node, ast.Attribute) and node.attr in skipping]
     assert not offenders, offenders
+
+
+def test_library_imports_no_scipy():
+    # numpy is the one runtime dependency: scipy serves the tests alone
+    offenders = []
+    for path in sorted((ROOT / "src" / "hmflow").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} {name}" for name in names
+                          if name.split(".")[0] == "scipy"]
+    assert not offenders, offenders
+
+
+_SMALL_RUNS = """\
+[run]
+t0 = 0.05
+dt = 2.5e-3
+sample_paths = 32
+
+[forward]
+x0 = {x0}
+horizon = 0.05
+dt = 0.00625
+n_paths = 64
+
+[verify]
+field_file = {name}_solve/field.csv
+sample_paths = 32
+"""
+_SMALL_CONFIGS = {
+    "circle": ("[source]\nfamily = circle\nn_theta = 32\nhorizon = 0.05\n"
+               "[target]\nfamily = circle\n[terminal]\nname = perturbed_geodesic\n"
+               + _SMALL_RUNS.format(name="circle", x0="0")),
+    "sphere": ("[source]\nfamily = sphere2\nn_theta = 16\nn_phi = 32\nhorizon = 0.05\n"
+               "[target]\nfamily = sphere2\n[terminal]\nname = equivariant\n"
+               + _SMALL_RUNS.format(name="sphere", x0="0,0,1")),
+}
+_NO_SCIPY_RUN = """\
+import sys
+import hmflow.cli
+from hmflow.verify import make_benchmark, pde_reference
+
+for name in ("circle", "sphere"):
+    for command in ("solve", "verify", "simulate-forward"):
+        code = hmflow.cli.main([command, "--config", name + ".ini", "--out", name + "_" + command])
+        assert code == 0, (name, command, code)
+for name in ("flat_heat", "perturbed_geodesic", "equivariant_s2"):
+    pde_reference(make_benchmark(name, horizon=0.05, n_x=32, n_theta=8, n_phi=16), n_t=5)
+print(sorted(module for module in sys.modules if module.split(".")[0] == "scipy"))
+"""
+
+
+def test_cli_commands_and_references_load_no_scipy(tmp_path):
+    # each CLI command and each pde_reference reduction, in a fresh interpreter
+    for name, text in _SMALL_CONFIGS.items():
+        (tmp_path / f"{name}.ini").write_text(text)
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", _NO_SCIPY_RUN], cwd=tmp_path, env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]", run.stdout

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
+from scipy.interpolate import CubicSpline
 
 from hmflow.bsde import sample_solution
 from hmflow.errors import FieldLeftTube, UnsupportedReduction
 from hmflow.fields import MapField
 from hmflow.forward import simulate, time_change
 from hmflow.picard import solve
-from hmflow.sources import Circle, constant_radius
+from hmflow.sources import Circle, Sphere2, constant_radius, shrinking_radius, sine_radius
 from hmflow.targets import FlatSpace, UnitSphere
-from hmflow.verify import (BenchmarkCase, circle_lift, make_benchmark,
+from hmflow.verify import (BenchmarkCase, _not_a_knot_spline, circle_lift, make_benchmark,
                            pde_reference, stay_on_target, tension_residual,
                            weak_form_residual)
 
@@ -85,6 +87,52 @@ def test_reference_equivariant_vs_picard():
                             tol=1e-9, dt=0.0025, sample_paths=32)
     assert state.converged
     assert np.abs(field.values - ref.values).max() <= case.tolerances["sup_error"]
+
+
+def _equivariant_dop853(case, n_t, n_x=200):
+    """The equivariant method of lines integrated by scipy's DOP853 and read by CubicSpline."""
+    grid = np.linspace(0.0, np.pi, n_x + 1)
+    inner, h = grid[1:-1], grid[1] - grid[0]
+
+    def rhs(s, psi):
+        full = np.concatenate([[0.0], psi, [np.pi]])
+        d1 = (full[2:] - full[:-2]) / (2.0 * h)
+        d2 = (full[2:] - 2.0 * full[1:-1] + full[:-2]) / h ** 2
+        rho = float(case.source.profile(case.horizon - s))
+        return 0.5 / rho ** 2 * (d2 + d1 / np.tan(inner)
+                                 - np.sin(2.0 * psi) / (2.0 * np.sin(inner) ** 2))
+
+    times = np.linspace(0.0, case.horizon, n_t + 1)
+    sol = solve_ivp(rhs, (0.0, case.horizon), case.psi_terminal(inner), method="DOP853",
+                    t_eval=case.horizon - times[::-1], rtol=1e-13, atol=1e-15)
+    assert sol.success
+    psi = np.concatenate([np.zeros((1, n_t + 1)), sol.y[:, ::-1],
+                          np.full((1, n_t + 1), np.pi)])
+    return np.stack([case.source.profile_map(CubicSpline(grid, p)(case.source.thetas), 3)
+                     for p in psi.T])
+
+
+@pytest.mark.parametrize("profile, n_theta, horizon, n_t", [
+    (sine_radius(0.2, 1.0), 24, 0.034, 34),   # the benchmark's sphere case
+    (shrinking_radius(), 16, 0.4, 40),        # rho_min^2 = 0.2 multiplies the substeps by 5
+])
+def test_reference_equivariant_rk4_matches_dop853(profile, n_theta, horizon, n_t):
+    source = Sphere2(profile, n_theta=n_theta, n_phi=2 * n_theta, horizon=horizon)
+    case = BenchmarkCase("equivariant", source, UnitSphere(2), horizon, None)
+    case.psi_terminal = lambda th: th + 0.3 * np.sin(th)
+    ref = pde_reference(case, n_t=n_t)
+    # the benchmark's solved field sits about 1.3e-4 from this reference
+    assert np.abs(ref.values - _equivariant_dop853(case, n_t)).max() <= 1e-10
+
+
+@pytest.mark.parametrize("knots", [np.linspace(0.0, np.pi, 201), np.linspace(0.0, 1.0, 4),
+                                   np.sort(np.random.default_rng(5).uniform(0.0, 3.0, 40))])
+def test_not_a_knot_spline_matches_cubic_spline(knots):
+    y = np.stack([np.sin(3.0 * knots) + knots, knots ** 3,
+                  np.random.default_rng(6).normal(size=len(knots))], axis=1)
+    x_new = np.concatenate([np.linspace(knots[0], knots[-1], 97), knots])
+    ref = CubicSpline(knots, y)(x_new)
+    assert np.abs(_not_a_knot_spline(knots, y, x_new) - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_reference_unsupported_reduction():
