@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._rng import DOMAIN_VERIFY_PATH
+from ._rng import DOMAIN_VERIFY_PATH, SEED_LIMIT
 from .bsde import sample_solution
 from .errors import (ConfigError, FieldLeftTube, GridTooCoarse, HmflowError,
                      NoContraction, TerminalNotOnTarget, UnsupportedReduction)
@@ -225,6 +225,14 @@ def _check_forward(fc: dict, source):
     return x0
 
 
+def _master_seed(cfg: dict, seed: int | None) -> int:
+    """The run's master seed: --seed over [run] master_seed, each checked to fit a key word."""
+    for name, value in (("[run] master_seed", cfg["run"]["master_seed"]), ("--seed", seed)):
+        if value is not None and not 0 <= value < SEED_LIMIT:
+            raise ConfigError(f"{name} = {value} must lie in [0, 2^64)")
+    return cfg["run"]["master_seed"] if seed is None else seed
+
+
 def _json_dump(obj, path: Path):
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
@@ -237,8 +245,7 @@ def cmd_solve(config_path: str, out_dir: str, seed: int | None,
               backend: str | None) -> int:
     cfg = load_config(config_path)
     rc = cfg["run"]
-    if seed is not None:
-        rc["master_seed"] = seed
+    rc["master_seed"] = _master_seed(cfg, seed)
     if backend is not None:
         rc["backend"] = backend.replace("-", "_")
     if rc["backend"] not in ("semigroup", "monte_carlo"):
@@ -326,7 +333,7 @@ def _write_benchmark_csv(out: Path, field, ref):
 def cmd_simulate_forward(config_path: str, out_dir: str, seed: int | None) -> int:
     cfg = load_config(config_path)
     fc = cfg["forward"]
-    master_seed = seed if seed is not None else cfg["run"]["master_seed"]
+    master_seed = _master_seed(cfg, seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _echo_config(config_path, out)
@@ -364,7 +371,7 @@ def _resolve_test_fn(name: str, source):
 def cmd_verify(config_path: str, out_dir: str, seed: int | None) -> int:
     cfg = load_config(config_path)
     vc = cfg["verify"]
-    master_seed = seed if seed is not None else cfg["run"]["master_seed"]
+    master_seed = _master_seed(cfg, seed)
     if not vc["field_file"]:
         raise ConfigError("verify needs 'field_file' in section [verify]")
     out = Path(out_dir)

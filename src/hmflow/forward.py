@@ -21,6 +21,8 @@ _GL_COARSE, _GL_FINE = (np.polynomial.legendre.leggauss(n) for n in (32, 64))
 _GL_NODES = np.concatenate([_GL_COARSE[0], _GL_FINE[0]])
 _GL_RTOL = 1e-14       # a panel is accepted when its two rules agree this closely
 _GL_MAX_LEVELS = 40    # bisections before the integral counts as not converging
+# step x path x ambient points of increments per block of paths in `moment_check`
+_PATH_BLOCK_POINTS = 1 << 20
 
 
 def time_change(profile, t0: float, t1: float) -> float:
@@ -98,19 +100,20 @@ class PathEnsemble:
             write_rows(fh, rows, row)
 
 
-def _draw_increments(master_seed, domain, n_paths, n_steps, dim, dt, antithetic):
-    """Brownian increments (n_steps, n_paths, dim), filled in place one path at a time.
+def _draw_increments(master_seed, domain, paths: range, n_steps, dim, dt, antithetic):
+    """Brownian increments (n_steps, len(paths), dim) of a range of paths.
 
-    Path p reads stream (master_seed, domain, p); with antithetic sampling
-    path 2i reads stream i and path 2i + 1 is its negation.
+    Filled in place one path at a time: path p reads stream
+    (master_seed, domain, p); with antithetic sampling path 2i reads
+    stream i and path 2i + 1 is its negation, so the range then starts
+    and stops at even paths.
     """
-    if antithetic and n_paths % 2:
-        raise ValueError("antithetic sampling needs an even path count")
-    out = np.empty((n_steps, n_paths, dim))
+    out = np.empty((n_steps, len(paths), dim))
     scale = np.sqrt(dt)
     stride = 2 if antithetic else 1
-    for p in range(0, n_paths, stride):
-        out[:, p, :] = scale * path_normals(master_seed, domain, p // stride, n_steps, dim)
+    for j, p in enumerate(paths[::stride]):
+        out[:, stride * j, :] = scale * path_normals(master_seed, domain, p // stride,
+                                                     n_steps, dim)
     if antithetic:
         np.negative(out[:, 0::2], out=out[:, 1::2])
     return out
@@ -135,41 +138,69 @@ def step_count(source, t: float, horizon: float, dt: float) -> int:
     return n_steps
 
 
-def simulate(source, t: float, x, horizon: float, dt: float, n_paths: int,
-             master_seed: int, antithetic: bool = False,
-             _domain: int = DOMAIN_FORWARD_PATH) -> PathEnsemble:
-    """Simulate the forward diffusion from time t to the horizon.
+def _prepare(source, t, x, horizon, dt, n_paths, antithetic):
+    """Start points (n_paths,) + point_shape and time nodes of a run.
 
-    x is a single intrinsic start (angle / unit vector) shared by all paths,
-    an array of per-path starts with leading length n_paths, or the string
-    "grid" for round-robin chart-grid starts.  Path p is driven by stream
-    (master_seed, _domain, p) (see `_draw_increments`), so reruns give
-    bit-identical ensembles and the first k paths of any larger ensemble
-    equal a k-path ensemble.  The public functions draw from the forward
-    domain; `picard.solve` and the CLI's `verify` draw their samples from
-    domains of their own.
+    Every argument is checked here, before any increment is drawn; x is a
+    start spec as `simulate` takes it.
     """
+    shape = (n_paths,) + source.point_shape
     if isinstance(x, str):
         if x != "grid":
             raise ValueError(f"unknown start spec {x!r}")
-        shape = (n_paths,) + source.point_shape
-        x = np.resize(source.grid_points().reshape((-1,) + source.point_shape), shape)
+        starts = np.resize(source.grid_points().reshape((-1,) + source.point_shape), shape)
+    else:
+        x = np.asarray(x, dtype=float)
+        if x.ndim > len(source.point_shape) and x.shape[0] != n_paths:
+            raise ValueError("per-path starts must have leading length n_paths")
+        starts = np.empty(shape)
+        starts[...] = x
     n_steps = step_count(source, t, horizon, dt)
+    if antithetic and n_paths % 2:
+        raise ValueError("antithetic sampling needs an even path count")
+    return starts, t + dt * np.arange(n_steps + 1)
 
-    increments = _draw_increments(master_seed, _domain, n_paths, n_steps, source.ambient_dim,
-                                  dt, antithetic)
 
-    x = np.asarray(x, dtype=float)
-    if x.ndim > len(source.point_shape) and x.shape[0] != n_paths:
-        raise ValueError("per-path starts must have leading length n_paths")
-    states = np.empty((n_steps + 1, n_paths) + source.point_shape)
-    states[0] = x
+def _step_block(source, times, dt, x, increments, states=None):
+    """Step one block of paths from starts x through the time nodes.
 
-    times = t + dt * np.arange(n_steps + 1)
+    increments (n_steps, n, dim) drive the steps.  When states
+    (n_steps+1, n) + point_shape is given, every node's states are written
+    into it.  Returns the end states and the worst constraint violation.
+    """
+    if states is not None:
+        states[0] = x
     worst = 0.0
-    for k in range(n_steps):
-        states[k + 1], viol = source.step_paths(states[k], times[k], dt, increments[k])
+    for k, dw in enumerate(increments):
+        x, viol = source.step_paths(x, times[k], dt, dw)
         worst = max(worst, viol)
+        if states is not None:
+            states[k + 1] = x
+    return x, worst
+
+
+def simulate(source, t: float, x, horizon: float, dt: float, n_paths: int,
+             master_seed: int, antithetic: bool = False,
+             _domain: int = DOMAIN_FORWARD_PATH) -> PathEnsemble:
+    """Simulate the forward diffusion from time t to the horizon, keeping every state.
+
+    x is a single intrinsic start (angle / unit vector) shared by all paths,
+    an array of per-path starts with leading length n_paths (checked
+    before any increment is drawn), or the string "grid" for round-robin
+    chart-grid starts.  Path p is driven by stream (master_seed, _domain, p)
+    (see `_draw_increments`), so reruns give bit-identical ensembles and
+    the first k paths of any larger ensemble equal a k-path ensemble.  The
+    whole ensemble is held: states and increments of n_steps x n_paths
+    points each.  The public functions draw from the forward domain;
+    `picard.solve` and the CLI's `verify` draw their samples from domains
+    of their own.
+    """
+    starts, times = _prepare(source, t, x, horizon, dt, n_paths, antithetic)
+    n_steps = len(times) - 1
+    increments = _draw_increments(master_seed, _domain, range(n_paths), n_steps,
+                                  source.ambient_dim, dt, antithetic)
+    states = np.empty((n_steps + 1,) + starts.shape)
+    _, worst = _step_block(source, times, dt, starts, increments, states)
     return PathEnsemble(source, t, horizon, dt, n_paths, master_seed,
                         times, states, increments, worst, antithetic)
 
@@ -184,13 +215,30 @@ def moment_check(source, t: float, x, horizon: float, dt: float, n_paths: int,
     standard error and the 3-sigma verdict, which fails when the
     statistics are not finite.  Raises ValueError for fewer than two
     paths, which have no standard error.
+
+    The paths are the forward-domain paths of `simulate`, stepped in
+    blocks of an even number of paths, max(2, _PATH_BLOCK_POINTS //
+    (n_steps * ambient_dim)) rounded down to even, and only the start and
+    end states and the worst constraint violation are kept.  Memory is
+    bounded by one block in n_steps and grows only by the end states in
+    n_paths; the report is bit-equal whatever the block size.
     """
     if n_paths < 2:
         raise ValueError(f"n_paths = {n_paths}: a standard error needs at least 2 paths")
-    ens = simulate(source, t, x, horizon, dt, n_paths, master_seed, antithetic)
+    starts, times = _prepare(source, t, x, horizon, dt, n_paths, antithetic)
+    n_steps, dim = len(times) - 1, source.ambient_dim
+    block = max(2, _PATH_BLOCK_POINTS // (n_steps * dim)) // 2 * 2
+    ends = np.empty_like(starts)
+    worst = 0.0
+    for lo in range(0, n_paths, block):
+        hi = min(lo + block, n_paths)
+        # a block's increments die with the call, before the next block is drawn
+        ends[lo:hi], viol = _step_block(source, times, dt, starts[lo:hi], _draw_increments(
+            master_seed, DOMAIN_FORWARD_PATH, range(lo, hi), n_steps, dim, dt, antithetic))
+        worst = max(worst, viol)
     tau = time_change(source.profile, t, horizon)
-    vals = source.first_harmonic(ens.states[-1], x)
-    expected = float(np.mean(source.first_harmonic(ens.states[0], x))
+    vals = source.first_harmonic(ends, x)
+    expected = float(np.mean(source.first_harmonic(starts, x))
                      * np.exp(-0.5 * source.dim * tau))
     mean = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / np.sqrt(n_paths))
@@ -203,7 +251,7 @@ def moment_check(source, t: float, x, horizon: float, dt: float, n_paths: int,
         "zscore": float(z),
         "pass": bool(np.isfinite([mean, se]).all() and abs(z) <= 3.0),
         "n_paths": n_paths,
-        "max_constraint_violation": ens.max_violation,
+        "max_constraint_violation": worst,
     }
 
 

@@ -430,6 +430,19 @@ BAD_CONFIGS = [
     pytest.param("solve", _edit(PG_SOLVE, ("master_seed = 42", "master_seed = 42\nplots = true")),
                  [], "unknown config key 'plots'", id="run_plots_retired"),
 ]
+# a master seed fills one 64-bit Philox key word, from --seed or from the config
+_RUN_SEED = ("[run]\n", "[run]\nmaster_seed = {}\n")
+_SEEDED = {"solve": (SPH_CONFIG, _RUN_SEED),
+           "simulate-forward": (FWD_CONFIG + "\n[run]\n", _RUN_SEED),
+           "verify": (PG_SOLVE, ("master_seed = 42", "master_seed = {}"))}
+BAD_CONFIGS += [
+    pytest.param(command, text, [f"--seed={seed}"], "--seed", id=f"{command}_seed_flag_{seed}")
+    for command, (text, _) in _SEEDED.items() for seed in (-1, 2 ** 64)
+] + [
+    pytest.param(command, _edit(text, (old, new.format(seed))), [], "[run] master_seed",
+                 id=f"{command}_seed_key_{seed}")
+    for command, (text, (old, new)) in _SEEDED.items() for seed in (-1, 2 ** 64)
+]
 
 
 @pytest.mark.parametrize("command,text,extra,key", BAD_CONFIGS)

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ from scipy.integrate import quad
 from scipy.special import erfcx
 
 import hmflow.fields as fields_mod
-from hmflow._rng import DOMAIN_FORWARD_PATH, DOMAIN_SAMPLE_PATH, path_normals
+import hmflow.forward as forward_mod
+from hmflow._rng import (DOMAIN_FORWARD_PATH, DOMAIN_MC_SLICE, DOMAIN_SAMPLE_PATH,
+                         DOMAIN_VERIFY_PATH, keyed_generator, path_normals)
 from hmflow.errors import StepTooLarge, TimeOutOfRange
 from hmflow.forward import moment_check, simulate, time_change, weak_error_probe
 from hmflow.picard import solve
@@ -67,6 +70,46 @@ def test_leading_paths_do_not_depend_on_ensemble_size(antithetic):
     np.testing.assert_array_equal(big.states[:, :16], small.states)
 
 
+def test_path_normals_equal_keyed_generator_streams():
+    # the re-keyed shared Philox against a freshly built generator, with the
+    # two kinds of call interleaved and two streams alternating
+    triples = [(7, DOMAIN_FORWARD_PATH, 5), (0, DOMAIN_MC_SLICE, 0),
+               (123456789, DOMAIN_SAMPLE_PATH, 4999),
+               (2 ** 64 - 1, DOMAIN_VERIFY_PATH, 2 ** 56 - 1), (7, DOMAIN_FORWARD_PATH, 6)]
+    for _ in range(2):
+        for seed, domain, index in triples:
+            fresh = keyed_generator(seed, domain, index).standard_normal((33, 3))
+            np.testing.assert_array_equal(path_normals(seed, domain, index, 33, 3), fresh)
+    a = path_normals(7, DOMAIN_FORWARD_PATH, 5, 40, 2)
+    b = path_normals(7, DOMAIN_FORWARD_PATH, 6, 40, 2)
+    np.testing.assert_array_equal(path_normals(7, DOMAIN_FORWARD_PATH, 5, 40, 2), a)
+    assert not np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("seed, index", [(-1, 0), (2 ** 64, 0), (0, -1), (0, 2 ** 56)])
+def test_streams_reject_keys_out_of_range(seed, index):
+    for draw in (lambda: keyed_generator(seed, DOMAIN_FORWARD_PATH, index),
+                 lambda: path_normals(seed, DOMAIN_FORWARD_PATH, index, 4, 2)):
+        with pytest.raises(ValueError, match="out of range"):
+            draw()
+
+
+def test_per_path_starts_are_checked_before_any_draw(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return path_normals(*args)
+
+    monkeypatch.setattr(forward_mod, "path_normals", counting)
+    s = Sphere2(constant_radius(1.0), n_theta=8, n_phi=16)
+    starts = np.tile([0.0, 0.0, 1.0], (7, 1))
+    for check in (simulate, moment_check):
+        with pytest.raises(ValueError, match="leading length n_paths"):
+            check(s, 0.0, starts, 0.25, 1 / 64, 8, 3)
+    assert calls == []
+
+
 def test_solve_sample_reads_the_sample_domain():
     case = make_benchmark("flat_heat", horizon=0.1, n_x=16)
     _, _, sample = solve(case.source, case.target, case.terminal, 0.1, dt=0.01,
@@ -115,6 +158,49 @@ def test_moment_check_needs_two_paths(n_paths):
     # one path has a NaN standard error, which used to pass the 3-sigma check
     with pytest.raises(ValueError, match="n_paths"):
         moment_check(Circle(n_theta=16), 0.0, 0.0, 0.5, 1 / 64, n_paths, 3)
+
+
+_SPHERE = Sphere2(sine_radius(0.2, 1.0), n_theta=8, n_phi=16)
+_CIRCLE = Circle(sine_radius(0.2, 1.0), n_theta=16)
+_UNIT = np.random.default_rng(4).normal(size=(22, 3))
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("source, x", [
+    (_CIRCLE, 0.3), (_CIRCLE, np.linspace(-1.0, 2.0, 22)),
+    (_SPHERE, np.array([0.0, 0.6, 0.8])),
+    (_SPHERE, _UNIT / np.linalg.norm(_UNIT, axis=1, keepdims=True)),
+], ids=["circle", "circle_per_path", "sphere", "sphere_per_path"])
+def test_moment_check_does_not_depend_on_block_size(monkeypatch, source, x, antithetic):
+    # 16 steps; caps worth 2 paths, 7 paths (odd: blocks of 6, a ragged last
+    # one) and far more than the 22 paths
+    path_points = 16 * source.ambient_dim
+    reports = []
+    for cap in (2 * path_points, 7 * path_points + 5, 1 << 40):
+        monkeypatch.setattr(forward_mod, "_PATH_BLOCK_POINTS", cap)
+        reports.append(moment_check(source, 0.0, x, 0.25, 1 / 64, 22, 17, antithetic))
+    assert reports[0] == reports[1] == reports[2]
+    # the blocks step the paths that simulate keeps whole
+    ens = simulate(source, 0.0, x, 0.25, 1 / 64, 22, 17, antithetic)
+    assert reports[0]["sample_mean"] == float(np.mean(source.first_harmonic(ens.states[-1], x)))
+    assert reports[0]["max_constraint_violation"] == ens.max_violation
+
+
+def test_moment_check_memory_is_one_block(monkeypatch):
+    # 2000 paths x 128 steps on the sphere in blocks of 64 paths: the whole
+    # ensemble would hold 6.1 MB of increments and as much again in states
+    monkeypatch.setattr(forward_mod, "_PATH_BLOCK_POINTS", 64 * 128 * 3)
+    s = Sphere2(constant_radius(1.0), n_theta=8, n_phi=16)
+    full_increments = 128 * 2000 * 3 * 8
+    moment_check(s, 0.0, np.array([0.0, 0.0, 1.0]), 0.5, 1 / 256, 64, 5)   # warm caches
+    tracemalloc.start()
+    try:
+        rep = moment_check(s, 0.0, np.array([0.0, 0.0, 1.0]), 0.5, 1 / 256, 2000, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["pass"], rep
+    assert peak <= full_increments / 10
 
 
 def test_time_change_law():
