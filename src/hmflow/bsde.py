@@ -32,17 +32,18 @@ def step_operators(u: MapField, backend: str = "semigroup", n_paths: int = 0,
     """The n_t one-step conditional-expectation operators of u's time grid.
 
     Operator k maps slice k + 1 of a field to its conditional expectation
-    at slice k: the exact Fourier heat kernel on the circle or the implicit
-    heat step on the sphere for the semigroup backend, or the source's
-    `mc_step_operator` over n_paths >= 1 increments (an even count when
-    antithetic) from stream (master_seed, slice k) for the monte_carlo
-    backend.  They depend only on the source and the time grid, so a solve
-    builds them once per horizon and every `picard_map` pass applies them.
+    at slice k: the source's `heat_semigroup_operator` (the exact Fourier
+    heat kernel on the circle, the implicit heat step on the sphere) for
+    the semigroup backend, or its `mc_step_operator` over n_paths >= 1
+    increments (an even count when antithetic) from stream (master_seed,
+    slice k) for the monte_carlo backend.  They depend only on the source
+    and the time grid, so a solve builds them once per horizon, each with
+    its time check and multiplier, and every `picard_map` pass applies them.
     """
     source, dt = u.source, u.dt
     times = u.times[:-1]
     if backend == "semigroup":
-        return [partial(source.heat_semigroup_step, t, dt) for t in times]
+        return [source.heat_semigroup_operator(t, dt) for t in times]
     if backend == "monte_carlo":
         return [source.mc_step_operator(
                     t, dt, n_paths, partial(keyed_generator, master_seed, DOMAIN_MC_SLICE, k),
@@ -59,8 +60,10 @@ def picard_map(u: MapField, h, steps) -> MapField:
     times the curvature driver with the gradient of u frozen at the current
     slice.  The driver's base point is the conditional expectation (a
     one-step lag).  The frozen gradient is u's kept `MapField.gradient`,
-    computed on its first read; the returned field has none until
-    something reads it.
+    computed on its first read, in time blocks; the returned field has none
+    until something reads it.  So the loop over slices holds only the
+    sequential recursion and the per-slice `BlowUp` check, which stops a
+    diverging sweep at the slice where it leaves the bound.
 
     Monte Carlo increments are keyed by (master_seed, slice) only, so the
     realized operator is one fixed deterministic map: iterating it measures
@@ -79,11 +82,12 @@ def picard_map(u: MapField, h, steps) -> MapField:
     if len(steps) != n_t:
         raise HorizonMismatch(f"{len(steps)} step operators for a field of {n_t} slices")
     bound = 10.0 * (float(np.max(np.linalg.norm(h, axis=-1))) + 1.0)
+    grad = u.gradient
     w = np.empty_like(u.values)
     w[n_t] = h
     for k in range(n_t - 1, -1, -1):
         cond = steps[k](w[k + 1])
-        w[k] = cond - 0.5 * dt * sff_trace(target, cond, u.gradient[k])
+        w[k] = cond - 0.5 * dt * sff_trace(target, cond, grad[k])
         worst = float(np.max(np.linalg.norm(w[k], axis=-1)))
         if worst > bound:
             raise BlowUp(

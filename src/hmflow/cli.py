@@ -387,6 +387,10 @@ def cmd_verify(config_path: str, out_dir: str, seed: int | None) -> int:
         field = MapField.load(field_path, source, target)
     except (OSError, ValueError, HmflowError) as exc:
         raise ConfigError(f"cannot load field file {vc['field_file']!r}: {exc}")
+    if field.n_t < 2:
+        raise ConfigError(
+            f"field file {vc['field_file']!r} holds {field.n_t + 1} slices; verify needs at "
+            "least 3, so that the tension residual has an interior slice")
 
     checks = {}
     code = 0

@@ -7,6 +7,10 @@ bilinear on the sphere) evaluates it off the grid nodes.
 
 A field owns the frame gradient of its slices, computed once on first
 read; `handover_c01` moves that array from one Picard iterate to the next.
+Gradients and C^{0,1} sups are taken over blocks of slices, each block one
+`frame_gradient` call of at most `_GRADIENT_BLOCK_ENTRIES` gradient entries
+(one slice when a slice alone exceeds it), so their temporaries stay one
+block whatever the field's size.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import numpy as np
 from .errors import HorizonMismatch, ShapeMismatch
 
 _CSV_BLOCK_ROWS = 1 << 16
+_GRADIENT_BLOCK_ENTRIES = 1 << 16   # gradient entries per time block of slices
 
 
 def write_rows(fh, rows, row: str):
@@ -54,13 +59,13 @@ class MapField:
     def gradient(self) -> np.ndarray:
         """Frame gradient of every slice, (n_t + 1, *grid_shape, dim, value_dim).
 
-        Computed on first read, one `source.frame_gradient` call per slice,
-        and kept for the life of the field.
+        Computed on first read, one `source.frame_gradient` call per time
+        block (see `_time_blocks`), and kept for the life of the field.
         """
         if self._gradient is None:
             grad = np.empty(self.values.shape[:-1] + (self.source.dim, self.value_dim))
-            for k, t in enumerate(self.times):
-                grad[k] = self.source.frame_gradient(t, self.values[k])
+            for ks in _time_blocks(self):
+                grad[ks] = self.source.frame_gradient(self.times[ks], self.values[ks])
             self._gradient = grad
         return self._gradient
 
@@ -158,14 +163,23 @@ class MapField:
         return cls(times, values, source, target)
 
 
+def _time_blocks(field: MapField) -> list:
+    """Consecutive slice ranges whose gradients hold at most `_GRADIENT_BLOCK_ENTRIES` entries."""
+    step = max(1, _GRADIENT_BLOCK_ENTRIES // (field.values[0].size * field.source.dim))
+    return [slice(lo, lo + step) for lo in range(0, len(field.times), step)]
+
+
+# Both sups take the root of the largest squared norm: the square root is
+# monotone and correctly rounded, so that is the largest norm, bit for bit.
+
 def _value_sup(values) -> float:
     """Sup over the nodes of the Euclidean value norm."""
-    return float(np.max(np.linalg.norm(values, axis=-1)))
+    return float(np.sqrt((values * values).sum(axis=-1).max()))
 
 
 def _gradient_sup(gradient) -> float:
     """Sup over the nodes of the metric gradient norm (frame and value axes)."""
-    return float(np.max(np.sqrt(np.sum(gradient * gradient, axis=(-2, -1)))))
+    return float(np.sqrt((gradient * gradient).sum(axis=(-2, -1)).max()))
 
 
 def sup_norm(field: MapField) -> float:
@@ -178,9 +192,11 @@ def c01_norm(field: MapField) -> float:
 
     This is the norm the contraction argument runs in, so measured Picard
     deltas and ratios are directly comparable to the theoretical bound.
-    The two sups are taken each on its own, not slice by slice as a sum.
+    The two sups are taken each on its own, not slice by slice as a sum;
+    the gradient sup block by block over the kept gradient.
     """
-    return _value_sup(field.values) + max(map(_gradient_sup, field.gradient))
+    grad = field.gradient
+    return _value_sup(field.values) + max(_gradient_sup(grad[ks]) for ks in _time_blocks(field))
 
 
 def difference_c01(a: MapField, b: MapField) -> float:
@@ -196,20 +212,22 @@ def difference_c01(a: MapField, b: MapField) -> float:
 def handover_c01(u: MapField, w: MapField) -> tuple[float, float]:
     """C^{0,1} distance from u to w and the C^{0,1} norm of w, in one pass.
 
-    Each slice's gradient of w is computed once, compared with u's kept
-    gradient, and written over it, so afterwards w owns the array and u
-    has none: consecutive Picard iterates share one gradient array.
+    Block by block (see `_time_blocks`), w's gradient is computed
+    once, compared with u's kept gradient, and written over it, so
+    afterwards w owns the array and u has none: consecutive Picard iterates
+    share one gradient array.  The sups are exact maxima, so they do not
+    depend on the block size.
     """
     w.check_compatible(u)
     grad = u.gradient
     u._gradient = None
     d0 = d1 = n0 = n1 = 0.0
-    for k, t in enumerate(w.times):
-        zw = w.source.frame_gradient(t, w.values[k])
-        d0 = max(d0, _value_sup(w.values[k] - u.values[k]))
-        d1 = max(d1, _gradient_sup(zw - grad[k]))
-        n0 = max(n0, _value_sup(w.values[k]))
+    for ks in _time_blocks(w):
+        zw = w.source.frame_gradient(w.times[ks], w.values[ks])
+        d0 = max(d0, _value_sup(w.values[ks] - u.values[ks]))
+        d1 = max(d1, _gradient_sup(zw - grad[ks]))
+        n0 = max(n0, _value_sup(w.values[ks]))
         n1 = max(n1, _gradient_sup(zw))
-        grad[k] = zw
+        grad[ks] = zw
     w._gradient = grad
     return d0 + d1, n0 + n1

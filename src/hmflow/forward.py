@@ -226,6 +226,12 @@ def moment_check(source, t: float, x, horizon: float, dt: float, n_paths: int,
     if n_paths < 2:
         raise ValueError(f"n_paths = {n_paths}: a standard error needs at least 2 paths")
     starts, times = _prepare(source, t, x, horizon, dt, n_paths, antithetic)
+    try:
+        at_start = source.first_harmonic(starts, x)
+    except ValueError as exc:
+        # before any draw: the sphere's observable <X, x0> needs one start vector
+        raise ValueError(f"start spec {x!r} does not fit the observable "
+                         f"{source.moment_label}: {exc}") from None
     n_steps, dim = len(times) - 1, source.ambient_dim
     block = max(2, _PATH_BLOCK_POINTS // (n_steps * dim)) // 2 * 2
     ends = np.empty_like(starts)
@@ -238,8 +244,7 @@ def moment_check(source, t: float, x, horizon: float, dt: float, n_paths: int,
         worst = max(worst, viol)
     tau = time_change(source.profile, t, horizon)
     vals = source.first_harmonic(ends, x)
-    expected = float(np.mean(source.first_harmonic(starts, x))
-                     * np.exp(-0.5 * source.dim * tau))
+    expected = float(np.mean(at_start) * np.exp(-0.5 * source.dim * tau))
     mean = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / np.sqrt(n_paths))
     z = (mean - expected) / se if se > 0 else 0.0

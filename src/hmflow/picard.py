@@ -72,14 +72,19 @@ def solve(source, target, h, t0_init: float, tol: float = 1e-10,
 
     The n_t one-step operators (`step_operators`) are built once per
     horizon, and rebuilt after a halving, since the slice times change.
-    On the circle the Monte Carlo operators are Fourier multipliers, n_t
-    times len(_k) complex numbers in all; the sphere's draw their
-    increments again in every pass, so they hold none.
+    On the circle each is a Fourier multiplier: n_t times len(_k) reals for
+    the semigroup and complex numbers for Monte Carlo.  The sphere's
+    semigroup operators hold n_modes times n_theta factors each; its Monte
+    Carlo operators draw their increments again in every pass, so they
+    hold none.
 
     Memory: while it iterates, a solve holds two fields, the current
-    iterate and the next, and one gradient array.  Each pass freezes the
-    current iterate's kept gradient, then `handover_c01` overwrites it
-    slice by slice with the next iterate's gradient and hands it over.
+    iterate and the next, one gradient array and the step operators.
+    Each pass freezes the current iterate's kept gradient, then
+    `handover_c01` overwrites it block by block of slices with the next
+    iterate's gradient and hands it over, so the gradient's temporaries
+    are one block's: at most `fields._GRADIENT_BLOCK_ENTRIES` entries, or
+    one slice, whatever the number of slices.
 
     Contraction floor: on the circle the explicit backward step amplifies
     grid-top wavenumber perturbations by roughly dt * k_max per pass, so

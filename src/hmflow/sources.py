@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridTooCoarse, HmflowError, TimeOutOfRange
+from .errors import GridTooCoarse, HmflowError, ShapeMismatch, TimeOutOfRange
 
 _TIME_SLACK = 1e-12
 _EIG_ROUNDING = 1e-10   # eigenvalue / spectral radius above this is not "<= 0"
@@ -27,6 +27,15 @@ _PROBE_QUAD_NODES = 60  # Gauss-Hermite nodes per ambient axis of the weak-error
 _MC_CHUNK_POINTS = 1 << 18  # node x path points per chunk of the sphere's Monte Carlo step
 _PHASE_BLOCK = 12           # low powers per block of the circle's phase tables
 _PHASE_CHUNK = 1 << 9       # angles per chunk of the circle's phase-table kernels
+
+
+def _squares(rho):
+    """rho ** 2 slice by slice through Python's float power, which a one-slice kernel uses.
+
+    numpy squares an array by one multiply, which differs from the power in
+    the last bit for about one value in a thousand.
+    """
+    return np.array([r ** 2 for r in rho.ravel().tolist()]).reshape(rho.shape)
 
 
 class RadiusProfile:
@@ -105,18 +114,39 @@ class SourceManifold:
         if min(self.grid_shape) < 8:
             raise GridTooCoarse(f"{self!r} needs at least 8 nodes per grid dimension")
 
-    def _require_grid(self, field):
-        shape = field.shape[:len(self.grid_shape)]
+    def _require_grid(self, field, lead: int = 0):
+        """Raise GridTooCoarse unless the axes of field after `lead` start with the grid."""
+        shape = field.shape[lead:lead + len(self.grid_shape)]
         if shape != self.grid_shape:
             raise GridTooCoarse(f"field shape {shape} does not match grid {self.grid_shape}")
         self.check_grid()
 
-    def _slice(self, t, field):
-        """(field as floats, rho(t)) for a per-slice kernel, after its time and grid checks."""
-        self._check_time(t)
+    def _grid_field(self, field):
+        """field as floats, after `_require_grid`: the front of each one-step operator."""
         field = np.asarray(field, dtype=float)
         self._require_grid(field)
-        return field, float(self.profile(t))
+        return field
+
+    def _slices(self, t, field):
+        """(field as floats with a leading slice axis, rho per slice) for the calculus.
+
+        t is one time, or a 1-D array of slice times with field carrying a
+        matching leading axis; one time is a block of one slice.  rho is
+        float(profile(s)) slice by slice, the value a one-slice call reads,
+        so a block's slices are bit-equal to their one-slice calls; it is
+        shaped to broadcast over the block.
+        """
+        times = np.asarray(t, dtype=float)
+        self._check_time(times)
+        block = np.asarray(field, dtype=float)
+        if times.ndim == 0:
+            times, block = times[None], block[None]
+        elif times.ndim != 1 or block.shape[:1] != times.shape:
+            raise ShapeMismatch(f"{times.shape} slice times for a field block of shape "
+                                f"{block.shape}")
+        self._require_grid(block, lead=1)
+        rho = np.array([float(self.profile(s)) for s in times])
+        return block, rho.reshape((-1,) + (1,) * (block.ndim - 1))
 
     @staticmethod
     def _draw_count(n_paths: int, antithetic: bool) -> int:
@@ -248,14 +278,14 @@ class Circle(SourceManifold):
 
     # -- spectral calculus ---------------------------------------------------
 
-    def _fourier(self, field, mult):
-        """Apply the Fourier multiplier mult, one value per rfft wavenumber, along the angle."""
-        shape = (-1,) + (1,) * (field.ndim - 1)
-        return np.fft.irfft(np.fft.rfft(field, axis=0) * mult.reshape(shape),
-                            n=self.n_theta, axis=0)
+    def _fourier(self, field, mult, axis: int = 0):
+        """Apply the Fourier multiplier mult along the angle, grid axis `axis` of field.
 
-    def _dtheta(self, field):
-        return self._fourier(field, 1j * self._k_d1)
+        mult holds one value per rfft wavenumber, or one row of them per
+        leading slice.
+        """
+        mult = mult.reshape(mult.shape + (1,) * (field.ndim - 1 - axis))
+        return np.fft.irfft(np.fft.rfft(field, axis=axis) * mult, n=self.n_theta, axis=axis)
 
     def frame_gradient(self, t, field):
         """Intrinsic gradient in the orthonormal tangent frame.
@@ -263,14 +293,19 @@ class Circle(SourceManifold):
         Output shape inserts a frame axis after the grid axis:
         (n, 1) for scalar fields, (n, 1, value_dim) for vector fields; the
         Euclidean norm over trailing axes is the g_t-norm of the gradient.
+        With a 1-D array of slice times t and a matching leading axis on
+        field, every slice is differentiated at once, bit-equal to its
+        one-slice call.
         """
-        field, rho = self._slice(t, field)
-        return (self._dtheta(field) / rho)[:, None, ...]
+        block, rho = self._slices(t, field)
+        z = (self._fourier(block, 1j * self._k_d1, axis=1) / rho)[:, :, None, ...]
+        return z if np.ndim(t) else z[0]
 
     def laplace_beltrami(self, t, field):
-        """(1/rho^2) d^2/dtheta^2 via the Fourier multiplier -k^2/rho^2."""
-        field, rho = self._slice(t, field)
-        return self._fourier(field, -(self._k ** 2) / rho ** 2)
+        """(1/rho^2) d^2/dtheta^2 via the multiplier -k^2/rho^2; t as in `frame_gradient`."""
+        block, rho = self._slices(t, field)
+        lap = self._fourier(block, -(self._k ** 2) / _squares(rho).reshape(-1, 1), axis=1)
+        return lap if np.ndim(t) else lap[0]
 
     def generator_residual(self, t, field):
         """Pointwise defect of the sum-of-squares identity for the projection fields.
@@ -279,13 +314,13 @@ class Circle(SourceManifold):
         along each projection field and subtracts the Laplace-Beltrami
         value; for smooth fields the residual is spectrally small.
         """
-        field, rho = self._slice(t, field)
+        field = np.asarray(field, dtype=float)
         comp = np.stack([-np.sin(self.thetas), np.cos(self.thetas)], axis=0)
-        df = self._dtheta(field) / rho
+        df = self.frame_gradient(t, field)[:, 0]
         total = np.zeros_like(field)
         for i in range(2):
             ci = comp[i].reshape((-1,) + (1,) * (field.ndim - 1))
-            total += ci * (self._dtheta(ci * df) / rho)
+            total += ci * self.frame_gradient(t, ci * df)[:, 0]
         return total - self.laplace_beltrami(t, field)
 
     def _compat_scalar(self, tgrid):
@@ -344,10 +379,19 @@ class Circle(SourceManifold):
 
     # -- one-step conditional expectations ---------------------------------------
 
+    def heat_semigroup_operator(self, t, dt):
+        """Exact periodic heat kernel over one step with diffusivity rho(t)^-2 / 2, as a map.
+
+        The time check and the multiplier exp(-k^2 dt / (2 rho(t)^2)), len(_k)
+        reals, are done once here; each application is one rfft/irfft pair.
+        """
+        self._check_time(t)
+        mult = np.exp(-0.5 * self._k ** 2 * dt / float(self.profile(t)) ** 2)
+        return lambda field: self._fourier(self._grid_field(field), mult)
+
     def heat_semigroup_step(self, t, dt, field):
-        """Exact periodic heat kernel over one step with diffusivity rho(t)^-2 / 2."""
-        field, rho = self._slice(t, field)
-        return self._fourier(field, np.exp(-0.5 * self._k ** 2 * dt / rho ** 2))
+        """`heat_semigroup_operator(t, dt)` applied once."""
+        return self.heat_semigroup_operator(t, dt)(field)
 
     def mc_step_operator(self, t, dt, n_paths: int, new_rng, antithetic: bool = False):
         """The one-step Monte Carlo conditional expectation at time t, as a map of a field.
@@ -379,11 +423,7 @@ class Circle(SourceManifold):
         if antithetic:
             chi = chi.real
 
-        def apply(field):
-            field = np.asarray(field, dtype=float)
-            self._require_grid(field)
-            return self._fourier(field, chi)
-        return apply
+        return lambda field: self._fourier(self._grid_field(field), chi)
 
     def mc_step_mean(self, t, dt, field, n_paths: int, rng: np.random.Generator,
                      antithetic: bool = False):
@@ -486,59 +526,71 @@ class Sphere2(SourceManifold):
 
     # -- padded colatitude differences ---------------------------------------
 
-    def _pad_poles(self, field, sign=None):
+    def _pad_poles(self, block, sign=None):
         """Two ghost rows beyond each pole via f(-theta, phi) = f(theta, phi + pi).
 
-        The one statement of the cross-pole rule.  A grid field (sign None)
-        is rolled by n_phi / 2; the colatitude column of azimuthal mode m, or
-        a matrix of such columns, has its mirrored rows multiplied by
+        The one statement of the cross-pole rule.  block carries a leading
+        slice axis, then colatitude.  Grid fields (sign None) are rolled by
+        n_phi / 2 along longitude; the colatitude column of azimuthal mode m,
+        or a matrix of such columns, has its mirrored rows multiplied by
         sign = (-1)^m.  So `_mode_operator` is `laplace_beltrami`'s own
         stencil applied to one mode.
         """
         def ghost(rows):
-            return np.roll(rows, self.n_phi // 2, axis=1) if sign is None else sign * rows
+            return np.roll(rows, self.n_phi // 2, axis=2) if sign is None else sign * rows
         # rows at -3h/2, -h/2 above, pi + h/2, pi + 3h/2 below
-        return np.concatenate([ghost(field[1::-1]), field, ghost(field[:-3:-1])], axis=0)
+        return np.concatenate([ghost(block[:, 1::-1]), block, ghost(block[:, :-3:-1])], axis=1)
 
-    def _dtheta_fd(self, field, sign=None):
-        p = self._pad_poles(field, sign)
-        return (p[:-4] - 8.0 * p[1:-3] + 8.0 * p[3:-1] - p[4:]) / (12.0 * self.dtheta)
+    def _dtheta_fd(self, block, sign=None):
+        p = self._pad_poles(block, sign)
+        return (p[:, :-4] - 8.0 * p[:, 1:-3] + 8.0 * p[:, 3:-1] - p[:, 4:]) / (12.0 * self.dtheta)
 
-    def _d2theta_fd(self, field, sign=None):
-        p = self._pad_poles(field, sign)
-        return (-p[:-4] + 16.0 * p[1:-3] - 30.0 * p[2:-2] + 16.0 * p[3:-1] - p[4:]) \
-            / (12.0 * self.dtheta ** 2)
+    def _d2theta_fd(self, block, sign=None):
+        p = self._pad_poles(block, sign)
+        return (-p[:, :-4] + 16.0 * p[:, 1:-3] - 30.0 * p[:, 2:-2] + 16.0 * p[:, 3:-1]
+                - p[:, 4:]) / (12.0 * self.dtheta ** 2)
 
-    def _dphi_spectral(self, field, order: int = 1):
-        modes = np.fft.rfft(field, axis=1)
-        shape = (1, -1) + (1,) * (field.ndim - 2)
+    def _dphi_spectral(self, block, order: int = 1):
+        """Longitude derivative of a block of grid fields, spectral along the contiguous axis.
+
+        Longitude is moved last for the FFTs and back after, into a
+        C-contiguous result.
+        """
         mult = (1j * self._m) ** order
         if order == 1 and self.n_phi % 2 == 0:
             mult = mult.copy()
             mult[-1] = 0.0
-        return np.fft.irfft(modes * mult.reshape(shape), n=self.n_phi, axis=1)
+        rows = np.ascontiguousarray(np.moveaxis(block, 2, -1))
+        out = np.fft.irfft(np.fft.rfft(rows, axis=-1) * mult, n=self.n_phi, axis=-1)
+        return np.ascontiguousarray(np.moveaxis(out, -1, 2))
 
     # -- calculus ----------------------------------------------------------------
+
+    def _colatitude(self, values, block):
+        """values per colatitude, shaped to broadcast over block's leading slice and value axes."""
+        return values.reshape((1, self.n_theta, 1) + (1,) * (block.ndim - 3))
 
     def frame_gradient(self, t, field):
         """Gradient components in the orthonormal frame (e_theta, e_phi) / rho.
 
-        Output shape (n_theta, n_phi, 2, *value_shape).
+        Output shape (n_theta, n_phi, 2, *value_shape).  With a 1-D array of
+        slice times t and a matching leading axis on field, every slice is
+        differentiated at once, bit-equal to its one-slice call.
         """
-        field, rho = self._slice(t, field)
-        shape = (self.n_theta, 1) + (1,) * (field.ndim - 2)
-        z_th = self._dtheta_fd(field) / rho
-        z_ph = self._dphi_spectral(field) / (rho * self._sin.reshape(shape))
-        return np.stack([z_th, z_ph], axis=2)
+        block, rho = self._slices(t, field)
+        z_th = self._dtheta_fd(block) / rho
+        z_ph = self._dphi_spectral(block) / (rho * self._colatitude(self._sin, block))
+        z = np.stack([z_th, z_ph], axis=3)
+        return z if np.ndim(t) else z[0]
 
     def laplace_beltrami(self, t, field):
-        """(1/rho^2)[f_tt + cot(t) f_t + f_pp / sin^2(t)] on the chart grid."""
-        field, rho = self._slice(t, field)
-        shape = (self.n_theta, 1) + (1,) * (field.ndim - 2)
-        lap = (self._d2theta_fd(field)
-               + self._cot.reshape(shape) * self._dtheta_fd(field)
-               + self._dphi_spectral(field, order=2) / (self._sin ** 2).reshape(shape))
-        return lap / rho ** 2
+        """(1/rho^2)[f_tt + cot(t) f_t + f_pp / sin^2(t)]; t as in `frame_gradient`."""
+        block, rho = self._slices(t, field)
+        lap = (self._d2theta_fd(block)
+               + self._colatitude(self._cot, block) * self._dtheta_fd(block)
+               + self._dphi_spectral(block, order=2) / self._colatitude(self._sin ** 2, block))
+        lap = lap / _squares(rho)
+        return lap if np.ndim(t) else lap[0]
 
     @staticmethod
     def _frames(theta, phi):
@@ -557,7 +609,7 @@ class Sphere2(SourceManifold):
 
     def generator_residual(self, t, field):
         """Defect of composing projection-field derivatives twice vs the Laplacian."""
-        field, _ = self._slice(t, field)
+        field = np.asarray(field, dtype=float)
         if field.ndim != 2:
             raise GridTooCoarse("generator residual is defined for scalar fields")
         e_th, e_ph = self._frames(self.thetas[:, None], self.phis[None, :])
@@ -586,7 +638,7 @@ class Sphere2(SourceManifold):
         theta = np.arccos(np.clip(xr[:, 2], -1.0, 1.0))
         phi = np.mod(np.arctan2(xr[:, 1], xr[:, 0]), 2.0 * np.pi)
 
-        padded = self._pad_poles(field)[1:-1]   # one ghost row beyond each pole
+        padded = self._pad_poles(field[None])[0, 1:-1]   # one ghost row beyond each pole
         padded = np.concatenate([padded, padded[:, :1]], axis=1)
 
         ti = (theta - 0.5 * self.dtheta) / self.dtheta  # index into padded rows - 1
@@ -613,9 +665,9 @@ class Sphere2(SourceManifold):
 
     def _mode_operator(self, m: int):
         """A_m: rho^2 times `laplace_beltrami` on the colatitude column of azimuthal mode m."""
-        eye, sign = np.eye(self.n_theta), (-1.0) ** m
+        eye, sign = np.eye(self.n_theta)[None], (-1.0) ** m
         return (self._d2theta_fd(eye, sign) + self._cot[:, None] * self._dtheta_fd(eye, sign)
-                - np.diag(m ** 2 / self._sin ** 2))
+                - np.diag(m ** 2 / self._sin ** 2))[0]
 
     @cached_property
     def _eigenbasis(self):
@@ -642,28 +694,37 @@ class Sphere2(SourceManifold):
             vecs[k], lam[k], inv[k] = v.real, w.real, v_inv.real
         return vecs, lam, inv
 
-    def heat_semigroup_step(self, t, dt, field):
-        """One implicit (backward Euler) step of the heat semigroup.
+    def heat_semigroup_operator(self, t, dt):
+        """One implicit (backward Euler) step of the heat semigroup, as a map of a field.
 
         Longitude is diagonalized by FFT; each azimuthal mode m applies
         (I - kappa A_m)^-1 = V_m diag(1 / (1 - kappa lam_m)) V_m^-1 with
         kappa = dt / (2 rho(t)^2), where A_m is `laplace_beltrami`'s own
         stencil on mode m, its pole rows from `_pad_poles` with sign (-1)^m
         (see `_mode_operator`).  The eigenbasis does not depend on t
-        or dt: it is built once per source, on the first step, at a cost of
-        O(n_modes n_theta^3), and holds 2 n_modes n_theta^2 doubles.
-        Unconditionally stable, O(dt) accurate.
+        or dt: it is built once per source, on the first operator, at a cost
+        of O(n_modes n_theta^3), and holds 2 n_modes n_theta^2 doubles.  The
+        time check and the factors 1 / (1 - kappa lam), n_modes n_theta reals,
+        are done once here.  Unconditionally stable, O(dt) accurate.
         """
-        field, rho = self._slice(t, field)
+        self._check_time(t)
         vecs, lam, inv = self._eigenbasis
-        kappa = 0.5 * dt / rho ** 2
-        modes = np.fft.rfft(field, axis=1)
-        # (n_modes, n_theta, k) complex columns as (n_modes, n_theta, 2k) real ones
-        rhs = np.ascontiguousarray(
-            modes.reshape(self.n_theta, modes.shape[1], -1).transpose(1, 0, 2)).view(float)
-        out = vecs @ ((1.0 / (1.0 - kappa * lam))[..., None] * (inv @ rhs))
-        out = out.view(complex).transpose(1, 0, 2).reshape(modes.shape)
-        return np.fft.irfft(out, n=self.n_phi, axis=1)
+        kappa = 0.5 * dt / float(self.profile(t)) ** 2
+        factor = (1.0 / (1.0 - kappa * lam))[..., None]
+
+        def apply(field):
+            modes = np.fft.rfft(self._grid_field(field), axis=1)
+            # (n_modes, n_theta, k) complex columns as (n_modes, n_theta, 2k) real ones
+            rhs = np.ascontiguousarray(
+                modes.reshape(self.n_theta, modes.shape[1], -1).transpose(1, 0, 2)).view(float)
+            out = vecs @ (factor * (inv @ rhs))
+            out = out.view(complex).transpose(1, 0, 2).reshape(modes.shape)
+            return np.fft.irfft(out, n=self.n_phi, axis=1)
+        return apply
+
+    def heat_semigroup_step(self, t, dt, field):
+        """`heat_semigroup_operator(t, dt)` applied once."""
+        return self.heat_semigroup_operator(t, dt)(field)
 
     def mc_step_mean(self, t, dt, field, n_paths: int, rng: np.random.Generator,
                      antithetic: bool = False):
@@ -675,7 +736,8 @@ class Sphere2(SourceManifold):
         generator in node order, and Philox fills draws in C order, so the
         result does not depend on the chunk size.
         """
-        field, _ = self._slice(t, field)
+        self._check_time(t)
+        field = self._grid_field(field)
         n_draws = self._draw_count(n_paths, antithetic)
         nodes = self.grid_points().reshape(-1, 3)
         out = np.empty((nodes.shape[0],) + field.shape[2:])

@@ -177,18 +177,25 @@ class UnitSphere(TargetManifold):
 
         for arbitrary ambient z_a; tangent z_a recover -sum_a |z_a|^2 q.  The
         result is exactly +0.0 wherever the cut-off vanishes, p = 0 included.
+        When every p lies within tube_radius of the sphere the cut-off is
+        exactly 1, so the trace is returned without it, bit for bit the same.
         """
         p = np.asarray(p, dtype=float)
         z = np.asarray(z, dtype=float)
-        r = np.linalg.norm(p, axis=-1, keepdims=True)
-        phi = self.cutoff(np.abs(r - 1.0))
-        # phi > 0 forces dist < 2*delta < 1, so r = 0 only where the result is 0
-        q = p / np.where(r > 0.0, r, 1.0)
+        r = np.sqrt((p * p).sum(axis=-1, keepdims=True))   # np.linalg.norm's own sum
+        dist = np.abs(r - 1.0)
+        inside = dist.max(initial=0.0) <= self.tube_radius
+        # the cut-off is positive only where dist < 2*delta < 1: r = 0 only where the result is 0
+        q = p / (r if inside else np.where(r > 0.0, r, 1.0))
         a = np.einsum("...ml,...l->...m", z, q)
         az = np.einsum("...m,...ml->...l", a, z)
         a2 = np.einsum("...m,...m->...", a, a)[..., None]
         z2 = np.einsum("...ml,...ml->...", z, z)[..., None]
-        return np.where(phi > 0.0, phi * (-2.0 * az + (3.0 * a2 - z2) * q), 0.0)
+        trace = -2.0 * az + (3.0 * a2 - z2) * q
+        if inside:
+            return trace
+        phi = self.cutoff(dist)
+        return np.where(phi > 0.0, phi * trace, 0.0)
 
     # -- truncated squared distance: sphere closed forms --------------------
 

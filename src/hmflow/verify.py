@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .bsde import BsdeSolutionSample
-from .errors import ConfigError, FieldLeftTube, UnsupportedReduction
+from .errors import ConfigError, FieldLeftTube, ShapeMismatch, UnsupportedReduction
 from .fields import MapField
 from .forward import time_change
 from .sources import Circle, Sphere2, constant_radius, sine_radius
@@ -247,15 +247,17 @@ def tension_residual(source, target, field: MapField):
     Computes |du/dt + (Lap u - curvature trace)/2| nodewise, with the time
     derivative by central differences on the slices.  Returns
     (interior_times, residual_norms) where the norms have one entry per
-    interior slice and grid node.
+    interior slice and grid node.  Raises ShapeMismatch for a field of
+    fewer than 3 slices, which has no interior slice, and FieldLeftTube
+    when a value leaves the target tube.
     """
+    n_t = field.n_t
+    if n_t < 2:
+        raise ShapeMismatch(f"a field of {n_t + 1} slices has no interior slice")
     dist = target.distance(field.values)
     if np.any(dist >= target.tube_radius):
         raise FieldLeftTube(
             f"field leaves the target tube by {float(np.max(dist)):.3g}")
-    n_t = field.n_t
-    if n_t < 2:
-        raise FieldLeftTube("need at least two interior slices")
     dt = field.dt
     out = np.empty((n_t - 1,) + field.grid_shape)
     for k in range(1, n_t):

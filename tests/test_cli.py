@@ -258,6 +258,22 @@ def test_verify_header_only_field_exits_2_without_warning(tmp_path):
     assert "header implies 320" in run.stderr and "Warning" not in run.stderr
 
 
+def test_verify_field_of_two_slices_exits_2(tmp_path):
+    # what a circle solve at t0 = dt writes: one step, so no interior slice to check
+    src = Circle(constant_radius(1.0), n_theta=32, horizon=0.5)
+    MapField.constant_in_time(src, UnitSphere(1), _ROWS_2D[:32], 2e-3, 1).save(tmp_path / "f.csv")
+    text = _edit(PG_CONFIG.format(field_file="f.csv"), ("n_theta = 128", "n_theta = 32"))
+    cfg = write_config(tmp_path, text)
+    src_dir = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-m", "hmflow.cli", "verify", "--config", cfg,
+                          "--out", str(tmp_path / "v")], capture_output=True, text=True, env=env)
+    assert run.returncode == 2, run.stderr
+    assert "holds 2 slices" in run.stderr and "Traceback" not in run.stderr
+    assert not (tmp_path / "v" / "verdict.json").exists()
+
+
 def test_verify_rejects_unknown_test_fn_before_computing(tmp_path, capsys, monkeypatch):
     src = Circle(constant_radius(1.0), n_theta=32, horizon=0.5)
     MapField.constant_in_time(src, UnitSphere(1), _ROWS_2D[:32], 0.5, 4).save(tmp_path / "f.csv")

@@ -4,7 +4,7 @@ import pytest
 from hmflow import fields
 from hmflow.errors import HorizonMismatch, ShapeMismatch
 from hmflow.fields import MapField, c01_norm, difference_c01, handover_c01, sup_norm
-from hmflow.sources import Circle, Sphere2, constant_radius
+from hmflow.sources import Circle, Sphere2, constant_radius, sine_radius
 from hmflow.targets import FlatSpace, UnitSphere
 
 
@@ -61,6 +61,52 @@ def test_handover_matches_difference_and_norm():
     assert w.gradient is u_grad
     np.testing.assert_array_equal(w.gradient, w_grad)
     assert u._gradient is None
+
+
+def _iterate_pair(family):
+    """Two 9-slice fields u, w with a sine radius, as consecutive Picard iterates."""
+    if family == "circle":
+        source = Circle(sine_radius(0.2, 1.0), n_theta=32, horizon=1.0)
+    else:
+        source = Sphere2(sine_radius(0.2, 1.0), n_theta=8, n_phi=16, horizon=1.0)
+    rng = np.random.default_rng(8)
+    shape = (9,) + source.grid_shape + (3,)
+    times = np.linspace(0.0, 0.4, 9)
+    return (MapField(times, rng.standard_normal(shape), source, FlatSpace(3)),
+            MapField(times, rng.standard_normal(shape), source, FlatSpace(3)))
+
+
+def _per_slice_c01(u, w):
+    """(C^{0,1} distance u to w, C^{0,1} norm of w) from one frame_gradient call per slice."""
+    zu = [u.source.frame_gradient(t, v) for t, v in zip(u.times, u.values)]
+    zw = [w.source.frame_gradient(t, v) for t, v in zip(w.times, w.values)]
+
+    def value_sup(v):
+        return np.max(np.linalg.norm(v, axis=-1))
+
+    def grad_sup(g):
+        return np.max(np.sqrt(np.sum(g * g, axis=(-2, -1))))
+    delta = (max(value_sup(a - b) for a, b in zip(w.values, u.values))
+             + max(grad_sup(a - b) for a, b in zip(zw, zu)))
+    norm = value_sup(w.values) + max(grad_sup(g) for g in zw)
+    return np.stack(zw), float(delta), float(norm)
+
+
+@pytest.mark.parametrize("family", ["circle", "sphere"])
+@pytest.mark.parametrize("cap", ["one_slice", "odd", "huge"])
+def test_gradients_and_c01_do_not_depend_on_block_size(monkeypatch, family, cap):
+    u, w = _iterate_pair(family)
+    per_slice = u.values[0].size * u.source.dim
+    entries = {"one_slice": 1, "odd": 3 * per_slice + 5, "huge": 1 << 40}[cap]
+    monkeypatch.setattr(fields, "_GRADIENT_BLOCK_ENTRIES", entries)
+    w_grad, delta, norm = _per_slice_c01(u, w)
+    np.testing.assert_array_equal(w.gradient, w_grad)
+    assert c01_norm(w) == norm
+    w = MapField(w.times, w.values, w.source, w.target)   # no kept gradient yet
+    u_grad = u.gradient
+    assert handover_c01(u, w) == (delta, norm)
+    assert w.gradient is u_grad and u._gradient is None
+    np.testing.assert_array_equal(w.gradient, w_grad)
 
 
 def test_non_finite_rejected():

@@ -110,6 +110,21 @@ def test_per_path_starts_are_checked_before_any_draw(monkeypatch):
     assert calls == []
 
 
+def test_moment_check_rejects_a_start_spec_the_observable_cannot_take(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return path_normals(*args)
+
+    monkeypatch.setattr(forward_mod, "path_normals", counting)
+    s = Sphere2(constant_radius(1.0), n_theta=8, n_phi=16)
+    # the sphere's observable <X, x0> needs one start vector, not grid starts
+    with pytest.raises(ValueError, match="start spec 'grid'"):
+        moment_check(s, 0.0, "grid", 0.25, 1 / 64, 20, 3)
+    assert calls == []
+
+
 def test_solve_sample_reads_the_sample_domain():
     case = make_benchmark("flat_heat", horizon=0.1, n_x=16)
     _, _, sample = solve(case.source, case.target, case.terminal, 0.1, dt=0.01,

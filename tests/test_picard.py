@@ -224,13 +224,13 @@ def test_solve_computes_each_gradient_once_per_iterate(monkeypatch, family):
         original = cls.frame_gradient
 
         def counting(self, t, f, original=original):
-            calls.append(t)
+            calls.append(np.size(t))   # slices: a call may take a block of slice times
             return original(self, t, f)
 
         monkeypatch.setattr(cls, "frame_gradient", counting)
     field, state = _converged_solve(family)
     # the start iterate, one new iterate per pass, and the sample ensemble
-    assert len(calls) <= (field.n_t + 1) * (state.iterations + 2)
+    assert sum(calls) <= (field.n_t + 1) * (state.iterations + 2)
 
 
 def test_solve_holds_one_gradient_array():

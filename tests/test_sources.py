@@ -5,7 +5,7 @@ import pytest
 
 from hmflow import sources
 from hmflow._rng import DOMAIN_MC_SLICE, keyed_generator
-from hmflow.errors import GridTooCoarse, HmflowError, TimeOutOfRange
+from hmflow.errors import GridTooCoarse, HmflowError, ShapeMismatch, TimeOutOfRange
 from hmflow.sources import (Circle, Sphere2, constant_radius, shrinking_radius,
                             sine_radius)
 
@@ -252,6 +252,64 @@ def test_sphere_heat_step_implicit_euler():
     out = s.heat_semigroup_step(0.0, dt, f)
     # backward Euler on the l=1 eigenspace: factor 1/(1 + dt)
     np.testing.assert_allclose(out, f / (1 + dt), atol=1e-5)
+
+
+BLOCK_SOURCES = [
+    pytest.param(lambda: Circle(sine_radius(0.2, 1.0), n_theta=64, horizon=1.0), id="circle"),
+    pytest.param(lambda: Sphere2(sine_radius(0.2, 1.0), n_theta=8, n_phi=16, horizon=1.0),
+                 id="sphere"),
+]
+
+
+@pytest.mark.parametrize("make", BLOCK_SOURCES)
+@pytest.mark.parametrize("value_shape", [(), (3,)])
+def test_time_blocked_calculus_equals_stacked_slices(make, value_shape):
+    s = make()
+    times = np.linspace(0.0, 0.3, 7)
+    block = np.random.default_rng(4).standard_normal((7,) + s.grid_shape + value_shape)
+    for name in ("frame_gradient", "laplace_beltrami"):
+        method = getattr(s, name)
+        out = method(times, block)
+        np.testing.assert_array_equal(out, np.stack([method(t, f) for t, f in zip(times, block)]))
+        assert out.flags.c_contiguous
+    assert s.frame_gradient(times, block).shape == block.shape[:1 + s.dim] + (s.dim,) + value_shape
+    with pytest.raises(ShapeMismatch):
+        s.frame_gradient(times[:-1], block)
+    with pytest.raises(TimeOutOfRange):
+        s.frame_gradient(times + 0.9, block)
+
+
+def _heat_step_reference(s, t, dt, f):
+    """The one-slice heat kernels written out: Fourier decay, or implicit per sphere mode."""
+    rho = float(s.profile(t))
+    if isinstance(s, Circle):
+        decay = np.exp(-0.5 * s._k ** 2 * dt / rho ** 2)
+        return np.fft.irfft(np.fft.rfft(f, axis=0) * decay.reshape((-1,) + (1,) * (f.ndim - 1)),
+                            n=s.n_theta, axis=0)
+    vecs, lam, inv = s._eigenbasis
+    kappa = 0.5 * dt / rho ** 2
+    modes = np.fft.rfft(f, axis=1)
+    rhs = np.ascontiguousarray(
+        modes.reshape(s.n_theta, modes.shape[1], -1).transpose(1, 0, 2)).view(float)
+    out = vecs @ ((1.0 / (1.0 - kappa * lam))[..., None] * (inv @ rhs))
+    out = out.view(complex).transpose(1, 0, 2).reshape(modes.shape)
+    return np.fft.irfft(out, n=s.n_phi, axis=1)
+
+
+@pytest.mark.parametrize("make", BLOCK_SOURCES)
+def test_heat_operator_equals_the_one_step_kernel(make):
+    s = make()
+    rng = np.random.default_rng(6)
+    for value_shape in ((), (3,)):
+        f = rng.standard_normal(s.grid_shape + value_shape)
+        for t in (0.0, 0.37, 1.0):
+            step = s.heat_semigroup_operator(t, 0.01)
+            np.testing.assert_array_equal(step(f), _heat_step_reference(s, t, 0.01, f))
+            np.testing.assert_array_equal(s.heat_semigroup_step(t, 0.01, f), step(f))
+    with pytest.raises(TimeOutOfRange):
+        s.heat_semigroup_operator(1.5, 0.01)
+    with pytest.raises(GridTooCoarse):
+        s.heat_semigroup_operator(0.0, 0.01)(np.ones(4))
 
 
 def test_sphere_chart_point_at_any_scale():

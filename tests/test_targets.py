@@ -224,6 +224,40 @@ def test_sff_trace_positive_zero_off_support():
         assert np.all(out == 0.0) and not np.any(np.signbit(out))
 
 
+def _sff_trace_with_cutoff(target, p, z):
+    """The closed-form trace with the cut-off blend always applied."""
+    r = np.linalg.norm(p, axis=-1, keepdims=True)
+    phi = target.cutoff(np.abs(r - 1.0))
+    q = p / np.where(r > 0.0, r, 1.0)
+    a = np.einsum("...ml,...l->...m", z, q)
+    az = np.einsum("...m,...ml->...l", a, z)
+    a2 = np.einsum("...m,...m->...", a, a)[..., None]
+    z2 = np.einsum("...ml,...ml->...", z, z)[..., None]
+    return np.where(phi > 0.0, phi * (-2.0 * az + (3.0 * a2 - z2) * q), 0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("spread", [0.19, 0.3, 0.5],
+                         ids=["inside_tube", "into_blend_zone", "past_blend_zone"])
+def test_sff_trace_cutoff_skip_is_exact(dim, spread):
+    # inside tube_radius the cut-off is exactly 1, and the trace skips it
+    sph = UnitSphere(dim)
+    rng = np.random.default_rng(12)
+    p = rng.standard_normal((200, dim + 1))
+    p *= rng.uniform(1.0 - spread, 1.0 + spread, (200, 1)) / np.linalg.norm(p, axis=-1,
+                                                                            keepdims=True)
+    z = rng.standard_normal((200, dim, dim + 1))
+    z[rng.random(z.shape) < 0.2] = -0.0
+    got = sph.sff_trace(p, z)
+    want = _sff_trace_with_cutoff(sph, p, z)
+    # one far point sends the whole batch through the cut-off blend
+    blended = sph.sff_trace(np.concatenate([p, [[2.0] + [0.0] * dim]]),
+                            np.concatenate([z, np.ones((1, dim, dim + 1))]))[:-1]
+    for other in (want, blended):
+        np.testing.assert_array_equal(got, other)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(other))
+
+
 def test_flat_space_has_no_curvature():
     fl = FlatSpace(2)
     p = np.array([[3.0, -1.0], [0.1, 0.2]])

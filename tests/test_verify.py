@@ -4,7 +4,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
 from hmflow.bsde import sample_solution
-from hmflow.errors import FieldLeftTube, UnsupportedReduction
+from hmflow.errors import FieldLeftTube, ShapeMismatch, UnsupportedReduction
 from hmflow.fields import MapField
 from hmflow.forward import simulate, time_change
 from hmflow.picard import solve
@@ -155,6 +155,15 @@ def test_tension_residual_constant_point():
                                   np.broadcast_to(p0, (64, 2)).copy(), 0.2, 10)
     _, res = tension_residual(c, f.target, f)
     assert res.max() <= 1e-13
+
+
+def test_tension_residual_needs_an_interior_slice():
+    # a two-slice field on the target has no interior slice; it did not leave the tube
+    c = Circle(constant_radius(1.0), n_theta=64)
+    h = np.stack([np.cos(c.thetas), np.sin(c.thetas)], axis=-1)
+    f = MapField.constant_in_time(c, UnitSphere(1), h, 0.002, 1)
+    with pytest.raises(ShapeMismatch, match="2 slices has no interior slice"):
+        tension_residual(c, f.target, f)
 
 
 def test_tension_residual_identity_map():
