@@ -23,6 +23,8 @@ _GL_RTOL = 1e-14       # a panel is accepted when its two rules agree this close
 _GL_MAX_LEVELS = 40    # bisections before the integral counts as not converging
 # step x path x ambient points of increments per block of paths in `moment_check`
 _PATH_BLOCK_POINTS = 1 << 20
+# step x path x ambient points of normals per tile that `_draw_increments` writes at once
+_INCREMENT_TILE_POINTS = 1 << 15
 
 
 def time_change(profile, t0: float, t1: float) -> float:
@@ -103,17 +105,30 @@ class PathEnsemble:
 def _draw_increments(master_seed, domain, paths: range, n_steps, dim, dt, antithetic):
     """Brownian increments (n_steps, len(paths), dim) of a range of paths.
 
-    Filled in place one path at a time: path p reads stream
-    (master_seed, domain, p); with antithetic sampling path 2i reads
-    stream i and path 2i + 1 is its negation, so the range then starts
-    and stops at even paths.
+    Path p reads stream (master_seed, domain, p); with antithetic sampling
+    path 2i reads stream i and path 2i + 1 is its negation, so the range
+    then starts and stops at even paths.  The streams are drawn path-major
+    into a tile of max(1, _INCREMENT_TILE_POINTS // (n_steps * dim))
+    paths, scaled there, and each tile is transposed into its step-major
+    place in one copy, not one strided row per step and path.  The copy
+    moves each step's dim numbers as one record, so its inner loop runs
+    over the tile's paths.  The product is the same sqrt(dt) * normals,
+    so the result does not depend on the tile size.
     """
     out = np.empty((n_steps, len(paths), dim))
     scale = np.sqrt(dt)
     stride = 2 if antithetic else 1
-    for j, p in enumerate(paths[::stride]):
-        out[:, stride * j, :] = scale * path_normals(master_seed, domain, p // stride,
-                                                     n_steps, dim)
+    drawn = paths[::stride]
+    width = max(1, _INCREMENT_TILE_POINTS // (n_steps * dim))
+    tile = np.empty((min(width, len(drawn)), n_steps, dim))
+    record = np.dtype((np.void, dim * out.itemsize))
+    out_records = out.view(record)[..., 0]
+    for lo in range(0, len(drawn), width):
+        hi = min(lo + width, len(drawn))
+        for j, p in enumerate(drawn[lo:hi]):
+            tile[j] = path_normals(master_seed, domain, p // stride, n_steps, dim)
+        tile[:hi - lo] *= scale
+        out_records[:, stride * lo:stride * hi:stride] = tile[:hi - lo].view(record)[..., 0].T
     if antithetic:
         np.negative(out[:, 0::2], out=out[:, 1::2])
     return out

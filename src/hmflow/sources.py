@@ -18,6 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._linalg import row_dot
 from .errors import GridTooCoarse, HmflowError, ShapeMismatch, TimeOutOfRange
 
 _TIME_SLACK = 1e-12
@@ -762,10 +763,12 @@ class Sphere2(SourceManifold):
         variance dt per component.  The Ito drift -(dim/2) rho^-2 u dt keeps
         the one-step law consistent with the generator rho^-2 Laplacian / 2.
         Returns (new_states, max pre-renormalization constraint violation).
+        <states, dW> and |moved|^2 add their three columns in order (`row_dot`),
+        bit for bit numpy's reductions over the axis, without their set-up.
         """
         rho = float(self.profile(t))
-        radial = np.sum(states * dW, axis=-1, keepdims=True) * states
+        radial = row_dot(states, dW)[..., None] * states
         moved = states + (dW - radial) / rho - states * (dt / rho ** 2)
-        norms = np.linalg.norm(moved, axis=-1, keepdims=True)
+        norms = np.sqrt(row_dot(moved, moved))[..., None]
         violation = float(np.max(np.abs(norms - 1.0))) if norms.size else 0.0
         return moved / norms, violation

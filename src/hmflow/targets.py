@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._linalg import row_dot
 from .errors import PointNotOnManifold, PointOutsideTube
 
 _ON_MANIFOLD_TOL = 1e-10
@@ -182,7 +183,7 @@ class UnitSphere(TargetManifold):
         """
         p = np.asarray(p, dtype=float)
         z = np.asarray(z, dtype=float)
-        r = np.sqrt((p * p).sum(axis=-1, keepdims=True))   # np.linalg.norm's own sum
+        r = np.sqrt(row_dot(p, p))[..., None]   # np.linalg.norm, bit for bit
         dist = np.abs(r - 1.0)
         inside = dist.max(initial=0.0) <= self.tube_radius
         # the cut-off is positive only where dist < 2*delta < 1: r = 0 only where the result is 0

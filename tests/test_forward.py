@@ -218,6 +218,24 @@ def test_moment_check_memory_is_one_block(monkeypatch):
     assert peak <= full_increments / 10
 
 
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("paths", [range(0, 40), range(6, 36)], ids=["from_0", "from_6"])
+def test_draw_increments_does_not_depend_on_tile_size(monkeypatch, paths, antithetic):
+    # 16 steps; caps worth one path, 7 paths (a ragged last tile) and far more than the range
+    path_points = 16 * 3
+    draws = []
+    for cap in (1, 7 * path_points + 5, 1 << 40):
+        monkeypatch.setattr(forward_mod, "_INCREMENT_TILE_POINTS", cap)
+        draws.append(forward_mod._draw_increments(9, DOMAIN_FORWARD_PATH, paths, 16, 3,
+                                                  1 / 64, antithetic))
+    # path by path: path p reads its own stream, or negates its even partner's
+    scale, stride = np.sqrt(1 / 64), 2 if antithetic else 1
+    ref = np.stack([scale * path_normals(9, DOMAIN_FORWARD_PATH, p // stride, 16, 3)
+                    * (-1.0 if antithetic and p % 2 else 1.0) for p in paths], axis=1)
+    for drawn in draws:
+        assert drawn.tobytes() == ref.tobytes()
+
+
 def test_time_change_law():
     # with rho(t) = 1 + 0.2 sin t the decay integrates rho^-2
     cs = Circle(sine_radius(0.2, 1.0), n_theta=16, horizon=1.0)

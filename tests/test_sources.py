@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hmflow import sources
+from hmflow._linalg import row_dot
 from hmflow._rng import DOMAIN_MC_SLICE, keyed_generator
 from hmflow.errors import GridTooCoarse, HmflowError, ShapeMismatch, TimeOutOfRange
 from hmflow.sources import (Circle, Sphere2, constant_radius, shrinking_radius,
@@ -440,6 +441,60 @@ def test_sphere_mc_step_memory_is_bounded(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 0.25 * one_shot_normals
+
+
+def _reference_sphere_step(s, states, t, dt, dW):
+    """`Sphere2.step_paths` as numpy's reductions over the 3-long axis wrote it."""
+    rho = float(s.profile(t))
+    radial = np.sum(states * dW, axis=-1, keepdims=True) * states
+    moved = states + (dW - radial) / rho - states * (dt / rho ** 2)
+    norms = np.linalg.norm(moved, axis=-1, keepdims=True)
+    violation = float(np.max(np.abs(norms - 1.0))) if norms.size else 0.0
+    return moved / norms, violation
+
+
+def _unit(x):
+    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+
+def _step_inputs(case, rng):
+    if case == "moment_check_block":
+        return _unit(rng.standard_normal((1364, 3))), rng.standard_normal((1364, 3)) / 16
+    if case == "mc_step_broadcast":
+        return _unit(rng.standard_normal((512, 1, 3))), rng.standard_normal((512, 200, 3)) / 30
+    if case == "probe_nodes":
+        # the weak-error probe: one start, a 60^3 Gauss-Hermite tensor of increments
+        start = np.broadcast_to(_unit(np.array([0.3, -0.4, 0.8])), (216_000, 3))
+        return start, np.sqrt(2e-3) * rng.standard_normal((216_000, 3))
+    # signed-zero axes against every increment of -0.0, +0.0 and +-0.5 entries:
+    # rows whose products are all -0.0, some, or none
+    axes = [[z0, z1, one] for z0 in (0.0, -0.0) for z1 in (0.0, -0.0) for one in (1.0, -1.0)]
+    axes = np.array([np.roll(a, r) for a in axes for r in range(3)])
+    entries = np.array([-0.0, 0.0, 0.5, -0.5])
+    incr = np.stack(np.meshgrid(entries, entries, entries, indexing="ij"), axis=-1).reshape(-1, 3)
+    return np.repeat(axes, len(incr), axis=0), np.tile(incr, (len(axes), 1))
+
+
+@pytest.mark.parametrize("case", ["moment_check_block", "mc_step_broadcast", "probe_nodes",
+                                  "signed_zeros"])
+def test_sphere_step_equals_numpy_reductions(case):
+    s = Sphere2(sine_radius(0.2, 1.0), n_theta=8, n_phi=16)
+    states, dW = _step_inputs(case, np.random.default_rng(11))
+    moved, violation = s.step_paths(states, 0.3, 1 / 256, dW)
+    ref_moved, ref_violation = _reference_sphere_step(s, states, 0.3, 1 / 256, dW)
+    assert moved.tobytes() == ref_moved.tobytes()      # signed zeros included
+    assert violation == ref_violation
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_row_dot_equals_numpy_sum(n):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((300, n)) * rng.choice([1e-8, 1.0, 1e8], (300, n))
+    y = rng.standard_normal((300, n))
+    x[:3], y[:3] = -0.0, 0.5    # rows of -0.0 products sum to numpy's +0.0
+    assert row_dot(x, x).tobytes() == np.sum(x * x, axis=-1).tobytes()
+    assert row_dot(x, y).tobytes() == np.sum(x * y, axis=-1).tobytes()
+    assert row_dot(x[:, None], y[:4]).tobytes() == np.sum(x[:, None] * y[:4], axis=-1).tobytes()
 
 
 @pytest.mark.parametrize("source", [Circle(constant_radius(1.0), n_theta=16),

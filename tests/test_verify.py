@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
+import hmflow.fields as fields_mod
 from hmflow.bsde import sample_solution
 from hmflow.errors import FieldLeftTube, ShapeMismatch, UnsupportedReduction
 from hmflow.fields import MapField
@@ -183,6 +184,38 @@ def test_tension_residual_refines_with_time_grid():
         _, res = tension_residual(case.source, case.target, field)
         sups.append(res.max())
     assert sups[2] < sups[1] < sups[0]
+
+
+def _circle_reference():
+    case = make_benchmark("perturbed_geodesic_sine_metric", horizon=0.5, n_x=64)
+    return case, pde_reference(case, n_t=30)
+
+
+def _sphere_reference():
+    source = Sphere2(sine_radius(0.2, 1.0), n_theta=24, n_phi=48, horizon=0.034)
+    case = BenchmarkCase("equivariant", source, UnitSphere(2), 0.034, None)
+    case.psi_terminal = lambda th: th + 0.3 * np.sin(th)
+    return case, pde_reference(case, n_t=34)
+
+
+# 2^16 entries: one block on the circle, 9 slices a block on the sphere;
+# 3000 entries: blocks of 23 slices (a ragged last one) and of 1 slice
+@pytest.mark.parametrize("entries", [1 << 16, 3000])
+@pytest.mark.parametrize("make", [_circle_reference, _sphere_reference],
+                         ids=["circle", "sphere"])
+def test_tension_residual_blocks_equal_a_slice_loop(monkeypatch, make, entries):
+    monkeypatch.setattr(fields_mod, "_GRADIENT_BLOCK_ENTRIES", entries)
+    case, field = make()
+    source, target, values = case.source, case.target, field.values
+    times, res = tension_residual(source, target, field)
+    loop = []
+    for k in range(1, field.n_t):
+        dudt = (values[k + 1] - values[k - 1]) / (2.0 * field.dt)
+        lap = source.laplace_beltrami(field.times[k], values[k])
+        gamma = target.sff_trace(values[k], source.frame_gradient(field.times[k], values[k]))
+        loop.append(np.linalg.norm(dudt + 0.5 * (lap - gamma), axis=-1))
+    np.testing.assert_array_equal(times, field.times[1:-1])
+    assert res.tobytes() == np.stack(loop).tobytes()
 
 
 def test_tension_residual_requires_tube():
