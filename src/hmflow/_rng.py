@@ -65,10 +65,9 @@ def path_normals(master_seed: int, domain: int, path_index: int,
     Bit-equal to `keyed_generator(master_seed, domain, path_index)
     .standard_normal((n_steps, dim))`, but it re-keys one module-level
     Philox through its `state` (the stream's key, zero counter, empty
-    buffer) instead of building a generator per path: about 3 µs against
-    12 µs on a 2-core x86 host.  The shared generator makes this function
-    unsafe to call from several threads at once.  Raises ValueError as
-    `keyed_generator` does.
+    buffer) instead of building a generator per path, which costs more.
+    The shared generator makes this function unsafe to call from several
+    threads at once.  Raises ValueError as `keyed_generator` does.
     """
     _PATH_KEY[:] = _key_words(master_seed, domain, path_index)
     _PATH_BITS.state = _PATH_STATE     # the setter copies the words into the Philox

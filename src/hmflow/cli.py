@@ -32,7 +32,7 @@ from ._rng import DOMAIN_VERIFY_PATH, SEED_LIMIT
 from .bsde import sample_solution
 from .errors import (ConfigError, FieldLeftTube, GridTooCoarse, HmflowError,
                      NoContraction, TerminalNotOnTarget, UnsupportedReduction)
-from .fields import MapField
+from .fields import MapField, _value_sup, c01_norm, sup_norm
 from .forward import moment_check, simulate, step_count
 from .picard import solve
 from .sources import Circle, Sphere2, constant_radius, shrinking_radius, sine_radius
@@ -201,12 +201,11 @@ def _check_run(rc: dict, source):
         raise ConfigError(f"[run] dt = {rc['dt']} with t0 = {rc['t0']}: {exc}")
     if rc["n_paths"] < 0:
         raise ConfigError(f"[run] n_paths = {rc['n_paths']} must not be negative")
-    if rc["backend"] == "monte_carlo" and rc["antithetic"] and rc["n_paths"] % 2:
-        raise ConfigError(f"[run] n_paths = {rc['n_paths']} must be even with "
-                          "antithetic sampling")
-    if rc["backend"] == "monte_carlo" and rc["n_paths"] == 0:
-        raise ConfigError("[run] n_paths = 0: the monte_carlo backend needs at least "
-                          "one path per node")
+    if rc["backend"] == "monte_carlo":
+        try:
+            source._draw_count(rc["n_paths"], rc["antithetic"])
+        except ValueError as exc:
+            raise ConfigError(f"[run] n_paths = {rc['n_paths']}: {exc}")
 
 
 def _check_forward(fc: dict, source):
@@ -237,24 +236,27 @@ def _json_dump(obj, path: Path):
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _echo_config(config_path: str, out: Path):
+def _start(config_path: str, out_dir: str, seed: int | None):
+    """Each command's start: (config, master seed, output directory, source).
+
+    The output directory is made, and the config file is echoed into it.
+    """
+    cfg = load_config(config_path)
+    master_seed = _master_seed(cfg, seed)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     out.joinpath("config.ini").write_text(Path(config_path).read_text())
+    return cfg, master_seed, out, build_source(cfg)
 
 
 def cmd_solve(config_path: str, out_dir: str, seed: int | None,
               backend: str | None) -> int:
-    cfg = load_config(config_path)
+    cfg, master_seed, out, source = _start(config_path, out_dir, seed)
     rc = cfg["run"]
-    rc["master_seed"] = _master_seed(cfg, seed)
     if backend is not None:
         rc["backend"] = backend.replace("-", "_")
     if rc["backend"] not in ("semigroup", "monte_carlo"):
         raise ConfigError(f"unknown backend {rc['backend']!r}")
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _echo_config(config_path, out)
-    source = build_source(cfg)
     target = build_target(cfg)
     case = build_case(cfg, source, target)
     _check_run(rc, source)
@@ -264,7 +266,7 @@ def cmd_solve(config_path: str, out_dir: str, seed: int | None,
         field, state, sample = solve(
             source, target, case.terminal, rc["t0"], tol=rc["tol"],
             max_iter=rc["max_iter"], backend=rc["backend"], dt=rc["dt"],
-            n_paths=rc["n_paths"], master_seed=rc["master_seed"],
+            n_paths=rc["n_paths"], master_seed=master_seed,
             antithetic=rc["antithetic"], sample_paths=rc["sample_paths"])
     except NoContraction as exc:
         print(f"no contraction: {exc}", file=sys.stderr)
@@ -284,7 +286,7 @@ def cmd_solve(config_path: str, out_dir: str, seed: int | None,
         "ball_radius": state.ball_radius,
         "ball_exceeded": state.ball_exceeded,
         "backend": rc["backend"],
-        "master_seed": rc["master_seed"],
+        "master_seed": master_seed,
         "n_t": field.n_t,
         "n_nodes": field.n_nodes,
         "sample_max_dist": float(np.max(target.distance(sample.y))),
@@ -303,27 +305,29 @@ def cmd_solve(config_path: str, out_dir: str, seed: int | None,
         summary["reference_sup_error"] = float(err.max())
         _write_benchmark_csv(out, field, ref)
     _json_dump(summary, out / "summary.json")
+    log = ""
+    if len(state.horizons_tried) > 1:
+        log = (f"solve halved its horizon to {state.horizon:g}: horizons tried "
+               f"{state.horizons_tried}\n")
+        print(log, end="", file=sys.stderr)
     if state.converged:
         out.joinpath("run.log").write_text(
-            f"solve finished in {wall:.3f} s, {state.iterations} iterations\n")
+            f"{log}solve finished in {wall:.3f} s, {state.iterations} iterations\n")
         return 0
     message = (f"solve did not converge: delta {state.deltas[-1]:.3g} > tol "
                f"{rc['tol']:g} after max_iter = {state.iterations} iterations")
     print(message, file=sys.stderr)
-    out.joinpath("run.log").write_text(f"{message} ({wall:.3f} s)\n")
+    out.joinpath("run.log").write_text(f"{log}{message} ({wall:.3f} s)\n")
     return 5
 
 
 def _write_benchmark_csv(out: Path, field, ref):
     """Named quantities of the solved field against the reference solution."""
-    from .fields import c01_norm, sup_norm
     pairs = [
         ("c01_norm", c01_norm(field), c01_norm(ref)),
         ("sup_norm", sup_norm(field), sup_norm(ref)),
-        ("slice0_sup_norm", float(np.linalg.norm(field.values[0], axis=-1).max()),
-         float(np.linalg.norm(ref.values[0], axis=-1).max())),
-        ("field_sup_deviation",
-         float(np.linalg.norm(field.values - ref.values, axis=-1).max()), 0.0),
+        ("slice0_sup_norm", _value_sup(field.values[0]), _value_sup(ref.values[0])),
+        ("field_sup_deviation", _value_sup(field.values - ref.values), 0.0),
     ]
     rows = ["quantity,computed,reference,error"]
     rows += [f"{name},{a:.17g},{b:.17g},{abs(a - b):.17g}" for name, a, b in pairs]
@@ -331,13 +335,8 @@ def _write_benchmark_csv(out: Path, field, ref):
 
 
 def cmd_simulate_forward(config_path: str, out_dir: str, seed: int | None) -> int:
-    cfg = load_config(config_path)
+    cfg, master_seed, out, source = _start(config_path, out_dir, seed)
     fc = cfg["forward"]
-    master_seed = _master_seed(cfg, seed)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _echo_config(config_path, out)
-    source = build_source(cfg)
     x0 = _check_forward(fc, source)
 
     start = time.perf_counter()
@@ -369,15 +368,10 @@ def _resolve_test_fn(name: str, source):
 
 
 def cmd_verify(config_path: str, out_dir: str, seed: int | None) -> int:
-    cfg = load_config(config_path)
+    cfg, master_seed, out, source = _start(config_path, out_dir, seed)
     vc = cfg["verify"]
-    master_seed = _master_seed(cfg, seed)
     if not vc["field_file"]:
         raise ConfigError("verify needs 'field_file' in section [verify]")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _echo_config(config_path, out)
-    source = build_source(cfg)
     target = build_target(cfg)
     test_fn = _resolve_test_fn(vc["test_fn"], source)
     field_path = Path(vc["field_file"])
@@ -392,30 +386,22 @@ def cmd_verify(config_path: str, out_dir: str, seed: int | None) -> int:
             f"field file {vc['field_file']!r} holds {field.n_t + 1} slices; verify needs at "
             "least 3, so that the tension residual has an interior slice")
 
+    def check(value, tol_key, **extra):
+        return {"value": value, "threshold": vc[tol_key], "pass": bool(value <= vc[tol_key]),
+                **extra}
+
     checks = {}
     code = 0
     try:
         _, tension = tension_residual(source, target, field)
-        checks["tension_residual"] = {
-            "value": float(tension.max()),
-            "threshold": vc["tension_tol"],
-            "pass": bool(tension.max() <= vc["tension_tol"]),
-        }
+        checks["tension_residual"] = check(float(tension.max()), "tension_tol")
         ensemble = simulate(source, 0.0, "grid", field.horizon, field.dt,
                             vc["sample_paths"], master_seed, _domain=DOMAIN_VERIFY_PATH)
         report = stay_on_target(target, sample_solution(field, ensemble))
-        checks["stay_on_target"] = {
-            "value": report.max_dist,
-            "threshold": vc["max_dist_tol"],
-            "pass": bool(report.max_dist <= vc["max_dist_tol"]),
-            "gronwall_c_fit": report.c_fit,
-        }
-        wf = weak_form_residual(source, field, test_fn)
-        checks["weak_form_residual"] = {
-            "value": wf,
-            "threshold": vc["weak_form_tol"],
-            "pass": bool(wf <= vc["weak_form_tol"]),
-        }
+        checks["stay_on_target"] = check(report.max_dist, "max_dist_tol",
+                                         gronwall_c_fit=report.c_fit)
+        checks["weak_form_residual"] = check(weak_form_residual(source, field, test_fn),
+                                             "weak_form_tol")
     except FieldLeftTube as exc:
         checks["field_in_tube"] = {"pass": False, "error": str(exc)}
         code = 4

@@ -69,16 +69,13 @@ class PathEnsemble:
     """
 
     source: object
-    start_time: float
     horizon: float
     dt: float
     n_paths: int
-    master_seed: int
     times: np.ndarray
     states: np.ndarray
     increments: np.ndarray
     max_violation: float
-    antithetic: bool = False
 
     @property
     def n_steps(self) -> int:
@@ -216,8 +213,7 @@ def simulate(source, t: float, x, horizon: float, dt: float, n_paths: int,
                                   source.ambient_dim, dt, antithetic)
     states = np.empty((n_steps + 1,) + starts.shape)
     _, worst = _step_block(source, times, dt, starts, increments, states)
-    return PathEnsemble(source, t, horizon, dt, n_paths, master_seed,
-                        times, states, increments, worst, antithetic)
+    return PathEnsemble(source, horizon, dt, n_paths, times, states, increments, worst)
 
 
 def moment_check(source, t: float, x, horizon: float, dt: float, n_paths: int,

@@ -37,7 +37,6 @@ class PicardState:
     """
 
     horizon: float
-    tolerance: float
     ball_radius: float
     iterations: int = 0
     deltas: list = dataclass_field(default_factory=list)
@@ -46,10 +45,6 @@ class PicardState:
     ball_exceeded: bool = False
     horizons_tried: list = dataclass_field(default_factory=list)
     records: list = dataclass_field(default_factory=list)
-
-
-class _Restart(Exception):
-    pass
 
 
 def solve(source, target, h, t0_init: float, tol: float = 1e-10,
@@ -84,17 +79,8 @@ def solve(source, target, h, t0_init: float, tol: float = 1e-10,
     `handover_c01` overwrites it block by block of slices with the next
     iterate's gradient and hands it over, so the gradient's temporaries
     are one block's: at most `fields._GRADIENT_BLOCK_ENTRIES` entries, or
-    one slice, whatever the number of slices.
-
-    Contraction floor: on the circle the explicit backward step amplifies
-    grid-top wavenumber perturbations by roughly dt * k_max per pass, so
-    deltas stall (and may grow, tripping the halving) once they reach that
-    rounding-scale floor, around 1e-8 for dt=2e-2 on 256 nodes.  Pick tol
-    above the floor, or refine dt, when working at coarse steps.  On fine
-    sphere grids the halvings come instead from a growing mode: high
-    azimuthal modes of the first colatitude row, where the longitude
-    derivative is divided by sin(dtheta/2), grow by 3-4x per pass once the
-    deltas reach about 1e-10.
+    one slice, whatever the number of slices.  Where the deltas stall
+    instead of contracting, see the README's note on the contraction floor.
     """
     h = np.asarray(h, dtype=float)
     if t0_init <= 0 or tol <= 0:
@@ -112,20 +98,18 @@ def solve(source, target, h, t0_init: float, tol: float = 1e-10,
     tried, records = [], []
     while True:
         tried.append(horizon)
-        state = PicardState(horizon=horizon, tolerance=tol, ball_radius=0.0,
-                            horizons_tried=list(tried), records=records)
-        try:
-            u = _iterate(source, target, h, state, dt=dt, backend=backend,
-                         n_paths=n_paths, master_seed=master_seed,
-                         antithetic=antithetic, max_iter=max_iter, tol=tol)
-        except _Restart:
-            horizon *= 0.5
-            if horizon < _MIN_HORIZON:
-                raise NoContraction(
-                    f"no contraction regime found down to horizon {horizon:.3g}; "
-                    f"horizons tried: {tried}, last deltas: {state.deltas[-3:]}")
-            continue
-        break
+        state = PicardState(horizon=horizon, ball_radius=0.0, horizons_tried=list(tried),
+                            records=records)
+        u = _iterate(source, target, h, state, dt=dt, backend=backend,
+                     n_paths=n_paths, master_seed=master_seed,
+                     antithetic=antithetic, max_iter=max_iter, tol=tol)
+        if u is not None:
+            break
+        horizon *= 0.5
+        if horizon < _MIN_HORIZON:
+            raise NoContraction(
+                f"no contraction regime found down to horizon {horizon:.3g}; "
+                f"horizons tried: {tried}, last deltas: {state.deltas[-3:]}")
 
     # after halving the horizon may no longer be a multiple of the requested
     # dt; the field's own slice spacing always divides it exactly
@@ -137,9 +121,10 @@ def solve(source, target, h, t0_init: float, tol: float = 1e-10,
 
 def _iterate(source, target, h, state, *, dt, backend, n_paths, master_seed,
              antithetic, max_iter, tol):
-    # the start iterate lives in this frame only, so the first pass frees it;
-    # it also sets the state's ball radius.  The step operators depend on
-    # the horizon's time grid only, so every pass applies the same ones.
+    # the last iterate, or None when the horizon must be halved.  The start
+    # iterate lives in this frame only, so the first pass frees it; it also
+    # sets the state's ball radius.  The step operators depend on the
+    # horizon's time grid only, so every pass applies the same ones.
     n_t = max(int(round(state.horizon / dt)), 1)
     u = MapField.constant_in_time(source, target, h, state.horizon, n_t)
     steps = step_operators(u, backend, n_paths, master_seed, antithetic)
@@ -151,7 +136,7 @@ def _iterate(source, target, h, state, *, dt, backend, n_paths, master_seed,
         except BlowUp as exc:
             state.records.append({"n": n, "delta": None, "ratio": None,
                                   "horizon": state.horizon, "halved": str(exc)})
-            raise _Restart from exc
+            return None
         delta, w_norm = handover_c01(u, w)
         state.iterations = n
         ratio = None
@@ -170,7 +155,7 @@ def _iterate(source, target, h, state, *, dt, backend, n_paths, master_seed,
             return u
         if over_trigger >= 2:
             state.records[-1]["halved"] = "ratio"
-            raise _Restart
+            return None
     return u
 
 

@@ -14,6 +14,7 @@ sphere, with an optional trailing value axis for vector-valued maps.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -110,6 +111,10 @@ class SourceManifold:
             raise TimeOutOfRange(
                 f"t={t!r} outside metric definition interval [0, {self.horizon}]")
 
+    @property
+    def n_nodes(self) -> int:
+        return math.prod(self.grid_shape)
+
     def check_grid(self):
         """Raise GridTooCoarse unless every grid dimension has at least 8 nodes."""
         if min(self.grid_shape) < 8:
@@ -157,17 +162,6 @@ class SourceManifold:
         if antithetic and n_paths % 2:
             raise ValueError("antithetic sampling needs an even path count")
         return n_paths // 2 if antithetic else n_paths
-
-    def mc_step_operator(self, t, dt, n_paths: int, new_rng, antithetic: bool = False):
-        """The one-step Monte Carlo conditional expectation at time t, as a map of a field.
-
-        new_rng() returns the slice's generator, keyed afresh on each call.
-        This form draws the increments again on every application, through
-        `mc_step_mean`, so it holds nothing but its arguments.
-        """
-        self._check_time(t)
-        self._draw_count(n_paths, antithetic)
-        return lambda field: self.mc_step_mean(t, dt, field, n_paths, new_rng(), antithetic)
 
     def volume_weights(self, t):
         """Quadrature weights: the unit-radius cell sizes times rho(t)^dim."""
@@ -247,10 +241,6 @@ class Circle(SourceManifold):
     @property
     def grid_shape(self):
         return (self.n_theta,)
-
-    @property
-    def n_nodes(self):
-        return self.n_theta
 
     def grid_points(self):
         return self.thetas
@@ -361,8 +351,7 @@ class Circle(SourceManifold):
         field's weighted modes, so temporaries stay near 1.5 MB whatever
         the number of angles.
         """
-        field = np.asarray(field, dtype=float)
-        self._require_grid(field)
+        field = self._grid_field(field)
         theta = np.asarray(x, dtype=float).ravel()
         n_modes = len(self._k)
         weights = np.full(n_modes, 2.0 / self.n_theta)
@@ -428,10 +417,7 @@ class Circle(SourceManifold):
 
     def mc_step_mean(self, t, dt, field, n_paths: int, rng: np.random.Generator,
                      antithetic: bool = False):
-        """One-step Monte Carlo conditional expectation at every grid node.
-
-        `mc_step_operator` built from the increments of rng and applied once.
-        """
+        """`mc_step_operator` with the increments of rng, applied once."""
         return self.mc_step_operator(t, dt, n_paths, lambda: rng, antithetic)(field)
 
     # -- forward path step ------------------------------------------------------
@@ -493,10 +479,6 @@ class Sphere2(SourceManifold):
     @property
     def grid_shape(self):
         return (self.n_theta, self.n_phi)
-
-    @property
-    def n_nodes(self):
-        return self.n_theta * self.n_phi
 
     def grid_points(self):
         """Unit vectors of the chart grid, shape (n_theta, n_phi, 3)."""
@@ -612,7 +594,7 @@ class Sphere2(SourceManifold):
         """Defect of composing projection-field derivatives twice vs the Laplacian."""
         field = np.asarray(field, dtype=float)
         if field.ndim != 2:
-            raise GridTooCoarse("generator residual is defined for scalar fields")
+            raise ShapeMismatch("generator residual is defined for scalar fields")
         e_th, e_ph = self._frames(self.thetas[:, None], self.phis[None, :])
         z = self.frame_gradient(t, field)
         grad_amb = z[..., 0, None] * e_th + z[..., 1, None] * e_ph
@@ -631,8 +613,7 @@ class Sphere2(SourceManifold):
 
     def interpolate_slice(self, field, x):
         """Bilinear interpolation at unit vectors x, with cross-pole padding."""
-        field = np.asarray(field, dtype=float)
-        self._require_grid(field)
+        field = self._grid_field(field)
         x = np.asarray(x, dtype=float)
         lead = x.shape[:-1]
         xr = x.reshape(-1, 3)
@@ -727,10 +708,12 @@ class Sphere2(SourceManifold):
         """`heat_semigroup_operator(t, dt)` applied once."""
         return self.heat_semigroup_operator(t, dt)(field)
 
-    def mc_step_mean(self, t, dt, field, n_paths: int, rng: np.random.Generator,
-                     antithetic: bool = False):
-        """One-step Monte Carlo conditional expectation at every grid node.
+    def mc_step_operator(self, t, dt, n_paths: int, new_rng, antithetic: bool = False):
+        """The one-step Monte Carlo conditional expectation at time t, as a map of a field.
 
+        The sphere cannot keep its n_nodes x n_paths x 3 draws, so each
+        application draws them again from new_rng(), the slice's generator
+        keyed afresh, and the operator holds nothing but its arguments.
         Nodes are walked in chunks of at most `_MC_CHUNK_POINTS` node x path
         points (one node when n_paths alone exceeds it), so memory stays
         bounded whatever n_nodes x n_paths is.  The chunks read the one
@@ -738,21 +721,30 @@ class Sphere2(SourceManifold):
         result does not depend on the chunk size.
         """
         self._check_time(t)
-        field = self._grid_field(field)
         n_draws = self._draw_count(n_paths, antithetic)
-        nodes = self.grid_points().reshape(-1, 3)
-        out = np.empty((nodes.shape[0],) + field.shape[2:])
         step = max(1, _MC_CHUNK_POINTS // n_paths)
-        for start in range(0, nodes.shape[0], step):
-            chunk = nodes[start:start + step]
-            incr = rng.standard_normal((chunk.shape[0], n_draws, 3))
-            if antithetic:
-                incr = np.concatenate([incr, -incr], axis=1)
-            moved, _ = self.step_paths(chunk[:, None, :], t, dt, np.sqrt(dt) * incr)
-            vals = self.interpolate_slice(field, moved.reshape(-1, 3))
-            vals = vals.reshape((chunk.shape[0], n_paths) + field.shape[2:])
-            out[start:start + step] = vals.mean(axis=1)
-        return out.reshape(field.shape)
+
+        def apply(field):
+            field = self._grid_field(field)
+            rng = new_rng()
+            nodes = self.grid_points().reshape(-1, 3)
+            out = np.empty((nodes.shape[0],) + field.shape[2:])
+            for start in range(0, nodes.shape[0], step):
+                chunk = nodes[start:start + step]
+                incr = rng.standard_normal((chunk.shape[0], n_draws, 3))
+                if antithetic:
+                    incr = np.concatenate([incr, -incr], axis=1)
+                moved, _ = self.step_paths(chunk[:, None, :], t, dt, np.sqrt(dt) * incr)
+                vals = self.interpolate_slice(field, moved.reshape(-1, 3))
+                vals = vals.reshape((chunk.shape[0], n_paths) + field.shape[2:])
+                out[start:start + step] = vals.mean(axis=1)
+            return out.reshape(field.shape)
+        return apply
+
+    def mc_step_mean(self, t, dt, field, n_paths: int, rng: np.random.Generator,
+                     antithetic: bool = False):
+        """`mc_step_operator` with the increments of rng, applied once."""
+        return self.mc_step_operator(t, dt, n_paths, lambda: rng, antithetic)(field)
 
     # -- forward path step --------------------------------------------------------
 

@@ -69,29 +69,25 @@ class TargetManifold:
 
     # -- truncated squared distance --------------------------------------
 
+    def _blend_zone(self, s):
+        """(s as floats, lo, hi, tau): the zone [delta^2, 4 delta^2] and s's place in it."""
+        lo = self.tube_radius ** 2
+        hi = 4.0 * lo
+        s = np.asarray(s, dtype=float)
+        return s, lo, hi, np.clip((s - lo) / (hi - lo), 0.0, 1.0)
+
     def _chi(self, s):
         """Truncation of the squared distance: identity below delta^2, plateau 4*delta^2."""
-        d2 = self.tube_radius ** 2
-        s = np.asarray(s, dtype=float)
-        lo, hi = d2, 4.0 * d2
-        tau = np.clip((s - lo) / (hi - lo), 0.0, 1.0)
-        out = lo + (hi - lo) * _chi_blend(tau)
-        return np.where(s <= lo, s, np.where(s >= hi, hi, out))
+        s, lo, hi, tau = self._blend_zone(s)
+        return np.where(s <= lo, s, np.where(s >= hi, hi, lo + (hi - lo) * _chi_blend(tau)))
 
     def _chi_d1(self, s):
-        d2 = self.tube_radius ** 2
-        s = np.asarray(s, dtype=float)
-        lo, hi = d2, 4.0 * d2
-        tau = np.clip((s - lo) / (hi - lo), 0.0, 1.0)
+        s, lo, hi, tau = self._blend_zone(s)
         return np.where(s <= lo, 1.0, np.where(s >= hi, 0.0, _chi_blend_d1(tau)))
 
     def _chi_d2(self, s):
-        d2 = self.tube_radius ** 2
-        s = np.asarray(s, dtype=float)
-        lo, hi = d2, 4.0 * d2
-        tau = np.clip((s - lo) / (hi - lo), 0.0, 1.0)
-        inner = _chi_blend_d2(tau) / (hi - lo)
-        return np.where((s <= lo) | (s >= hi), 0.0, inner)
+        s, lo, hi, tau = self._blend_zone(s)
+        return np.where((s <= lo) | (s >= hi), 0.0, _chi_blend_d2(tau) / (hi - lo))
 
     def extended_sff(self, p, u):
         """Cut-off extension of the second fundamental form along one ambient u.
@@ -324,11 +320,11 @@ def sff_finite_difference(target, p, u, v=None, step: float = 1e-4,
     return bilinear(step)
 
 
-def fit_g_inequality_constant(target, n_samples: int = 10_000, seed: int = 0,
-                              box_half_width: float = 1.6):
+def fit_g_inequality_constant(target, n_samples: int = 10_000, seed: int = 0):
     """Empirical constant in the lower bound for the truncated squared distance.
 
-    Samples ambient pairs (p, u) with |u| <= 1 and fits the smallest c with
+    Samples ambient pairs (p, u), p in the box [-1.6, 1.6]^L around the
+    target and |u| <= 1, and fits the smallest c with
 
         Hess G(p)(u,u) + <grad G(p), extended_sff(p)(u,u)>  >=  -c G(p) (1 + |u|^2)
 
@@ -338,7 +334,7 @@ def fit_g_inequality_constant(target, n_samples: int = 10_000, seed: int = 0,
     """
     rng = np.random.Generator(np.random.Philox(key=seed))
     L = target.ambient_dim
-    p = rng.uniform(-box_half_width, box_half_width, size=(n_samples, L))
+    p = rng.uniform(-1.6, 1.6, size=(n_samples, L))
     u = rng.standard_normal((n_samples, L))
     u *= rng.uniform(0.0, 1.0, size=(n_samples, 1)) ** (1.0 / L) \
         / np.linalg.norm(u, axis=-1, keepdims=True)

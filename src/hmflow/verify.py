@@ -130,27 +130,20 @@ def pde_reference(case: BenchmarkCase, n_t: int, n_x: int | None = None) -> MapF
     """
     source = case.source
     times = np.linspace(0.0, case.horizon, n_t + 1)
-    if case.lift is not None and isinstance(case.target, FlatSpace):
-        # flat target: plain componentwise heat decay of the terminal slice
-        modes = np.fft.rfft(case.terminal, axis=0)
-        k = np.fft.rfftfreq(source.n_theta, d=1.0 / source.n_theta)
+    if case.lift is not None:
+        # Fourier modes decay by exp(-k^2 tau / 2): the terminal's components on
+        # a flat target, the periodic part of the lifted angle on a curved one
+        th = source.thetas
+        flat = isinstance(case.target, FlatSpace)
+        modes = np.fft.rfft(case.terminal if flat else
+                            (case.lift(th) - case.winding * th)[:, None], axis=0)
+        k = np.fft.rfftfreq(len(th), d=1.0 / len(th))
         values = np.empty((n_t + 1,) + case.terminal.shape)
         for j, t in enumerate(times):
             tau = time_change(source.profile, t, case.horizon)
-            decay = np.exp(-0.5 * k ** 2 * tau)[:, None]
-            values[j] = np.fft.irfft(modes * decay, n=source.n_theta, axis=0)
-        return MapField(times, values, source, case.target)
-    if case.lift is not None:
-        th = source.thetas
-        psi_terminal = case.lift(th) - case.winding * th
-        modes = np.fft.rfft(psi_terminal)
-        k = np.fft.rfftfreq(len(th), d=1.0 / len(th))
-        values = np.empty((n_t + 1, len(th), case.target.ambient_dim))
-        for j, t in enumerate(times):
-            tau = time_change(source.profile, t, case.horizon)
-            decayed = modes * np.exp(-0.5 * k ** 2 * tau)
-            phi = case.winding * th + np.fft.irfft(decayed, n=len(th))
-            values[j] = source.profile_map(phi, case.target.ambient_dim)
+            decayed = np.fft.irfft(modes * np.exp(-0.5 * k ** 2 * tau)[:, None], n=len(th), axis=0)
+            values[j] = decayed if flat else source.profile_map(
+                case.winding * th + decayed[:, 0], case.target.ambient_dim)
         return MapField(times, values, source, case.target)
 
     if case.psi_terminal is not None:
@@ -351,15 +344,14 @@ def weak_form_residual(source, field: MapField, test_fn) -> float:
     return float(np.linalg.norm(defect))
 
 
-def semigroup_gradient_rate(source: Circle, taus, f=None):
-    """Short-time gradient growth of the heat semigroup on a bounded function.
+def semigroup_gradient_rate(source: Circle, taus):
+    """Short-time gradient growth of the heat semigroup on the rough data sign(sin theta).
 
     For bounded rough data the gradient sup of the smoothed function grows
     like tau^(-1/2); this measures the rate (the prefactor is not asserted,
     only the exponent).  Returns (sups, fitted_rate) over the tau list.
     """
-    if f is None:
-        f = np.sign(np.sin(source.thetas))
+    f = np.sign(np.sin(source.thetas))
     taus = np.asarray(taus, dtype=float)
     grads = (source.frame_gradient(0.0, source.heat_semigroup_step(0.0, tau, f))
              for tau in taus)

@@ -321,6 +321,44 @@ def test_solve_no_contraction_exits_3(tmp_path, monkeypatch):
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "nc")]) == 3
 
 
+HALVING_CONFIG = """\
+[source]
+family = circle
+n_theta = 128
+horizon = 5.0
+
+[target]
+family = circle
+
+[terminal]
+name = winding
+winding = 3
+
+[run]
+t0 = 2.0
+dt = 5e-3
+tol = 1e-9
+max_iter = 30
+sample_paths = 16
+"""
+
+
+def test_solve_that_converges_after_halving_says_so(tmp_path, capsys):
+    cfg = write_config(tmp_path, HALVING_CONFIG)
+    out = tmp_path / "h"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    summary = read_json(out / "summary.json")
+    assert summary["converged"] and summary["horizons_tried"] == [2.0, 1.0, 0.5, 0.25]
+    note = "horizons tried [2.0, 1.0, 0.5, 0.25]"
+    assert note in capsys.readouterr().err
+    log = (out / "run.log").read_text().splitlines()
+    assert note in log[0] and log[-1].startswith("solve finished")
+    # a solve at its first horizon stays quiet
+    assert main(["solve", "--config", write_config(tmp_path, PG_CONFIG.format(field_file="x"),
+                                                   "pg.ini"), "--out", str(tmp_path / "pg")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_solve_emits_benchmark_quantities(tmp_path):
     cfg = write_config(tmp_path, PG_CONFIG.format(field_file="x"))
     main(["solve", "--config", cfg, "--out", str(tmp_path / "bq")])

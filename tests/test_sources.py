@@ -132,6 +132,12 @@ def test_generator_identity_time_dependent_refinement():
     assert errs[-1] <= 1e-10
 
 
+def test_sphere_generator_residual_needs_a_scalar_field():
+    s = Sphere2(constant_radius(1.0), n_theta=8, n_phi=16)
+    with pytest.raises(ShapeMismatch, match="scalar"):
+        s.generator_residual(0.0, s.grid_points())
+
+
 def test_generator_identity_sphere():
     s = Sphere2(constant_radius(1.0), n_theta=48, n_phi=96)
     X = s.grid_points()
@@ -425,6 +431,22 @@ def test_sphere_mc_step_does_not_depend_on_chunking(monkeypatch, antithetic):
     whole = step(1 << 40)
     np.testing.assert_array_equal(step(1), whole)       # one node per chunk
     np.testing.assert_array_equal(step(200), whole)     # 3 nodes, uneven last chunk
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_sphere_mc_step_mean_is_its_operator_applied_once(monkeypatch, antithetic):
+    monkeypatch.setattr(sources, "_MC_CHUNK_POINTS", 200)   # 3 nodes a chunk, uneven last
+    s = Sphere2(sine_radius(0.2, 1.0), n_theta=8, n_phi=16)
+    f = s.grid_points()
+    mean = s.mc_step_mean(0.1, 1e-3, f, 64, keyed_generator(5, DOMAIN_MC_SLICE, 3), antithetic)
+    rng = keyed_generator(5, DOMAIN_MC_SLICE, 3)
+    step = s.mc_step_operator(0.1, 1e-3, 64, lambda: rng, antithetic)
+    np.testing.assert_array_equal(step(f), mean)
+    # built from a fresh generator per call, each application draws the same increments
+    step = s.mc_step_operator(0.1, 1e-3, 64, lambda: keyed_generator(5, DOMAIN_MC_SLICE, 3),
+                              antithetic)
+    np.testing.assert_array_equal(step(f), mean)
+    np.testing.assert_array_equal(step(f), mean)
 
 
 def test_sphere_mc_step_memory_is_bounded(monkeypatch):

@@ -1,7 +1,8 @@
-"""Design guards: source families stay behind the source interface, the
-demos import only names that hmflow exports, every random stream domain is
-in use under its pinned number, every name the benchmark tracer wraps
-still exists, no test skips itself, and the library runs on numpy alone."""
+"""Design guards: source families stay behind the source interface and
+each builds its own one-step operators, the demos import only names that
+hmflow exports, every random stream domain is in use under its pinned
+number, every name the benchmark tracer wraps still exists, no test skips
+itself, and the library runs on numpy alone."""
 
 import ast
 import importlib
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import hmflow
 from hmflow import _rng
-from hmflow.sources import Circle, Sphere2
+from hmflow.sources import Circle, SourceManifold, Sphere2
 
 ROOT = Path(__file__).resolve().parents[1]
 FAMILIES = {"Circle", "Sphere2"}
@@ -85,6 +86,15 @@ def test_grid_rules_have_one_owner():
     shared = {"_require_grid", "volume_weights", "volume_weights_dt"}
     assert {cls.__name__: sorted(shared & set(cls.__dict__)) for cls in (Circle, Sphere2)} \
         == {"Circle": [], "Sphere2": []}
+
+
+def test_one_step_kernels_have_one_rule():
+    # each family builds both one-step operators; heat_semigroup_step and
+    # mc_step_mean apply them once, so the base class builds neither
+    kernels = {"heat_semigroup_operator", "mc_step_operator"}
+    assert kernels & set(SourceManifold.__dict__) == set()
+    assert {cls.__name__: sorted(kernels & set(cls.__dict__)) for cls in (Circle, Sphere2)} \
+        == {"Circle": sorted(kernels), "Sphere2": sorted(kernels)}
 
 
 def test_no_test_skips():
