@@ -22,7 +22,11 @@ class TimeOutOfRange(HmflowError):
 
 
 class GridTooCoarse(HmflowError):
-    """Chart grid has too few nodes for the requested differentiation."""
+    """Chart grid has too few nodes for the requested differentiation.
+
+    Raised only when a source is built: every family needs at least 8 nodes
+    per grid dimension.
+    """
 
 
 class StepTooLarge(HmflowError):
@@ -38,7 +42,7 @@ class BlowUp(HmflowError):
 
 
 class ShapeMismatch(HmflowError):
-    """Array shapes inconsistent between ensemble and field data."""
+    """Array shapes that do not fit together: a field and its source grid, ensemble and field."""
 
 
 class NoContraction(HmflowError):

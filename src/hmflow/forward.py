@@ -135,11 +135,14 @@ def step_count(source, t: float, horizon: float, dt: float) -> int:
     """Number of steps of size dt from t to the horizon, checked against the source.
 
     Raises TimeOutOfRange past the metric's interval, ValueError when dt
-    does not divide the span and StepTooLarge beyond the stability bound.
+    does not divide the span or gives more steps than an array can index,
+    and StepTooLarge beyond the stability bound.
     """
     if not t < horizon <= source.horizon + 1e-12:
         raise TimeOutOfRange(f"need t < horizon <= {source.horizon}, got [{t}, {horizon}]")
     span = horizon - t
+    if not span / dt < np.iinfo(np.intp).max:
+        raise ValueError(f"dt={dt} gives more steps over {span} than an array can index")
     n_steps = int(round(span / dt))
     if n_steps < 1 or abs(n_steps * dt - span) > 1e-9 * max(span, 1.0):
         raise ValueError(f"dt={dt} does not divide the interval length {span}")

@@ -97,8 +97,11 @@ class SourceManifold:
     _cells: np.ndarray      # quadrature cell sizes at unit radius
 
     def __init__(self, profile: RadiusProfile, horizon: float):
+        """Check the family's grid, which it sets before this call, and the radius profile."""
         self.profile = profile
         self.horizon = float(horizon)
+        if min(self.grid_shape) < 8:
+            raise GridTooCoarse(f"{self!r} needs at least 8 nodes per grid dimension")
         tgrid = np.linspace(0.0, self.horizon, 2001)
         rho = profile(tgrid)
         if np.min(rho) <= 0.0 or not np.all(np.isfinite(profile.derivative(tgrid))):
@@ -115,17 +118,11 @@ class SourceManifold:
     def n_nodes(self) -> int:
         return math.prod(self.grid_shape)
 
-    def check_grid(self):
-        """Raise GridTooCoarse unless every grid dimension has at least 8 nodes."""
-        if min(self.grid_shape) < 8:
-            raise GridTooCoarse(f"{self!r} needs at least 8 nodes per grid dimension")
-
     def _require_grid(self, field, lead: int = 0):
-        """Raise GridTooCoarse unless the axes of field after `lead` start with the grid."""
+        """Raise ShapeMismatch unless the axes of field after `lead` start with the grid."""
         shape = field.shape[lead:lead + len(self.grid_shape)]
         if shape != self.grid_shape:
-            raise GridTooCoarse(f"field shape {shape} does not match grid {self.grid_shape}")
-        self.check_grid()
+            raise ShapeMismatch(f"field shape {shape} does not match grid {self.grid_shape}")
 
     def _grid_field(self, field):
         """field as floats, after `_require_grid`: the front of each one-step operator."""
@@ -223,8 +220,8 @@ class Circle(SourceManifold):
 
     def __init__(self, profile: RadiusProfile | None = None, n_theta: int = 256,
                  horizon: float = 1.0):
-        super().__init__(profile or constant_radius(1.0), horizon)
         self.n_theta = int(n_theta)
+        super().__init__(profile or constant_radius(1.0), horizon)
         self.thetas = 2.0 * np.pi * np.arange(self.n_theta) / self.n_theta
         # integer wavenumbers of rfft; Nyquist first-derivative zeroed
         self._k = np.fft.rfftfreq(self.n_theta, d=1.0 / self.n_theta)
@@ -454,11 +451,11 @@ class Sphere2(SourceManifold):
 
     def __init__(self, profile: RadiusProfile | None = None, n_theta: int = 64,
                  n_phi: int = 128, horizon: float = 1.0):
-        super().__init__(profile or constant_radius(1.0), horizon)
         if n_phi % 2 != 0:
             raise ValueError("n_phi must be even for the cross-pole continuation")
         self.n_theta = int(n_theta)
         self.n_phi = int(n_phi)
+        super().__init__(profile or constant_radius(1.0), horizon)
         self.dtheta = np.pi / self.n_theta
         self.dphi = 2.0 * np.pi / self.n_phi
         self.thetas = (np.arange(self.n_theta) + 0.5) * self.dtheta

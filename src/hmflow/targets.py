@@ -47,10 +47,12 @@ def _chi_blend_d2(tau):
 class TargetManifold:
     """Common interface of the embedded targets.
 
-    Concrete families implement nearest_point / distance / tangent
-    projection / second fundamental form and the curvature kernel sff_trace
-    in closed form; the extension machinery (cutoff, extended form,
-    truncated squared distance) is shared where it only depends on those.
+    Every family implements distance and the curvature kernel sff_trace in
+    closed form; the extension machinery (cutoff, extended form, truncated
+    squared distance) is shared where it only depends on those.  The curved
+    family, UnitSphere, adds the nearest-point projection, tangent
+    projection, second fundamental form and the derivatives of G, which the
+    finite-difference and G-inequality oracles below call.
     """
 
     ambient_dim: int
@@ -255,29 +257,13 @@ class FlatSpace(TargetManifold):
         p = np.asarray(p, dtype=float)
         return np.zeros(p.shape[:-1], dtype=float)
 
-    def nearest_point(self, p):
-        return np.asarray(p, dtype=float)
-
-    def second_fundamental_form(self, p, u, v):
-        p = np.asarray(p, dtype=float)
-        return np.zeros(np.broadcast_shapes(p.shape, np.shape(u), np.shape(v)), dtype=float)
-
     def sff_trace(self, p, z):
         z_shape = np.shape(z)
         return np.zeros(np.broadcast_shapes(np.shape(p), z_shape[:-2] + z_shape[-1:]))
 
-    def cutoff(self, s):
-        return np.ones_like(np.asarray(s, dtype=float))
-
     def g_value(self, p):
+        # G = dist^2 = 0; the shared chi reaches it only past a NaN blend at tube_radius = inf
         return self.distance(p) ** 2
-
-    def g_gradient(self, p):
-        return np.zeros_like(np.asarray(p, dtype=float))
-
-    def g_hessian_quad(self, p, u):
-        p = np.asarray(p, dtype=float)
-        return np.zeros(np.broadcast_shapes(p.shape, np.shape(u))[:-1], dtype=float)
 
 
 def sff_trace(target, base_points, frame_vectors):

@@ -140,6 +140,47 @@ def test_unknown_section_exits_2(tmp_path, capsys):
     assert "nonsense" in capsys.readouterr().err
 
 
+# str keys that take any text, checked where they are used: by the terminal
+# registry, as a chart point of the source, and by the field loader
+_FREE_TEXT = {("terminal", "name"), ("forward", "x0"), ("verify", "field_file")}
+_NAMED_KEYS = [pytest.param(sec, key, id=f"{sec}.{key}")
+               for sec, keys in cli._SCHEMA.items() for key, (_, default, *_) in keys.items()
+               if isinstance(default, str) and (sec, key) not in _FREE_TEXT]
+
+
+@pytest.mark.parametrize("sec,key", _NAMED_KEYS)
+def test_named_key_takes_its_names_and_rejects_others_at_the_key(tmp_path, capsys, sec, key):
+    names = cli._SCHEMA[sec][key][0]
+    assert not isinstance(names, type), f"[{sec}] {key} lists no allowed names"
+    for name in names:
+        assert load_config(write_config(tmp_path, f"[{sec}]\n{key} = {name}\n"))[sec][key] == name
+    cfg = write_config(tmp_path, f"[{sec}]\n{key} = bogus\n")
+    assert main(["simulate-forward", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"config key '{key}' in [{sec}] is 'bogus', not one of {', '.join(names)}" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate-forward", "verify"])
+def test_backend_flag_is_for_solve_only(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, FWD_CONFIG)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--backend", "semigroup"])
+    assert exc.value.code == 2
+    assert "--backend" in capsys.readouterr().err
+
+
+def test_out_of_memory_exits_2_without_traceback(tmp_path, capsys, monkeypatch):
+    def allocate(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.setattr(cli, "solve", allocate)
+    cfg = write_config(tmp_path, PG_CONFIG.format(field_file="x"))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "745. GiB" in err and "Traceback" not in err
+
+
 def test_missing_config_exits_2(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "nope.ini"),
                  "--out", str(tmp_path / "o")]) == 2
@@ -452,6 +493,11 @@ BAD_CONFIGS = [
                  [], "n_paths", id="odd_antithetic_paths"),
     pytest.param("simulate-forward", _edit(FWD_CONFIG, ("dt = 0.0078125", "dt = 0.3")), [],
                  "dt", id="dt_does_not_divide_horizon"),
+    # about 1e300 steps: no array can index their time nodes
+    pytest.param("solve", _edit(PG_SOLVE, ("dt = 2e-3", "dt = 1e-300")), [], "[run] dt = 1e-300",
+                 id="run_dt_too_many_steps"),
+    pytest.param("simulate-forward", _edit(FWD_CONFIG, ("dt = 0.0078125", "dt = 1e-300")), [],
+                 "dt = 1e-300", id="forward_dt_too_many_steps"),
     pytest.param("solve", _edit(PG_SOLVE, ("family = circle\n\n[terminal]",
                                            "family = circle\ntube_radius = 0.5\n\n[terminal]")),
                  [], "tube_radius", id="tube_radius_past_reach"),

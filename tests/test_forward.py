@@ -154,6 +154,13 @@ def test_step_and_time_guards():
         simulate(c, 0.0, 0.0, 1.0, 0.0301, 4, 1)   # does not divide
 
 
+@pytest.mark.parametrize("dt", [1e-300, 5e-324])
+def test_step_count_rejects_more_steps_than_an_array_can_index(dt):
+    # 0.1 / 5e-324 overflows to inf; 0.1 / 1e-300 is finite but far past intp
+    with pytest.raises(ValueError, match="than an array can index"):
+        simulate(Circle(constant_radius(1.0), n_theta=16), 0.0, 0.0, 0.1, dt, 4, 1)
+
+
 def test_circle_moment_decay():
     c = Circle(constant_radius(1.0), n_theta=16)
     rep = moment_check(c, 0.0, 0.0, 1.0, 1 / 256, 20_000, 42)
