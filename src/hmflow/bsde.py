@@ -29,17 +29,17 @@ from .targets import sff_trace
 
 
 def step_operators(u: MapField, backend: str = "semigroup", n_paths: int = 0,
-                   master_seed: int = 0, antithetic: bool = False) -> list:
+                   master_seed: int = 0) -> list:
     """The n_t one-step conditional-expectation operators of u's time grid.
 
     Operator k maps slice k + 1 of a field to its conditional expectation
     at slice k: the source's `heat_semigroup_operator` (the exact Fourier
     heat kernel on the circle, the implicit heat step on the sphere) for
     the semigroup backend, or its `mc_step_operator` over n_paths >= 1
-    increments (an even count when antithetic) from stream (master_seed,
-    slice k) for the monte_carlo backend.  They depend only on the source
-    and the time grid, so a solve builds them once per horizon, each with
-    its time check and multiplier, and every `picard_map` pass applies them.
+    increments from stream (master_seed, slice k) for the monte_carlo
+    backend.  They depend only on the source and the time grid, so a solve
+    builds them once per horizon, each with its time check and multiplier,
+    and every `picard_map` pass applies them.
     """
     source, dt = u.source, u.dt
     times = u.times[:-1]
@@ -47,8 +47,7 @@ def step_operators(u: MapField, backend: str = "semigroup", n_paths: int = 0,
         return [source.heat_semigroup_operator(t, dt) for t in times]
     if backend == "monte_carlo":
         return [source.mc_step_operator(
-                    t, dt, n_paths, partial(keyed_generator, master_seed, DOMAIN_MC_SLICE, k),
-                    antithetic)
+                    t, dt, n_paths, partial(keyed_generator, master_seed, DOMAIN_MC_SLICE, k))
                 for k, t in enumerate(times)]
     raise ValueError(f"unknown backend {backend!r}")
 

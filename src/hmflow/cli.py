@@ -40,8 +40,8 @@ from .targets import FlatSpace, UnitSphere
 from .verify import (BenchmarkCase, pde_reference, stay_on_target,
                      tension_residual, terminal_case, weak_form_residual)
 
-# the names a config key allows, each with what it builds from its section (a test
-# function from the source), or a tuple of plain names
+# the names a config key allows, each with what it builds from its section, or a
+# tuple of plain names
 _PROFILES = {
     "constant": lambda sc: constant_radius(sc["radius"]),
     "sine": lambda sc: sine_radius(sc["amp"], sc["freq"]),
@@ -57,12 +57,6 @@ _TARGETS = {
     "flat": lambda tc: FlatSpace(tc["ambient_dim"]),
 }
 _BACKENDS = ("semigroup", "monte_carlo")
-_TEST_FNS = {
-    "one": lambda source: np.ones(source.grid_shape),
-    # cosine of the first chart angle, constant along the other grid axes
-    "cos_theta": lambda source: np.broadcast_to(
-        np.cos(source.thetas).reshape((-1,) + (1,) * (source.dim - 1)), source.grid_shape),
-}
 _POSITIVE = "positive"   # a key's rule that its value be > 0
 
 # section -> key -> (type or table of allowed names, default[, _POSITIVE])
@@ -96,19 +90,15 @@ _SCHEMA = {
         "n_paths": (int, 10_000),
         "sample_paths": (int, 1000, _POSITIVE),
         "master_seed": (int, 12345),
-        "antithetic": (bool, False),
     },
     "forward": {
         "x0": (str, "0"),
         "horizon": (float, 1.0, _POSITIVE),
         "dt": (float, 1.0 / 256, _POSITIVE),
         "n_paths": (int, 20_000),
-        "antithetic": (bool, False),
-        "dump_paths": (bool, True),
     },
     "verify": {
         "field_file": (str, ""),
-        "test_fn": (_TEST_FNS, "cos_theta"),
         "sample_paths": (int, 1000, _POSITIVE),
         "tension_tol": (float, 1e-2),
         "max_dist_tol": (float, 1e-2),
@@ -147,8 +137,8 @@ def load_config(path: str) -> dict:
                                       f"{', '.join(typ)}")
                 typ = str
             try:
-                value = parser.BOOLEAN_STATES[raw.lower()] if typ is bool else typ(raw)
-            except (KeyError, ValueError):
+                value = typ(raw)
+            except ValueError:
                 raise ConfigError(f"config key '{key}' in [{sec}]: cannot parse {raw!r} as "
                                   f"{typ.__name__}")
             if typ is float and not math.isfinite(value):
@@ -203,7 +193,7 @@ def _check_run(rc: dict, source):
         raise ConfigError(f"[run] n_paths = {rc['n_paths']} must not be negative")
     if rc["backend"] == "monte_carlo":
         try:
-            source._draw_count(rc["n_paths"], rc["antithetic"])
+            source._draw_count(rc["n_paths"])
         except ValueError as exc:
             raise ConfigError(f"[run] n_paths = {rc['n_paths']}: {exc}")
 
@@ -214,9 +204,9 @@ def _check_forward(fc: dict, source):
         x0 = source.chart_point([float(v) for v in fc["x0"].split(",")])
     except ValueError as exc:
         raise ConfigError(f"[forward] x0 = {fc['x0']!r}: {exc}")
-    if fc["n_paths"] < 2 or (fc["antithetic"] and fc["n_paths"] % 2):
+    if fc["n_paths"] < 2:
         raise ConfigError(f"[forward] n_paths = {fc['n_paths']} must be at least 2 for a "
-                          "standard error, and even with antithetic sampling")
+                          "standard error")
     try:
         step_count(source, 0.0, fc["horizon"], fc["dt"])
     except (HmflowError, ValueError) as exc:
@@ -263,8 +253,7 @@ def cmd_solve(config_path: str, out_dir: str, seed: int | None,
         field, state, sample = solve(
             source, target, case.terminal, rc["t0"], tol=rc["tol"],
             max_iter=rc["max_iter"], backend=rc["backend"], dt=rc["dt"],
-            n_paths=rc["n_paths"], master_seed=master_seed,
-            antithetic=rc["antithetic"], sample_paths=rc["sample_paths"])
+            n_paths=rc["n_paths"], master_seed=master_seed, sample_paths=rc["sample_paths"])
     except NoContraction as exc:
         print(f"no contraction: {exc}", file=sys.stderr)
         out.joinpath("run.log").write_text(f"failed: {exc}\n")
@@ -342,17 +331,15 @@ def cmd_simulate_forward(config_path: str, out_dir: str, seed: int | None) -> in
 
     start = time.perf_counter()
     report = moment_check(source, 0.0, x0, fc["horizon"], fc["dt"],
-                          fc["n_paths"], master_seed, antithetic=fc["antithetic"])
+                          fc["n_paths"], master_seed)
     report["master_seed"] = master_seed
     report["dt"] = fc["dt"]
     report["horizon"] = fc["horizon"]
     _json_dump(report, out / "moments.json")
-    if fc["dump_paths"]:
-        # re-simulate a small slice of paths for the dump; same seed, same paths
-        ens = simulate(source, 0.0, x0, fc["horizon"], fc["dt"],
-                       min(fc["n_paths"], 50), master_seed,
-                       antithetic=fc["antithetic"])
-        ens.to_csv(out / "paths.csv")
+    # re-simulate a small slice of paths for the dump; same seed, same paths
+    ens = simulate(source, 0.0, x0, fc["horizon"], fc["dt"], min(fc["n_paths"], 50),
+                   master_seed)
+    ens.to_csv(out / "paths.csv")
     out.joinpath("run.log").write_text(
         f"simulate-forward finished in {time.perf_counter() - start:.3f} s\n")
     return 0
@@ -364,7 +351,6 @@ def cmd_verify(config_path: str, out_dir: str, seed: int | None) -> int:
     if not vc["field_file"]:
         raise ConfigError("verify needs 'field_file' in section [verify]")
     target = build_target(cfg)
-    test_fn = _TEST_FNS[vc["test_fn"]](source)
     field_path = Path(vc["field_file"])
     if not field_path.exists():
         field_path = Path(config_path).parent / vc["field_file"]
@@ -391,8 +377,11 @@ def cmd_verify(config_path: str, out_dir: str, seed: int | None) -> int:
         report = stay_on_target(target, sample_solution(field, ensemble))
         checks["stay_on_target"] = check(report.max_dist, "max_dist_tol",
                                          gronwall_c_fit=report.c_fit)
-        checks["weak_form_residual"] = check(weak_form_residual(source, field, test_fn),
-                                             "weak_form_tol")
+        # the test function: cosine of the first chart angle, constant along the other axes
+        cos_theta = np.cos(source.thetas).reshape((-1,) + (1,) * (source.dim - 1))
+        checks["weak_form_residual"] = check(
+            weak_form_residual(source, field, np.broadcast_to(cos_theta, source.grid_shape)),
+            "weak_form_tol")
     except FieldLeftTube as exc:
         checks["field_in_tube"] = {"pass": False, "error": str(exc)}
         code = 4

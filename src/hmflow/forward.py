@@ -99,35 +99,29 @@ class PathEnsemble:
             write_rows(fh, rows, row)
 
 
-def _draw_increments(master_seed, domain, paths: range, n_steps, dim, dt, antithetic):
+def _draw_increments(master_seed, domain, paths: range, n_steps, dim, dt):
     """Brownian increments (n_steps, len(paths), dim) of a range of paths.
 
-    Path p reads stream (master_seed, domain, p); with antithetic sampling
-    path 2i reads stream i and path 2i + 1 is its negation, so the range
-    then starts and stops at even paths.  The streams are drawn path-major
-    into a tile of max(1, _INCREMENT_TILE_POINTS // (n_steps * dim))
-    paths, scaled there, and each tile is transposed into its step-major
-    place in one copy, not one strided row per step and path.  The copy
-    moves each step's dim numbers as one record, so its inner loop runs
-    over the tile's paths.  The product is the same sqrt(dt) * normals,
+    Path p reads stream (master_seed, domain, p).  The streams are drawn
+    path-major into a tile of max(1, _INCREMENT_TILE_POINTS // (n_steps *
+    dim)) paths, scaled there, and each tile is transposed into its
+    step-major place in one copy, not one strided row per step and path.
+    The copy moves each step's dim numbers as one record, so its inner loop
+    runs over the tile's paths.  The product is the same sqrt(dt) * normals,
     so the result does not depend on the tile size.
     """
     out = np.empty((n_steps, len(paths), dim))
     scale = np.sqrt(dt)
-    stride = 2 if antithetic else 1
-    drawn = paths[::stride]
     width = max(1, _INCREMENT_TILE_POINTS // (n_steps * dim))
-    tile = np.empty((min(width, len(drawn)), n_steps, dim))
+    tile = np.empty((min(width, len(paths)), n_steps, dim))
     record = np.dtype((np.void, dim * out.itemsize))
     out_records = out.view(record)[..., 0]
-    for lo in range(0, len(drawn), width):
-        hi = min(lo + width, len(drawn))
-        for j, p in enumerate(drawn[lo:hi]):
-            tile[j] = path_normals(master_seed, domain, p // stride, n_steps, dim)
+    for lo in range(0, len(paths), width):
+        hi = min(lo + width, len(paths))
+        for j, p in enumerate(paths[lo:hi]):
+            tile[j] = path_normals(master_seed, domain, p, n_steps, dim)
         tile[:hi - lo] *= scale
-        out_records[:, stride * lo:stride * hi:stride] = tile[:hi - lo].view(record)[..., 0].T
-    if antithetic:
-        np.negative(out[:, 0::2], out=out[:, 1::2])
+        out_records[:, lo:hi] = tile[:hi - lo].view(record)[..., 0].T
     return out
 
 
@@ -135,9 +129,11 @@ def step_count(source, t: float, horizon: float, dt: float) -> int:
     """Number of steps of size dt from t to the horizon, checked against the source.
 
     Raises TimeOutOfRange past the metric's interval, ValueError when dt
-    does not divide the span or gives more steps than an array can index,
-    and StepTooLarge beyond the stability bound.
+    is not positive, does not divide the span or gives more steps than an
+    array can index, and StepTooLarge beyond the stability bound.
     """
+    if not dt > 0:
+        raise ValueError(f"dt={dt} must be positive")
     if not t < horizon <= source.horizon + 1e-12:
         raise TimeOutOfRange(f"need t < horizon <= {source.horizon}, got [{t}, {horizon}]")
     span = horizon - t
@@ -153,7 +149,7 @@ def step_count(source, t: float, horizon: float, dt: float) -> int:
     return n_steps
 
 
-def _prepare(source, t, x, horizon, dt, n_paths, antithetic):
+def _prepare(source, t, x, horizon, dt, n_paths):
     """Start points (n_paths,) + point_shape and time nodes of a run.
 
     Every argument is checked here, before any increment is drawn; x is a
@@ -171,8 +167,6 @@ def _prepare(source, t, x, horizon, dt, n_paths, antithetic):
         starts = np.empty(shape)
         starts[...] = x
     n_steps = step_count(source, t, horizon, dt)
-    if antithetic and n_paths % 2:
-        raise ValueError("antithetic sampling needs an even path count")
     return starts, t + dt * np.arange(n_steps + 1)
 
 
@@ -195,8 +189,7 @@ def _step_block(source, times, dt, x, increments, states=None):
 
 
 def simulate(source, t: float, x, horizon: float, dt: float, n_paths: int,
-             master_seed: int, antithetic: bool = False,
-             _domain: int = DOMAIN_FORWARD_PATH) -> PathEnsemble:
+             master_seed: int, _domain: int = DOMAIN_FORWARD_PATH) -> PathEnsemble:
     """Simulate the forward diffusion from time t to the horizon, keeping every state.
 
     x is a single intrinsic start (angle / unit vector) shared by all paths,
@@ -210,17 +203,17 @@ def simulate(source, t: float, x, horizon: float, dt: float, n_paths: int,
     `picard.solve` and the CLI's `verify` draw their samples from domains
     of their own.
     """
-    starts, times = _prepare(source, t, x, horizon, dt, n_paths, antithetic)
+    starts, times = _prepare(source, t, x, horizon, dt, n_paths)
     n_steps = len(times) - 1
     increments = _draw_increments(master_seed, _domain, range(n_paths), n_steps,
-                                  source.ambient_dim, dt, antithetic)
+                                  source.ambient_dim, dt)
     states = np.empty((n_steps + 1,) + starts.shape)
     _, worst = _step_block(source, times, dt, starts, increments, states)
     return PathEnsemble(source, horizon, dt, n_paths, times, states, increments, worst)
 
 
 def moment_check(source, t: float, x, horizon: float, dt: float, n_paths: int,
-                 master_seed: int, antithetic: bool = False) -> dict:
+                 master_seed: int) -> dict:
     """Decay of the first nontrivial symmetric moment against the exact law.
 
     The mean of the source's `first_harmonic` decays by exp(-dim tau / 2)
@@ -231,15 +224,15 @@ def moment_check(source, t: float, x, horizon: float, dt: float, n_paths: int,
     paths, which have no standard error.
 
     The paths are the forward-domain paths of `simulate`, stepped in
-    blocks of an even number of paths, max(2, _PATH_BLOCK_POINTS //
-    (n_steps * ambient_dim)) rounded down to even, and only the start and
-    end states and the worst constraint violation are kept.  Memory is
-    bounded by one block in n_steps and grows only by the end states in
-    n_paths; the report is bit-equal whatever the block size.
+    blocks of max(1, _PATH_BLOCK_POINTS // (n_steps * ambient_dim)) paths,
+    and only the start and end states and the worst constraint violation
+    are kept.  Memory is bounded by one block in n_steps and grows only by
+    the end states in n_paths; the report is bit-equal whatever the block
+    size.
     """
     if n_paths < 2:
         raise ValueError(f"n_paths = {n_paths}: a standard error needs at least 2 paths")
-    starts, times = _prepare(source, t, x, horizon, dt, n_paths, antithetic)
+    starts, times = _prepare(source, t, x, horizon, dt, n_paths)
     try:
         at_start = source.first_harmonic(starts, x)
     except ValueError as exc:
@@ -247,14 +240,14 @@ def moment_check(source, t: float, x, horizon: float, dt: float, n_paths: int,
         raise ValueError(f"start spec {x!r} does not fit the observable "
                          f"{source.moment_label}: {exc}") from None
     n_steps, dim = len(times) - 1, source.ambient_dim
-    block = max(2, _PATH_BLOCK_POINTS // (n_steps * dim)) // 2 * 2
+    block = max(1, _PATH_BLOCK_POINTS // (n_steps * dim))
     ends = np.empty_like(starts)
     worst = 0.0
     for lo in range(0, n_paths, block):
         hi = min(lo + block, n_paths)
         # a block's increments die with the call, before the next block is drawn
         ends[lo:hi], viol = _step_block(source, times, dt, starts[lo:hi], _draw_increments(
-            master_seed, DOMAIN_FORWARD_PATH, range(lo, hi), n_steps, dim, dt, antithetic))
+            master_seed, DOMAIN_FORWARD_PATH, range(lo, hi), n_steps, dim, dt))
         worst = max(worst, viol)
     tau = time_change(source.profile, t, horizon)
     vals = source.first_harmonic(ends, x)

@@ -49,8 +49,7 @@ class PicardState:
 
 def solve(source, target, h, t0_init: float, tol: float = 1e-10,
           max_iter: int = 40, backend: str = "semigroup", dt: float = 1e-3,
-          n_paths: int = 10_000, master_seed: int = 0, antithetic: bool = False,
-          sample_paths: int = 1000):
+          n_paths: int = 10_000, master_seed: int = 0, sample_paths: int = 1000):
     """Iterate the backward operator to its fixed point.
 
     h must map every grid node onto the target (checked to 1e-10).  If two
@@ -101,8 +100,7 @@ def solve(source, target, h, t0_init: float, tol: float = 1e-10,
         state = PicardState(horizon=horizon, ball_radius=0.0, horizons_tried=list(tried),
                             records=records)
         u = _iterate(source, target, h, state, dt=dt, backend=backend,
-                     n_paths=n_paths, master_seed=master_seed,
-                     antithetic=antithetic, max_iter=max_iter, tol=tol)
+                     n_paths=n_paths, master_seed=master_seed, max_iter=max_iter, tol=tol)
         if u is not None:
             break
         horizon *= 0.5
@@ -119,15 +117,14 @@ def solve(source, target, h, t0_init: float, tol: float = 1e-10,
     return u, state, sample
 
 
-def _iterate(source, target, h, state, *, dt, backend, n_paths, master_seed,
-             antithetic, max_iter, tol):
+def _iterate(source, target, h, state, *, dt, backend, n_paths, master_seed, max_iter, tol):
     # the last iterate, or None when the horizon must be halved.  The start
     # iterate lives in this frame only, so the first pass frees it; it also
     # sets the state's ball radius.  The step operators depend on the
     # horizon's time grid only, so every pass applies the same ones.
     n_t = max(int(round(state.horizon / dt)), 1)
     u = MapField.constant_in_time(source, target, h, state.horizon, n_t)
-    steps = step_operators(u, backend, n_paths, master_seed, antithetic)
+    steps = step_operators(u, backend, n_paths, master_seed)
     state.ball_radius = 2.0 * c01_norm(u) + 1.0
     over_trigger = 0
     for n in range(1, max_iter + 1):

@@ -152,13 +152,11 @@ class SourceManifold:
         return block, rho.reshape((-1,) + (1,) * (block.ndim - 1))
 
     @staticmethod
-    def _draw_count(n_paths: int, antithetic: bool) -> int:
+    def _draw_count(n_paths: int) -> int:
         """Independent increments behind a one-step Monte Carlo mean of n_paths samples."""
         if n_paths < 1:
             raise ValueError(f"a Monte Carlo step needs n_paths >= 1, got {n_paths}")
-        if antithetic and n_paths % 2:
-            raise ValueError("antithetic sampling needs an even path count")
-        return n_paths // 2 if antithetic else n_paths
+        return n_paths
 
     def volume_weights(self, t):
         """Quadrature weights: the unit-radius cell sizes times rho(t)^dim."""
@@ -380,7 +378,7 @@ class Circle(SourceManifold):
         """`heat_semigroup_operator(t, dt)` applied once."""
         return self.heat_semigroup_operator(t, dt)(field)
 
-    def mc_step_operator(self, t, dt, n_paths: int, new_rng, antithetic: bool = False):
+    def mc_step_operator(self, t, dt, n_paths: int, new_rng):
         """The one-step Monte Carlo conditional expectation at time t, as a map of a field.
 
         The node batch shares one increment sample per slice, so the
@@ -393,13 +391,11 @@ class Circle(SourceManifold):
         `_PHASE_CHUNK`; each chunk adds the phase sums of all n_modes
         wavenumbers as one small complex GEMM of its blocked phase tables,
         hi @ lo.T, so building chi costs about n_modes * n_paths multiply-adds
-        in BLAS and under 0.5 MB of temporaries.  Antithetic sampling draws
-        n_paths // 2 increments and pairs each with its negation, whose
-        phases are the complex conjugates, so chi is real.
+        in BLAS and under 0.5 MB of temporaries.
         """
         self._check_time(t)
         rho = float(self.profile(t))
-        n_draws = self._draw_count(n_paths, antithetic)
+        n_draws = self._draw_count(n_paths)
         rng = new_rng()
         sums = 0.0
         for start in range(0, n_draws, _PHASE_CHUNK):
@@ -407,15 +403,12 @@ class Circle(SourceManifold):
             lo, hi = self._phase_tables(delta * (np.sqrt(dt) / rho))
             sums = sums + (hi @ lo.T).ravel()
         chi = sums[:len(self._k)] / n_draws
-        if antithetic:
-            chi = chi.real
 
         return lambda field: self._fourier(self._grid_field(field), chi)
 
-    def mc_step_mean(self, t, dt, field, n_paths: int, rng: np.random.Generator,
-                     antithetic: bool = False):
+    def mc_step_mean(self, t, dt, field, n_paths: int, rng: np.random.Generator):
         """`mc_step_operator` with the increments of rng, applied once."""
-        return self.mc_step_operator(t, dt, n_paths, lambda: rng, antithetic)(field)
+        return self.mc_step_operator(t, dt, n_paths, lambda: rng)(field)
 
     # -- forward path step ------------------------------------------------------
 
@@ -705,7 +698,7 @@ class Sphere2(SourceManifold):
         """`heat_semigroup_operator(t, dt)` applied once."""
         return self.heat_semigroup_operator(t, dt)(field)
 
-    def mc_step_operator(self, t, dt, n_paths: int, new_rng, antithetic: bool = False):
+    def mc_step_operator(self, t, dt, n_paths: int, new_rng):
         """The one-step Monte Carlo conditional expectation at time t, as a map of a field.
 
         The sphere cannot keep its n_nodes x n_paths x 3 draws, so each
@@ -718,7 +711,7 @@ class Sphere2(SourceManifold):
         result does not depend on the chunk size.
         """
         self._check_time(t)
-        n_draws = self._draw_count(n_paths, antithetic)
+        n_draws = self._draw_count(n_paths)
         step = max(1, _MC_CHUNK_POINTS // n_paths)
 
         def apply(field):
@@ -729,8 +722,6 @@ class Sphere2(SourceManifold):
             for start in range(0, nodes.shape[0], step):
                 chunk = nodes[start:start + step]
                 incr = rng.standard_normal((chunk.shape[0], n_draws, 3))
-                if antithetic:
-                    incr = np.concatenate([incr, -incr], axis=1)
                 moved, _ = self.step_paths(chunk[:, None, :], t, dt, np.sqrt(dt) * incr)
                 vals = self.interpolate_slice(field, moved.reshape(-1, 3))
                 vals = vals.reshape((chunk.shape[0], n_paths) + field.shape[2:])
@@ -738,10 +729,9 @@ class Sphere2(SourceManifold):
             return out.reshape(field.shape)
         return apply
 
-    def mc_step_mean(self, t, dt, field, n_paths: int, rng: np.random.Generator,
-                     antithetic: bool = False):
+    def mc_step_mean(self, t, dt, field, n_paths: int, rng: np.random.Generator):
         """`mc_step_operator` with the increments of rng, applied once."""
-        return self.mc_step_operator(t, dt, n_paths, lambda: rng, antithetic)(field)
+        return self.mc_step_operator(t, dt, n_paths, lambda: rng)(field)
 
     # -- forward path step --------------------------------------------------------
 

@@ -99,17 +99,6 @@ def test_monte_carlo_needs_paths():
             picard_map(field, vals, step_operators(field, "monte_carlo", n_paths=0))
 
 
-def test_monte_carlo_antithetic_needs_even_paths():
-    c, h = circle_identity(n_theta=16)
-    s = Sphere2(constant_radius(1.0), n_theta=8, n_phi=16)
-    for field, vals in ((MapField.constant_in_time(c, S1, h, 0.05, 5), h),
-                        (MapField.constant_in_time(s, UnitSphere(2), s.grid_points(), 0.05, 5),
-                         s.grid_points())):
-        with pytest.raises(ValueError, match="antithetic sampling needs an even path count"):
-            picard_map(field, vals, step_operators(field, "monte_carlo", n_paths=7,
-                                                   antithetic=True))
-
-
 def test_norm_bound_coefficient_shrinks_with_horizon():
     # fit c01(T(u)) ~ alpha |h| + beta(T0) |u|^2 over a family of gradients;
     # the quadratic coefficient must decrease as the horizon does
@@ -219,14 +208,3 @@ def test_sphere_picard_map_smoke():
     # identity sphere map is harmonic: one pass stays close
     assert np.abs(w.values - u.values).max() <= 5e-3
 
-
-def test_mc_backend_antithetic_deterministic():
-    c, h = circle_identity(n_theta=64)
-    u = MapField.constant_in_time(c, FlatSpace(2), h, 0.1, 10)
-    a = picard_map(u, h, step_operators(u, "monte_carlo", n_paths=400, master_seed=3,
-                                        antithetic=True))
-    b = picard_map(u, h, step_operators(u, "monte_carlo", n_paths=400, master_seed=3,
-                                        antithetic=True))
-    np.testing.assert_array_equal(a.values, b.values)
-    plain = picard_map(u, h, step_operators(u, "monte_carlo", n_paths=400, master_seed=3))
-    assert not np.array_equal(a.values, plain.values)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -161,6 +162,31 @@ def test_named_key_takes_its_names_and_rejects_others_at_the_key(tmp_path, capsy
     assert not (tmp_path / "o").exists()
 
 
+def _backticked(text):
+    return set(re.findall(r"`([^`]+)`", text))
+
+
+def test_readme_states_the_config_schema():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    # the key lists of [run] and [forward]
+    for sec, pattern in (("run", r"The `\[run\]` section takes (.*?)\.\s"),
+                         ("forward", r"`\[forward\]` \(for `simulate-forward`\) takes (.*?)[.;]")):
+        assert _backticked(re.search(pattern, readme, re.S).group(1)) == set(cli._SCHEMA[sec])
+    # the keys that must be positive
+    (positive,) = re.findall(r"([^.]*) must be positive\.", readme)
+    assert _backticked(positive) == {key for keys in cli._SCHEMA.values()
+                                     for key, (_, _, *rules) in keys.items()
+                                     if cli._POSITIVE in rules}
+    # one table row per key that takes a fixed set of names, listing each of them
+    rows = {(sec, key): names for sec, key, names in
+            re.findall(r"^\| `\[(\w+)\] (\w+)` \| (.*) \|$", readme, re.M)}
+    named = {(sec, key): typ for sec, keys in cli._SCHEMA.items()
+             for key, (typ, *_) in keys.items() if not isinstance(typ, type)}
+    assert set(rows) == set(named)
+    for sec_key, names in named.items():
+        assert set(names) <= _backticked(rows[sec_key]), sec_key
+
+
 @pytest.mark.parametrize("command", ["simulate-forward", "verify"])
 def test_backend_flag_is_for_solve_only(tmp_path, capsys, command):
     cfg = write_config(tmp_path, FWD_CONFIG)
@@ -316,15 +342,16 @@ def test_verify_field_of_two_slices_exits_2(tmp_path):
 
 
 def test_verify_rejects_unknown_test_fn_before_computing(tmp_path, capsys, monkeypatch):
+    # verify takes no test function key: setting one stops it before any computing
     src = Circle(constant_radius(1.0), n_theta=32, horizon=0.5)
     MapField.constant_in_time(src, UnitSphere(1), _ROWS_2D[:32], 0.5, 4).save(tmp_path / "f.csv")
     text = _edit(PG_CONFIG.format(field_file="f.csv"), ("n_theta = 128", "n_theta = 32"),
-                 ("field_file = f.csv", "field_file = f.csv\ntest_fn = bogus"))
+                 ("field_file = f.csv", "field_file = f.csv\ntest_fn = cos_theta"))
     calls = []
     monkeypatch.setattr(cli, "tension_residual", lambda *args: calls.append(args))
     assert main(["verify", "--config", write_config(tmp_path, text),
                  "--out", str(tmp_path / "v")]) == 2
-    assert "bogus" in capsys.readouterr().err
+    assert "unknown config key 'test_fn'" in capsys.readouterr().err
     assert calls == []
 
 
@@ -475,11 +502,6 @@ BAD_CONFIGS = [
                  ["--backend", "monte-carlo"], "[run] n_paths", id="circle_monte_carlo_no_paths"),
     pytest.param("solve", _edit(PG_SOLVE, ("tol = 1e-10", "tol = 1e-10\nn_paths = -5")),
                  ["--backend", "monte-carlo"], "n_paths", id="negative_n_paths"),
-    pytest.param("solve", SPH_CONFIG + "n_paths = 7\nantithetic = true\n",
-                 ["--backend", "monte-carlo"], "[run] n_paths", id="sphere_odd_antithetic_paths"),
-    pytest.param("solve", _edit(PG_SOLVE, ("tol = 1e-10",
-                                           "tol = 1e-10\nn_paths = 7\nantithetic = true")),
-                 ["--backend", "monte-carlo"], "[run] n_paths", id="circle_odd_antithetic_paths"),
     pytest.param("simulate-forward", _edit(SPH_FWD_CONFIG, ("x0 = 0,0,1", "x0 = abc")), [],
                  "x0", id="sphere_x0_not_numbers"),
     pytest.param("simulate-forward", _edit(FWD_CONFIG, ("horizon = 1.0", "horizon = 2.0")),
@@ -488,9 +510,6 @@ BAD_CONFIGS = [
                  [], "n_paths", id="forward_no_paths"),
     pytest.param("simulate-forward", _edit(FWD_CONFIG, ("n_paths = 4000", "n_paths = 1")),
                  [], "n_paths", id="forward_one_path_has_no_stderr"),
-    pytest.param("simulate-forward",
-                 _edit(FWD_CONFIG, ("n_paths = 4000", "n_paths = 7\nantithetic = true")),
-                 [], "n_paths", id="odd_antithetic_paths"),
     pytest.param("simulate-forward", _edit(FWD_CONFIG, ("dt = 0.0078125", "dt = 0.3")), [],
                  "dt", id="dt_does_not_divide_horizon"),
     # about 1e300 steps: no array can index their time nodes
@@ -529,6 +548,16 @@ BAD_CONFIGS = [
     # the plots key and its matplotlib output are gone
     pytest.param("solve", _edit(PG_SOLVE, ("master_seed = 42", "master_seed = 42\nplots = true")),
                  [], "unknown config key 'plots'", id="run_plots_retired"),
+    # antithetic sampling, the paths.csv switch and the verify test function are gone
+    pytest.param("solve", _edit(PG_SOLVE, ("master_seed = 42",
+                                           "master_seed = 42\nantithetic = true")),
+                 [], "unknown config key 'antithetic'", id="run_antithetic_retired"),
+    pytest.param("simulate-forward", FWD_CONFIG + "antithetic = true\n", [],
+                 "unknown config key 'antithetic'", id="forward_antithetic_retired"),
+    pytest.param("simulate-forward", FWD_CONFIG + "dump_paths = false\n", [],
+                 "unknown config key 'dump_paths'", id="forward_dump_paths_retired"),
+    pytest.param("verify", _edit(PG_SOLVE, ("field_file = x", "field_file = x\ntest_fn = one")),
+                 [], "unknown config key 'test_fn'", id="verify_test_fn_retired"),
 ]
 # a master seed fills one 64-bit Philox key word, from --seed or from the config
 _RUN_SEED = ("[run]\n", "[run]\nmaster_seed = {}\n")

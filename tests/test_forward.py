@@ -11,7 +11,7 @@ import hmflow.forward as forward_mod
 from hmflow._rng import (DOMAIN_FORWARD_PATH, DOMAIN_MC_SLICE, DOMAIN_SAMPLE_PATH,
                          DOMAIN_VERIFY_PATH, keyed_generator, path_normals)
 from hmflow.errors import StepTooLarge, TimeOutOfRange
-from hmflow.forward import moment_check, simulate, time_change, weak_error_probe
+from hmflow.forward import moment_check, simulate, step_count, time_change, weak_error_probe
 from hmflow.picard import solve
 from hmflow.sources import Circle, Sphere2, constant_radius, shrinking_radius, sine_radius
 from hmflow.verify import make_benchmark
@@ -41,31 +41,25 @@ def test_seed_determinism():
     assert not np.array_equal(a.states, d.states)
 
 
-@pytest.mark.parametrize("antithetic", [False, True])
 @pytest.mark.parametrize("domain", [DOMAIN_FORWARD_PATH, DOMAIN_SAMPLE_PATH],
                          ids=["forward", "sample"])
-def test_path_reads_its_own_stream(domain, antithetic):
+def test_path_reads_its_own_stream(domain):
     dt = 1 / 64
     for source, x0 in ((Circle(constant_radius(1.0), n_theta=16), 0.0),
                        (Sphere2(constant_radius(1.0), n_theta=8, n_phi=16),
                         np.array([0.0, 0.0, 1.0]))):
-        ens = simulate(source, 0.0, x0, 0.25, dt, 6, 5, antithetic=antithetic,
-                       _domain=domain)
+        ens = simulate(source, 0.0, x0, 0.25, dt, 6, 5, _domain=domain)
         for p in range(6):
-            stream = p // 2 if antithetic else p
-            sign = -1.0 if antithetic and p % 2 else 1.0
-            expected = sign * (np.sqrt(dt) * path_normals(5, domain, stream, 16,
-                                                          source.ambient_dim))
+            expected = np.sqrt(dt) * path_normals(5, domain, p, 16, source.ambient_dim)
             np.testing.assert_array_equal(ens.increments[:, p], expected)
 
 
-@pytest.mark.parametrize("antithetic", [False, True])
-def test_leading_paths_do_not_depend_on_ensemble_size(antithetic):
+def test_leading_paths_do_not_depend_on_ensemble_size():
     # simulate-forward dumps the first paths of its moment ensemble this way
     s = Sphere2(constant_radius(1.0), n_theta=8, n_phi=16)
     x0 = np.array([0.0, 0.6, 0.8])
-    big = simulate(s, 0.0, x0, 0.25, 1 / 64, 64, 5, antithetic=antithetic)
-    small = simulate(s, 0.0, x0, 0.25, 1 / 64, 16, 5, antithetic=antithetic)
+    big = simulate(s, 0.0, x0, 0.25, 1 / 64, 64, 5)
+    small = simulate(s, 0.0, x0, 0.25, 1 / 64, 16, 5)
     np.testing.assert_array_equal(big.increments[:, :16], small.increments)
     np.testing.assert_array_equal(big.states[:, :16], small.states)
 
@@ -136,14 +130,6 @@ def test_solve_sample_reads_the_sample_domain():
     assert not np.any(sample.ensemble.increments == forward.increments)
 
 
-def test_antithetic_pairs():
-    c = Circle(constant_radius(1.0), n_theta=16)
-    ens = simulate(c, 0.0, 0.0, 0.25, 1 / 64, 32, 3, antithetic=True)
-    np.testing.assert_array_equal(ens.increments[:, 1::2], -ens.increments[:, 0::2])
-    with pytest.raises(ValueError):
-        simulate(c, 0.0, 0.0, 0.25, 1 / 64, 33, 3, antithetic=True)
-
-
 def test_step_and_time_guards():
     c = Circle(constant_radius(1.0), n_theta=16, horizon=1.0)
     with pytest.raises(StepTooLarge):
@@ -159,6 +145,13 @@ def test_step_count_rejects_more_steps_than_an_array_can_index(dt):
     # 0.1 / 5e-324 overflows to inf; 0.1 / 1e-300 is finite but far past intp
     with pytest.raises(ValueError, match="than an array can index"):
         simulate(Circle(constant_radius(1.0), n_theta=16), 0.0, 0.0, 0.1, dt, 4, 1)
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-3, float("nan")])
+def test_step_count_rejects_a_step_that_is_not_positive(dt):
+    # checked before the span is divided by dt
+    with pytest.raises(ValueError, match="must be positive"):
+        step_count(Circle(constant_radius(1.0), n_theta=16), 0.0, 0.5, dt)
 
 
 def test_circle_moment_decay():
@@ -187,23 +180,22 @@ _CIRCLE = Circle(sine_radius(0.2, 1.0), n_theta=16)
 _UNIT = np.random.default_rng(4).normal(size=(22, 3))
 
 
-@pytest.mark.parametrize("antithetic", [False, True])
 @pytest.mark.parametrize("source, x", [
     (_CIRCLE, 0.3), (_CIRCLE, np.linspace(-1.0, 2.0, 22)),
     (_SPHERE, np.array([0.0, 0.6, 0.8])),
     (_SPHERE, _UNIT / np.linalg.norm(_UNIT, axis=1, keepdims=True)),
 ], ids=["circle", "circle_per_path", "sphere", "sphere_per_path"])
-def test_moment_check_does_not_depend_on_block_size(monkeypatch, source, x, antithetic):
-    # 16 steps; caps worth 2 paths, 7 paths (odd: blocks of 6, a ragged last
-    # one) and far more than the 22 paths
+def test_moment_check_does_not_depend_on_block_size(monkeypatch, source, x):
+    # 16 steps; caps worth less than one path (blocks of one), 2 paths, 7
+    # paths (a ragged last block) and far more than the 22 paths
     path_points = 16 * source.ambient_dim
     reports = []
-    for cap in (2 * path_points, 7 * path_points + 5, 1 << 40):
+    for cap in (1, 2 * path_points, 7 * path_points + 5, 1 << 40):
         monkeypatch.setattr(forward_mod, "_PATH_BLOCK_POINTS", cap)
-        reports.append(moment_check(source, 0.0, x, 0.25, 1 / 64, 22, 17, antithetic))
-    assert reports[0] == reports[1] == reports[2]
+        reports.append(moment_check(source, 0.0, x, 0.25, 1 / 64, 22, 17))
+    assert all(report == reports[0] for report in reports)
     # the blocks step the paths that simulate keeps whole
-    ens = simulate(source, 0.0, x, 0.25, 1 / 64, 22, 17, antithetic)
+    ens = simulate(source, 0.0, x, 0.25, 1 / 64, 22, 17)
     assert reports[0]["sample_mean"] == float(np.mean(source.first_harmonic(ens.states[-1], x)))
     assert reports[0]["max_constraint_violation"] == ens.max_violation
 
@@ -225,20 +217,18 @@ def test_moment_check_memory_is_one_block(monkeypatch):
     assert peak <= full_increments / 10
 
 
-@pytest.mark.parametrize("antithetic", [False, True])
 @pytest.mark.parametrize("paths", [range(0, 40), range(6, 36)], ids=["from_0", "from_6"])
-def test_draw_increments_does_not_depend_on_tile_size(monkeypatch, paths, antithetic):
+def test_draw_increments_does_not_depend_on_tile_size(monkeypatch, paths):
     # 16 steps; caps worth one path, 7 paths (a ragged last tile) and far more than the range
     path_points = 16 * 3
     draws = []
     for cap in (1, 7 * path_points + 5, 1 << 40):
         monkeypatch.setattr(forward_mod, "_INCREMENT_TILE_POINTS", cap)
         draws.append(forward_mod._draw_increments(9, DOMAIN_FORWARD_PATH, paths, 16, 3,
-                                                  1 / 64, antithetic))
-    # path by path: path p reads its own stream, or negates its even partner's
-    scale, stride = np.sqrt(1 / 64), 2 if antithetic else 1
-    ref = np.stack([scale * path_normals(9, DOMAIN_FORWARD_PATH, p // stride, 16, 3)
-                    * (-1.0 if antithetic and p % 2 else 1.0) for p in paths], axis=1)
+                                                  1 / 64))
+    # path by path: path p reads its own stream
+    ref = np.stack([np.sqrt(1 / 64) * path_normals(9, DOMAIN_FORWARD_PATH, p, 16, 3)
+                    for p in paths], axis=1)
     for drawn in draws:
         assert drawn.tobytes() == ref.tobytes()
 
@@ -394,14 +384,13 @@ def _csv_writer_dump(ens, path):
                 writer.writerow([p, k, f"{t:.17g}"] + [f"{c:.17g}" for c in coords])
 
 
-@pytest.mark.parametrize("antithetic", [False, True])
 @pytest.mark.parametrize("source, x0", [
     (Circle(sine_radius(0.2, 1.0), n_theta=16), 0.3),
     (Sphere2(constant_radius(1.0), n_theta=8, n_phi=16), np.array([0.0, 0.6, 0.8])),
 ])
-def test_path_csv_matches_csv_writer(tmp_path, monkeypatch, source, x0, antithetic):
+def test_path_csv_matches_csv_writer(tmp_path, monkeypatch, source, x0):
     monkeypatch.setattr(fields_mod, "_CSV_BLOCK_ROWS", 7)   # several blocks, a ragged last one
-    ens = simulate(source, 0.0, x0, 0.25, 1 / 32, 6, 13, antithetic=antithetic)
+    ens = simulate(source, 0.0, x0, 0.25, 1 / 32, 6, 13)
     ens.to_csv(tmp_path / "paths.csv")
     _csv_writer_dump(ens, tmp_path / "ref.csv")
     assert (tmp_path / "paths.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

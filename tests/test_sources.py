@@ -356,8 +356,7 @@ def test_circle_mc_step_unbiased_and_deterministic():
                                   c.mc_step_mean(0.0, 0.01, f, 500, rng2))
 
 
-@pytest.mark.parametrize("antithetic", [False, True])
-def test_circle_mc_step_matches_per_mode_formula(antithetic):
+def test_circle_mc_step_matches_per_mode_formula():
     # the same draws (a cloned Philox key) through the explicit empirical
     # characteristic function chi_k = mean_j exp(i k delta_j); the draws span
     # more than one chunk, with an uneven last chunk
@@ -365,14 +364,8 @@ def test_circle_mc_step_matches_per_mode_formula(antithetic):
     f = np.stack([np.cos(c.thetas + 0.3 * np.sin(c.thetas)), np.sin(3 * c.thetas)], axis=-1)
     t, dt = 0.1, 5e-3
     n_paths = 4 * sources._PHASE_CHUNK + 202
-    got = c.mc_step_mean(t, dt, f, n_paths, np.random.Generator(np.random.Philox(key=11)),
-                         antithetic)
-    rng = np.random.Generator(np.random.Philox(key=11))
-    if antithetic:
-        half = rng.standard_normal(n_paths // 2)
-        draws = np.concatenate([half, -half])
-    else:
-        draws = rng.standard_normal(n_paths)
+    got = c.mc_step_mean(t, dt, f, n_paths, np.random.Generator(np.random.Philox(key=11)))
+    draws = np.random.Generator(np.random.Philox(key=11)).standard_normal(n_paths)
     delta = draws * (np.sqrt(dt) / float(c.profile(t)))
     chi = np.array([np.mean(np.exp(1j * k * delta)) for k in range(c.n_theta // 2 + 1)])
     modes = np.fft.rfft(f, axis=0)
@@ -418,33 +411,30 @@ def test_sphere_mc_step_unbiased():
     assert np.mean(np.abs(mean - target) <= 4 * se + interp_bias + 2e-4) > 0.97
 
 
-@pytest.mark.parametrize("antithetic", [False, True])
-def test_sphere_mc_step_does_not_depend_on_chunking(monkeypatch, antithetic):
+def test_sphere_mc_step_does_not_depend_on_chunking(monkeypatch):
     s = Sphere2(sine_radius(0.2, 1.0), n_theta=8, n_phi=16)
     f = s.grid_points()
 
     def step(cap):
         monkeypatch.setattr(sources, "_MC_CHUNK_POINTS", cap)
         rng = keyed_generator(5, DOMAIN_MC_SLICE, 3)
-        return s.mc_step_mean(0.1, 1e-3, f, 64, rng, antithetic)
+        return s.mc_step_mean(0.1, 1e-3, f, 64, rng)
 
     whole = step(1 << 40)
     np.testing.assert_array_equal(step(1), whole)       # one node per chunk
     np.testing.assert_array_equal(step(200), whole)     # 3 nodes, uneven last chunk
 
 
-@pytest.mark.parametrize("antithetic", [False, True])
-def test_sphere_mc_step_mean_is_its_operator_applied_once(monkeypatch, antithetic):
+def test_sphere_mc_step_mean_is_its_operator_applied_once(monkeypatch):
     monkeypatch.setattr(sources, "_MC_CHUNK_POINTS", 200)   # 3 nodes a chunk, uneven last
     s = Sphere2(sine_radius(0.2, 1.0), n_theta=8, n_phi=16)
     f = s.grid_points()
-    mean = s.mc_step_mean(0.1, 1e-3, f, 64, keyed_generator(5, DOMAIN_MC_SLICE, 3), antithetic)
+    mean = s.mc_step_mean(0.1, 1e-3, f, 64, keyed_generator(5, DOMAIN_MC_SLICE, 3))
     rng = keyed_generator(5, DOMAIN_MC_SLICE, 3)
-    step = s.mc_step_operator(0.1, 1e-3, 64, lambda: rng, antithetic)
+    step = s.mc_step_operator(0.1, 1e-3, 64, lambda: rng)
     np.testing.assert_array_equal(step(f), mean)
     # built from a fresh generator per call, each application draws the same increments
-    step = s.mc_step_operator(0.1, 1e-3, 64, lambda: keyed_generator(5, DOMAIN_MC_SLICE, 3),
-                              antithetic)
+    step = s.mc_step_operator(0.1, 1e-3, 64, lambda: keyed_generator(5, DOMAIN_MC_SLICE, 3))
     np.testing.assert_array_equal(step(f), mean)
     np.testing.assert_array_equal(step(f), mean)
 
@@ -524,8 +514,6 @@ def test_row_dot_equals_numpy_sum(n):
                          ids=["circle", "sphere"])
 def test_mc_step_rejects_bad_path_counts(source):
     f = source.grid_points()
-    with pytest.raises(ValueError, match="antithetic sampling needs an even path count"):
-        source.mc_step_mean(0.0, 1e-3, f, 7, keyed_generator(5, DOMAIN_MC_SLICE, 0), True)
     with pytest.raises(ValueError, match="n_paths"):
         source.mc_step_mean(0.0, 1e-3, f, 0, keyed_generator(5, DOMAIN_MC_SLICE, 0))
 
