@@ -548,12 +548,18 @@ BAD_CONFIGS = [
     # the plots key and its matplotlib output are gone
     pytest.param("solve", _edit(PG_SOLVE, ("master_seed = 42", "master_seed = 42\nplots = true")),
                  [], "unknown config key 'plots'", id="run_plots_retired"),
-    # antithetic sampling, the paths.csv switch and the verify test function are gone
-    pytest.param("solve", _edit(PG_SOLVE, ("master_seed = 42",
-                                           "master_seed = 42\nantithetic = true")),
-                 [], "unknown config key 'antithetic'", id="run_antithetic_retired"),
-    pytest.param("simulate-forward", FWD_CONFIG + "antithetic = true\n", [],
-                 "unknown config key 'antithetic'", id="forward_antithetic_retired"),
+    # antithetic sampling, the paths.csv switch and the verify test function are gone;
+    # a config that asks for antithetic pairs over an odd path count names the key
+    pytest.param("solve", SPH_CONFIG + "n_paths = 7\nantithetic = true\n",
+                 ["--backend", "monte-carlo"], "unknown config key 'antithetic'",
+                 id="sphere_odd_antithetic_paths"),
+    pytest.param("solve", _edit(PG_SOLVE, ("tol = 1e-10",
+                                           "tol = 1e-10\nn_paths = 7\nantithetic = true")),
+                 ["--backend", "monte-carlo"], "unknown config key 'antithetic'",
+                 id="circle_odd_antithetic_paths"),
+    pytest.param("simulate-forward",
+                 _edit(FWD_CONFIG, ("n_paths = 4000", "n_paths = 7\nantithetic = true")),
+                 [], "unknown config key 'antithetic'", id="odd_antithetic_paths"),
     pytest.param("simulate-forward", FWD_CONFIG + "dump_paths = false\n", [],
                  "unknown config key 'dump_paths'", id="forward_dump_paths_retired"),
     pytest.param("verify", _edit(PG_SOLVE, ("field_file = x", "field_file = x\ntest_fn = one")),
