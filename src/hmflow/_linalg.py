@@ -2,7 +2,10 @@
 
 Chart points and target values mostly carry two or three ambient
 coordinates, and a numpy reduction over so short an axis costs more than
-the arithmetic it does.
+the arithmetic it does.  So the norms over such an axis on the solve and
+verify path are np.sqrt(row_dot(x, x)), bit-equal to
+np.linalg.norm(x, axis=-1), and the C^{0,1} sups add a gradient's frame
+and value axes as one flattened row.
 """
 
 from __future__ import annotations

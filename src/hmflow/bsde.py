@@ -81,7 +81,7 @@ def picard_map(u: MapField, h, steps) -> MapField:
     n_t = u.n_t
     if len(steps) != n_t:
         raise HorizonMismatch(f"{len(steps)} step operators for a field of {n_t} slices")
-    bound = 10.0 * (float(np.max(np.linalg.norm(h, axis=-1))) + 1.0)
+    bound = 10.0 * (float(np.max(np.sqrt(row_dot(h, h)))) + 1.0)
     grad = u.gradient
     w = np.empty_like(u.values)
     w[n_t] = h

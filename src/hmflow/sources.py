@@ -678,6 +678,11 @@ class Sphere2(SourceManifold):
         of O(n_modes n_theta^3), and holds 2 n_modes n_theta^2 doubles.  The
         time check and the factors 1 / (1 - kappa lam), n_modes n_theta reals,
         are done once here.  Unconditionally stable, O(dt) accurate.
+
+        The inverse FFT keeps the mode-major layout of the per-mode solve,
+        so each application copies its result into a C-contiguous slice:
+        the curvature driver and the sups that read it next take about
+        twice as long on the strided one.
         """
         self._check_time(t)
         vecs, lam, inv = self._eigenbasis
@@ -691,7 +696,7 @@ class Sphere2(SourceManifold):
                 modes.reshape(self.n_theta, modes.shape[1], -1).transpose(1, 0, 2)).view(float)
             out = vecs @ (factor * (inv @ rhs))
             out = out.view(complex).transpose(1, 0, 2).reshape(modes.shape)
-            return np.fft.irfft(out, n=self.n_phi, axis=1)
+            return np.ascontiguousarray(np.fft.irfft(out, n=self.n_phi, axis=1))
         return apply
 
     def heat_semigroup_step(self, t, dt, field):

@@ -129,7 +129,7 @@ class UnitSphere(TargetManifold):
     def distance(self, p):
         """Euclidean distance from p to the sphere: | |p| - 1 |."""
         p = np.asarray(p, dtype=float)
-        return np.abs(np.linalg.norm(p, axis=-1) - 1.0)
+        return np.abs(np.sqrt(row_dot(p, p)) - 1.0)   # np.linalg.norm, bit for bit
 
     def nearest_point(self, p):
         """Radial projection p/|p|; only defined strictly inside the 3*delta tube."""

@@ -109,6 +109,30 @@ def test_gradients_and_c01_do_not_depend_on_block_size(monkeypatch, family, cap)
     np.testing.assert_array_equal(w.gradient, w_grad)
 
 
+
+def _numpy_sups(v, g):
+    return (float(np.sqrt((v * v).sum(-1).max())),
+            float(np.sqrt((g * g).sum(axis=(-2, -1)).max())))
+
+
+@pytest.mark.parametrize("shape", [(4, 256, 1, 2), (9, 24, 48, 2, 3), (3, 24, 48, 2, 1)],
+                         ids=["circle", "sphere", "sphere_value_dim_1"])
+def test_sups_equal_numpy_reductions_bit_for_bit(shape):
+    rng = np.random.default_rng(12)
+    g = rng.standard_normal(shape) * rng.choice([1e-8, 1.0, 1e8], shape)
+    g[0, :2] = -0.0
+    g[1, :2, ..., :1] = -0.0
+    grid_swap = (1, 2) if len(shape) == 5 else (0, 1)
+    for block in (g, np.swapaxes(g, *grid_swap)):   # the second is not C-contiguous
+        v = block[..., 0, :]
+        # the sup over a block, then over single nodes, where each node's own sum decides it
+        assert fields._value_sup(v).hex() == _numpy_sups(v, block)[0].hex()
+        assert fields._gradient_sup(block).hex() == _numpy_sups(v, block)[1].hex()
+        nodes = block.reshape((-1,) + shape[-2:])[:2000]
+        for node in nodes:
+            got = (fields._value_sup(node[0]), fields._gradient_sup(node))
+            assert [x.hex() for x in got] == [x.hex() for x in _numpy_sups(node[0], node)]
+
 def test_non_finite_rejected():
     f = identity_field()
     bad = f.values.copy()

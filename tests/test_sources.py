@@ -319,6 +319,27 @@ def test_heat_operator_equals_the_one_step_kernel(make):
         s.heat_semigroup_operator(0.0, 0.01)(np.ones(4))
 
 
+
+@pytest.mark.parametrize("make", BLOCK_SOURCES)
+@pytest.mark.parametrize("backend", ["semigroup", "monte_carlo"])
+def test_one_step_and_calculus_outputs_are_c_contiguous(make, backend):
+    # the Picard sweep's driver and sups read these slices; strided ones cost them 2x
+    s = make()
+    times = np.linspace(0.0, 0.3, 5)
+    for value_shape in ((), (3,)):
+        f = np.random.default_rng(9).standard_normal(s.grid_shape + value_shape)
+        if backend == "semigroup":
+            outs = [s.heat_semigroup_operator(0.2, 0.01)(f), s.heat_semigroup_step(0.2, 0.01, f)]
+        else:
+            new_rng = lambda: keyed_generator(5, DOMAIN_MC_SLICE, 3)
+            outs = [s.mc_step_operator(0.2, 0.01, 16, new_rng)(f),
+                    s.mc_step_mean(0.2, 0.01, f, 16, new_rng())]
+        block = np.stack([f] * len(times))
+        outs += [s.frame_gradient(times, block), s.laplace_beltrami(times, block),
+                 s.frame_gradient(0.2, f), s.laplace_beltrami(0.2, f)]
+        for out in outs:
+            assert out.flags.c_contiguous, (value_shape, out.shape, out.strides)
+
 def test_sphere_chart_point_at_any_scale():
     s = Sphere2(constant_radius(1.0), n_theta=8, n_phi=16)
     for scale in (1e-200, 1.0, 1e300):

@@ -54,6 +54,16 @@ def test_distance():
     assert s1.distance(np.array([0.0, 0.0])) == pytest.approx(1.0)
 
 
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_distance_equals_numpy_norm_bit_for_bit(dim):
+    rng = np.random.default_rng(dim)
+    p = rng.standard_normal((35, 24, 48, dim + 1)) * rng.choice([1e-8, 1.0, 1e8], (35, 24, 48, 1))
+    p[0, 0] = -0.0
+    s = UnitSphere(dim)
+    for q in (p, np.swapaxes(p, 1, 2), p[0, 0, 0]):
+        assert s.distance(q).tobytes() == np.abs(np.linalg.norm(q, axis=-1) - 1.0).tobytes()
+
 def test_projection_idempotent():
     s2 = UnitSphere(2)
     rng = np.random.default_rng(3)
