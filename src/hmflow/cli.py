@@ -194,7 +194,7 @@ def _check_run(rc: dict, source):
         raise ConfigError(f"[run] n_paths = {rc['n_paths']} must not be negative")
     if rc["backend"] == "monte_carlo":
         try:
-            source._draw_count(rc["n_paths"])
+            source._check_path_count(rc["n_paths"])
         except ValueError as exc:
             raise ConfigError(f"[run] n_paths = {rc['n_paths']}: {exc}")
 

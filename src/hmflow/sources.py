@@ -152,11 +152,10 @@ class SourceManifold:
         return block, rho.reshape((-1,) + (1,) * (block.ndim - 1))
 
     @staticmethod
-    def _draw_count(n_paths: int) -> int:
-        """Independent increments behind a one-step Monte Carlo mean of n_paths samples."""
+    def _check_path_count(n_paths: int):
+        """Raise ValueError unless a one-step Monte Carlo mean has n_paths >= 1 samples."""
         if n_paths < 1:
             raise ValueError(f"a Monte Carlo step needs n_paths >= 1, got {n_paths}")
-        return n_paths
 
     def volume_weights(self, t):
         """Quadrature weights: the unit-radius cell sizes times rho(t)^dim."""
@@ -176,12 +175,35 @@ class SourceManifold:
     def ricci_bound(self) -> float:
         """Supremum over the time grid of the metric-compatibility tensor norm.
 
-        The tensor d(g_t)/dt + Ric_{g_t} is conformal for both families, so its
-        g x g norm reduces to |scalar| * sqrt(dim); the sup is taken over 1001
-        time nodes.
+        A round family of radius rho has d(g_t)/dt = (2 rho'/rho) g_t and
+        Ric_{g_t} = (dim - 1) g_t / rho^2, so the tensor d(g_t)/dt + Ric_{g_t}
+        is conformal and its g x g norm is |2 rho'/rho + (dim - 1)/rho^2| *
+        sqrt(dim); the sup is taken over 1001 time nodes.
         """
         tgrid = np.linspace(0.0, self.horizon, 1001)
-        return float(np.max(np.abs(self._compat_scalar(tgrid))) * np.sqrt(self.dim))
+        rho = self.profile(tgrid)
+        scalar = 2.0 * self.profile.derivative(tgrid) / rho + (self.dim - 1) / rho ** 2
+        return float(np.max(np.abs(scalar)) * np.sqrt(self.dim))
+
+    def generator_residual(self, t, field):
+        """Pointwise defect of the sum-of-squares identity for the projection fields.
+
+        Projection field i of the embedding, the tangential part of ambient
+        axis e_i, has frame components `frame_increments(points, e_i)`, and
+        its derivative of a scalar field is their `row_dot` with
+        `frame_gradient`.  Composed twice and summed over the axes, these
+        derivatives give the Laplace-Beltrami value, which is subtracted.
+        """
+        field = np.asarray(field, dtype=float)
+        if field.shape != self.grid_shape:
+            raise ShapeMismatch(f"generator residual is defined for scalar fields on grid "
+                                f"{self.grid_shape}, got shape {field.shape}")
+        points = self.grid_points()
+        total = np.zeros_like(field)
+        for axis in np.eye(self.ambient_dim):
+            v = self.frame_increments(points, axis)
+            total += row_dot(v, self.frame_gradient(t, row_dot(v, self.frame_gradient(t, field))))
+        return total - self.laplace_beltrami(t, field)
 
     def one_step_means(self, f, t, x, h_list):
         """E[f(X_{t+h})] from the chart point x for each step h in h_list.
@@ -293,26 +315,6 @@ class Circle(SourceManifold):
         lap = self._fourier(block, -(self._k ** 2) / _squares(rho).reshape(-1, 1), axis=1)
         return lap if np.ndim(t) else lap[0]
 
-    def generator_residual(self, t, field):
-        """Pointwise defect of the sum-of-squares identity for the projection fields.
-
-        Composes directional derivatives of the radial ambient extension
-        along each projection field and subtracts the Laplace-Beltrami
-        value; for smooth fields the residual is spectrally small.
-        """
-        field = np.asarray(field, dtype=float)
-        comp = np.stack([-np.sin(self.thetas), np.cos(self.thetas)], axis=0)
-        df = self.frame_gradient(t, field)[:, 0]
-        total = np.zeros_like(field)
-        for i in range(2):
-            ci = comp[i].reshape((-1,) + (1,) * (field.ndim - 1))
-            total += ci * self.frame_gradient(t, ci * df)[:, 0]
-        return total - self.laplace_beltrami(t, field)
-
-    def _compat_scalar(self, tgrid):
-        # circle: Ric = 0, d(g)/dt = (2 rho'/rho) g
-        return 2.0 * self.profile.derivative(tgrid) / self.profile(tgrid)
-
     # -- interpolation ---------------------------------------------------------
 
     def _phase_tables(self, x):
@@ -394,15 +396,15 @@ class Circle(SourceManifold):
         in BLAS and under 0.5 MB of temporaries.
         """
         self._check_time(t)
+        self._check_path_count(n_paths)
         rho = float(self.profile(t))
-        n_draws = self._draw_count(n_paths)
         rng = new_rng()
         sums = 0.0
-        for start in range(0, n_draws, _PHASE_CHUNK):
-            delta = rng.standard_normal(min(_PHASE_CHUNK, n_draws - start))
+        for start in range(0, n_paths, _PHASE_CHUNK):
+            delta = rng.standard_normal(min(_PHASE_CHUNK, n_paths - start))
             lo, hi = self._phase_tables(delta * (np.sqrt(dt) / rho))
             sums = sums + (hi @ lo.T).ravel()
-        chi = sums[:len(self._k)] / n_draws
+        chi = sums[:len(self._k)] / n_paths
 
         return lambda field: self._fourier(self._grid_field(field), chi)
 
@@ -565,39 +567,15 @@ class Sphere2(SourceManifold):
         lap = lap / _squares(rho)
         return lap if np.ndim(t) else lap[0]
 
-    @staticmethod
-    def _frames(theta, phi):
-        """Orthonormal frame (e_theta, e_phi) at colatitude theta and longitude phi."""
-        ct, st, cp, sp = np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi)
-        e_th = np.stack(np.broadcast_arrays(ct * cp, ct * sp, -st), axis=-1)
-        e_ph = np.stack(np.broadcast_arrays(-sp, cp, np.zeros_like(ct * cp)), axis=-1)
-        return e_th, e_ph
-
     def frame_increments(self, states, dW):
         """Ambient increments dW in the frame (e_theta, e_phi) at unit vectors, (..., 2)."""
         states = np.asarray(states, dtype=float)
-        e_th, e_ph = self._frames(np.arccos(np.clip(states[..., 2], -1.0, 1.0)),
-                                  np.arctan2(states[..., 1], states[..., 0]))
+        theta = np.arccos(np.clip(states[..., 2], -1.0, 1.0))
+        phi = np.arctan2(states[..., 1], states[..., 0])
+        ct, st, cp, sp = np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi)
+        e_th = np.stack([ct * cp, ct * sp, -st], axis=-1)
+        e_ph = np.stack([-sp, cp, np.zeros_like(cp)], axis=-1)
         return np.stack([np.sum(e_th * dW, axis=-1), np.sum(e_ph * dW, axis=-1)], axis=-1)
-
-    def generator_residual(self, t, field):
-        """Defect of composing projection-field derivatives twice vs the Laplacian."""
-        field = np.asarray(field, dtype=float)
-        if field.ndim != 2:
-            raise ShapeMismatch("generator residual is defined for scalar fields")
-        e_th, e_ph = self._frames(self.thetas[:, None], self.phis[None, :])
-        z = self.frame_gradient(t, field)
-        grad_amb = z[..., 0, None] * e_th + z[..., 1, None] * e_ph
-        total = np.zeros_like(field)
-        for i in range(3):
-            zi = self.frame_gradient(t, grad_amb[..., i])
-            total += zi[..., 0] * e_th[..., i] + zi[..., 1] * e_ph[..., i]
-        return total - self.laplace_beltrami(t, field)
-
-    def _compat_scalar(self, tgrid):
-        # sphere: Ric = g / rho^2, d(g)/dt = (2 rho'/rho) g
-        rho = self.profile(tgrid)
-        return 2.0 * self.profile.derivative(tgrid) / rho + 1.0 / rho ** 2
 
     # -- interpolation -------------------------------------------------------------
 
@@ -716,7 +694,7 @@ class Sphere2(SourceManifold):
         result does not depend on the chunk size.
         """
         self._check_time(t)
-        n_draws = self._draw_count(n_paths)
+        self._check_path_count(n_paths)
         step = max(1, _MC_CHUNK_POINTS // n_paths)
 
         def apply(field):
@@ -726,7 +704,7 @@ class Sphere2(SourceManifold):
             out = np.empty((nodes.shape[0],) + field.shape[2:])
             for start in range(0, nodes.shape[0], step):
                 chunk = nodes[start:start + step]
-                incr = rng.standard_normal((chunk.shape[0], n_draws, 3))
+                incr = rng.standard_normal((chunk.shape[0], n_paths, 3))
                 moved, _ = self.step_paths(chunk[:, None, :], t, dt, np.sqrt(dt) * incr)
                 vals = self.interpolate_slice(field, moved.reshape(-1, 3))
                 vals = vals.reshape((chunk.shape[0], n_paths) + field.shape[2:])

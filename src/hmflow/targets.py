@@ -276,8 +276,7 @@ def sff_trace(target, base_points, frame_vectors):
     return target.sff_trace(base_points, frame_vectors)
 
 
-def sff_finite_difference(target, p, u, v=None, step: float = 1e-4,
-                          richardson: bool = True):
+def sff_finite_difference(target, p, u, v=None, step: float = 1e-4):
     """Second fundamental form via central differences of the nearest-point map.
 
     Independent cross-check of the closed-form curvature: contracts the
@@ -301,9 +300,7 @@ def sff_finite_difference(target, p, u, v=None, step: float = 1e-4,
             return quad(u, h)
         return 0.25 * (quad(u + v, h) - quad(u - v, h))
 
-    if richardson:
-        return (4.0 * bilinear(step / 2.0) - bilinear(step)) / 3.0
-    return bilinear(step)
+    return (4.0 * bilinear(step / 2.0) - bilinear(step)) / 3.0
 
 
 def fit_g_inequality_constant(target, n_samples: int = 10_000, seed: int = 0):

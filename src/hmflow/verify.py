@@ -310,10 +310,10 @@ def weak_form_residual(source, field: MapField, test_fn) -> float:
 
     All spatial integrals use the metric quadrature weights; the time
     derivative of the volume element comes from the closed-form radius
-    derivative.  test_fn is a scalar grid field or a callable on the chart
-    grid.  Returns the Euclidean norm of the vector-valued defect.
+    derivative.  test_fn is the test function as a scalar grid field.  Returns
+    the Euclidean norm of the vector-valued defect.
     """
-    f = test_fn(source.grid_points()) if callable(test_fn) else np.asarray(test_fn, float)
+    f = np.asarray(test_fn, float)
 
     def space_int(slice_vals, weights, scalar):
         return np.tensordot(weights * scalar, slice_vals, axes=slice_vals.ndim - 1)

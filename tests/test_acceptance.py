@@ -176,8 +176,7 @@ def test_criterion_08_geometry_unit_oracle():
     closed_form_err = float(np.abs(
         gamma + np.sum(u * u, -1, keepdims=True) * p).max())
 
-    fd = sff_finite_difference(s2, p[:1000], u[:1000], step=1e-4,
-                               richardson=True)
+    fd = sff_finite_difference(s2, p[:1000], u[:1000], step=1e-4)
     fd_err = float(np.abs(fd - gamma[:1000]).max())
     ok = closed_form_err <= 1e-8 and fd_err <= 1e-6
     report(8, ok, f"curvature closed-form defect={closed_form_err:.2e} (<=1e-8) "

@@ -188,6 +188,25 @@ def test_bsde_residual_flat_heat_rate():
     assert order >= 0.4, (order, residuals)
 
 
+def test_bsde_residual_flat_heat_sphere_frame():
+    # u = e^{-(T-t)} X solves the heat equation of the unit sphere in R^3, so
+    # the defect shrinks with dt only when frame_increments pairs Z with the
+    # increments in the frame frame_gradient uses: the fitted order is about
+    # 0.35-0.39 on 16x32 to 32x64 grids, and with e_phi flipped the residuals
+    # stay above 1
+    s = Sphere2(constant_radius(1.0), n_theta=16, n_phi=32, horizon=0.5)
+    x = s.grid_points()
+    residuals = []
+    for dt in [0.02, 0.01, 0.005, 0.0025]:
+        times = np.linspace(0.0, 0.5, int(round(0.5 / dt)) + 1)
+        w = MapField(times, np.exp(-(0.5 - times))[:, None, None, None] * x[None], s,
+                     FlatSpace(3))
+        ens = simulate(s, 0.0, "grid", 0.5, dt, 400, 77)
+        residuals.append(bsde_residual(sample_solution(w, ens)))
+    assert all(a > b for a, b in zip(residuals, residuals[1:])), residuals
+    assert residuals[0] <= 0.1, residuals
+
+
 def test_bsde_residual_identity_fixed_point_baseline():
     from hmflow.picard import solve
     c, h = circle_identity()

@@ -564,6 +564,16 @@ BAD_CONFIGS = [
                  "unknown config key 'dump_paths'", id="forward_dump_paths_retired"),
     pytest.param("verify", _edit(PG_SOLVE, ("field_file = x", "field_file = x\ntest_fn = one")),
                  [], "unknown config key 'test_fn'", id="verify_test_fn_retired"),
+    # a value that does not parse, a non-positive value of a positive key, no section header
+    pytest.param("solve", _edit(PG_SOLVE, ("n_theta = 128", "n_theta = abc")), [],
+                 "config key 'n_theta' in [source]: cannot parse 'abc' as int",
+                 id="n_theta_not_an_int"),
+    pytest.param("solve", _edit(PG_SOLVE, ("t0 = 0.5", "t0 = 0")), [],
+                 "config key 't0' in [run] must be positive", id="t0_zero"),
+    pytest.param("solve", _edit(PG_SOLVE, ("tol = 1e-10", "tol = 1e-10\nmax_iter = -3")), [],
+                 "config key 'max_iter' in [run] must be positive", id="max_iter_negative"),
+    pytest.param("solve", "n_theta = 64\n" + PG_SOLVE, [], "malformed config",
+                 id="line_outside_any_section"),
 ]
 # a master seed fills one 64-bit Philox key word, from --seed or from the config
 _RUN_SEED = ("[run]\n", "[run]\nmaster_seed = {}\n")

@@ -133,9 +133,12 @@ def test_generator_identity_time_dependent_refinement():
 
 
 def test_sphere_generator_residual_needs_a_scalar_field():
-    s = Sphere2(constant_radius(1.0), n_theta=8, n_phi=16)
-    with pytest.raises(ShapeMismatch, match="scalar"):
-        s.generator_residual(0.0, s.grid_points())
+    # both families take scalar fields only: here each one's 3-vector chart map
+    for src in (Circle(constant_radius(1.0), n_theta=8),
+                Sphere2(constant_radius(1.0), n_theta=8, n_phi=16)):
+        field = src.profile_map(src.thetas, 3)
+        with pytest.raises(ShapeMismatch, match="scalar"):
+            src.generator_residual(0.0, field)
 
 
 def test_generator_identity_sphere():

@@ -82,8 +82,10 @@ def test_traced_names_resolve():
 
 
 def test_grid_rules_have_one_owner():
-    # the grid check and the quadrature weights are stated once, in SourceManifold
-    shared = {"_require_grid", "volume_weights", "volume_weights_dt"}
+    # the grid check, the quadrature weights, the generator identity and the
+    # curvature-compatibility bound are stated once, in SourceManifold
+    shared = {"_require_grid", "volume_weights", "volume_weights_dt", "generator_residual",
+              "ricci_bound"}
     assert {cls.__name__: sorted(shared & set(cls.__dict__)) for cls in (Circle, Sphere2)} \
         == {"Circle": [], "Sphere2": []}
 
