@@ -260,6 +260,10 @@ def cmd_solve(config_path: str, out_dir: str, seed: int | None,
         out.joinpath("run.log").write_text(f"failed: {exc}\n")
         return 3
     wall = time.perf_counter() - start
+    # one number is read from the sample; dropping it here keeps its paths and
+    # solution pair out of the save and reference phases' working set
+    sample_max_dist = float(np.max(target.distance(sample.y)))
+    del sample
 
     field.save(out / "field.csv")
     _json_dump(state.records, out / "iterations.json")
@@ -276,7 +280,7 @@ def cmd_solve(config_path: str, out_dir: str, seed: int | None,
         "master_seed": master_seed,
         "n_t": field.n_t,
         "n_nodes": field.n_nodes,
-        "sample_max_dist": float(np.max(target.distance(sample.y))),
+        "sample_max_dist": sample_max_dist,
     }
     case.horizon = state.horizon
     try:

@@ -657,10 +657,13 @@ class Sphere2(SourceManifold):
         time check and the factors 1 / (1 - kappa lam), n_modes n_theta reals,
         are done once here.  Unconditionally stable, O(dt) accurate.
 
-        The inverse FFT keeps the mode-major layout of the per-mode solve,
-        so each application copies its result into a C-contiguous slice:
-        the curvature driver and the sups that read it next take about
-        twice as long on the strided one.
+        Both FFTs run along the contiguous axis, as `_dphi_spectral`'s do.
+        Longitude is moved last for `rfft`; the modes are copied mode-major
+        for the per-mode solve and back to the last axis for `irfft`; then
+        longitude returns to its place in a C-contiguous slice, since the
+        curvature driver and the sups that read the slice next take about
+        twice as long on a strided one.  The copies only move values, so
+        the step is bit-equal to FFTs along the strided longitude axis.
         """
         self._check_time(t)
         vecs, lam, inv = self._eigenbasis
@@ -668,13 +671,16 @@ class Sphere2(SourceManifold):
         factor = (1.0 / (1.0 - kappa * lam))[..., None]
 
         def apply(field):
-            modes = np.fft.rfft(self._grid_field(field), axis=1)
+            field = self._grid_field(field)
+            rows = np.ascontiguousarray(
+                field.reshape(self.n_theta, self.n_phi, -1).transpose(0, 2, 1))
+            modes = np.fft.rfft(rows, axis=-1)
             # (n_modes, n_theta, k) complex columns as (n_modes, n_theta, 2k) real ones
-            rhs = np.ascontiguousarray(
-                modes.reshape(self.n_theta, modes.shape[1], -1).transpose(1, 0, 2)).view(float)
+            rhs = np.ascontiguousarray(modes.transpose(2, 0, 1)).view(float)
             out = vecs @ (factor * (inv @ rhs))
-            out = out.view(complex).transpose(1, 0, 2).reshape(modes.shape)
-            return np.ascontiguousarray(np.fft.irfft(out, n=self.n_phi, axis=1))
+            out = np.ascontiguousarray(out.view(complex).transpose(1, 2, 0))
+            rows = np.fft.irfft(out, n=self.n_phi, axis=-1)
+            return np.ascontiguousarray(rows.transpose(0, 2, 1)).reshape(field.shape)
         return apply
 
     def heat_semigroup_step(self, t, dt, field):

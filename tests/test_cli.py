@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -631,6 +632,35 @@ def test_sphere_equivariant_solve_reports_reference_error(tmp_path):
     tol = make_benchmark("equivariant_s2", horizon=0.05).tolerances["sup_error"]
     assert summary["reference_sup_error"] <= tol
     assert (tmp_path / "s" / "error_vs_reference.csv").exists()
+
+
+def test_solve_releases_its_sample_before_the_save(tmp_path, monkeypatch):
+    # 1000 sample paths on an 8x16 grid: the sample holds about 40x the field's
+    # values. It is built, and peaks, inside `solve`; from the field's save on, the
+    # reference phase sets the peak at 13.5x the values, or 53x with the sample kept.
+    text = SPH_CONFIG.replace("n_theta = 16\nn_phi = 32\nhorizon = 0.05",
+                              "n_theta = 8\nn_phi = 16\nhorizon = 0.02")
+    text = text.replace("t0 = 0.05\ndt = 2.5e-3", "t0 = 0.02\ndt = 1e-3")
+    cfg = write_config(tmp_path, text.replace("sample_paths = 64", "sample_paths = 1000"))
+    argv = ["solve", "--config", cfg, "--out", str(tmp_path / "s")]
+    assert main(argv) == 0   # warm caches
+    save = MapField.save
+
+    def save_from_a_fresh_peak(field, path):
+        tracemalloc.reset_peak()
+        save(field, path)
+
+    monkeypatch.setattr(MapField, "save", save_from_a_fresh_peak)
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    source = build_source(load_config(cfg))
+    values = MapField.load(tmp_path / "s" / "field.csv", source, UnitSphere(2)).values
+    assert values.shape == (21, 8, 16, 3)
+    assert peak <= 20 * values.nbytes
 
 
 def test_sphere_flat_target_writes_no_reference(tmp_path):

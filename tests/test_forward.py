@@ -395,6 +395,23 @@ def test_path_csv_matches_csv_writer(tmp_path, monkeypatch, source, x0):
     _csv_writer_dump(ens, tmp_path / "ref.csv")
     assert (tmp_path / "paths.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
+
+def test_path_csv_memory_is_bounded_by_its_blocks(tmp_path):
+    # the 50-path dump of `simulate-forward` on the sphere: 12 850 rows, 1.0 MB of text.
+    # Its rows array and one formatting block stay near twice the bytes written
+    # (2.1x); a block holding every row formatted all of them at once (4.9x).
+    s = Sphere2(constant_radius(1.0), n_theta=8, n_phi=16)
+    ens = simulate(s, 0.0, np.array([0.0, 0.0, 1.0]), 1.0, 1 / 256, 50, 8)
+    out = tmp_path / "paths.csv"
+    ens.to_csv(out)   # warm caches
+    tracemalloc.start()
+    try:
+        ens.to_csv(out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * out.stat().st_size
+
 def test_sphere_states_stay_unit_norm():
     s = Sphere2(constant_radius(1.0), n_theta=8, n_phi=16)
     ens = simulate(s, 0.0, np.array([0.0, 0.0, 1.0]), 0.25, 1 / 64, 200, 3)

@@ -290,7 +290,11 @@ def test_time_blocked_calculus_equals_stacked_slices(make, value_shape):
 
 
 def _heat_step_reference(s, t, dt, f):
-    """The one-slice heat kernels written out: Fourier decay, or implicit per sphere mode."""
+    """The one-slice heat kernels written out: Fourier decay, or implicit per sphere mode.
+
+    The sphere's FFTs run along the strided longitude axis; the operator runs
+    them with longitude last, which moves values and changes no bit.
+    """
     rho = float(s.profile(t))
     if isinstance(s, Circle):
         decay = np.exp(-0.5 * s._k ** 2 * dt / rho ** 2)
@@ -306,7 +310,9 @@ def _heat_step_reference(s, t, dt, f):
     return np.fft.irfft(out, n=s.n_phi, axis=1)
 
 
-@pytest.mark.parametrize("make", BLOCK_SOURCES)
+@pytest.mark.parametrize("make", BLOCK_SOURCES + [
+    pytest.param(lambda: Sphere2(sine_radius(0.2, 1.0), n_theta=n, n_phi=2 * n, horizon=1.0),
+                 id=f"sphere{n}x{2 * n}") for n in (24, 48)])
 def test_heat_operator_equals_the_one_step_kernel(make):
     s = make()
     rng = np.random.default_rng(6)
