@@ -20,10 +20,9 @@ from functools import partial
 
 import numpy as np
 
-from ._linalg import row_dot
 from ._rng import DOMAIN_MC_SLICE, keyed_generator
 from .errors import BlowUp, HorizonMismatch, ShapeMismatch
-from .fields import MapField
+from .fields import MapField, _value_sup
 from .forward import PathEnsemble
 from .targets import sff_trace
 
@@ -81,14 +80,14 @@ def picard_map(u: MapField, h, steps) -> MapField:
     n_t = u.n_t
     if len(steps) != n_t:
         raise HorizonMismatch(f"{len(steps)} step operators for a field of {n_t} slices")
-    bound = 10.0 * (float(np.max(np.sqrt(row_dot(h, h)))) + 1.0)
+    bound = 10.0 * (_value_sup(h) + 1.0)
     grad = u.gradient
     w = np.empty_like(u.values)
     w[n_t] = h
     for k in range(n_t - 1, -1, -1):
         cond = steps[k](w[k + 1])
         w[k] = cond - 0.5 * dt * sff_trace(target, cond, grad[k])
-        worst = float(np.sqrt(np.max(row_dot(w[k], w[k]))))   # the largest |w|, bit for bit
+        worst = _value_sup(w[k])
         if worst > bound:
             raise BlowUp(
                 f"|w| reached {worst:.3g} > {bound:.3g} at slice {k}; "

@@ -9,8 +9,8 @@ against the independent residual oracles.
 Every command echoes its config into the output directory and is
 reproducible from config + seed: all emitted CSV/JSON is byte-identical
 across reruns.  Wall-clock timing goes to run.log only, which is outside
-that contract.  Exit codes: 0 success, 2 config/IO error (config values
-are checked before any computing starts), an array too large for memory,
+that contract.  Exit codes: 0 success, 2 config/IO error (the whole config
+is checked before anything is written), an array too large for memory,
 or any other library error (HmflowError, reported with its class name),
 3 no contraction, 4 verification failure, 5 a solve that stopped at
 max_iter without converging (its outputs are still written).
@@ -31,8 +31,8 @@ import numpy as np
 from ._linalg import row_dot
 from ._rng import DOMAIN_VERIFY_PATH, SEED_LIMIT
 from .bsde import sample_solution
-from .errors import (ConfigError, FieldLeftTube, GridTooCoarse, HmflowError,
-                     NoContraction, TerminalNotOnTarget, UnsupportedReduction)
+from .errors import (ConfigError, FieldLeftTube, HmflowError, NoContraction,
+                     UnsupportedReduction)
 from .fields import MapField, _value_sup, c01_norm, sup_norm
 from .forward import moment_check, simulate, step_count
 from .picard import solve
@@ -150,27 +150,32 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+def _checked(where: str, call, *args):
+    """call(*args) on config values, any library error re-raised as a ConfigError.
+
+    The message starts with `where`, the place the values are set.
+    """
+    try:
+        return call(*args)
+    except (ValueError, HmflowError, OSError) as exc:
+        raise ConfigError(f"{where}: {exc}")
+
+
 def build_source(cfg: dict):
     sc = cfg["source"]
-    try:
-        return _SOURCES[sc["family"]](sc, _PROFILES[sc["profile"]](sc))
-    except (ValueError, GridTooCoarse) as exc:
-        raise ConfigError(f"[source] {exc}")
+    return _checked("[source]", lambda: _SOURCES[sc["family"]](sc, _PROFILES[sc["profile"]](sc)))
 
 
 def build_target(cfg: dict):
     tc = cfg["target"]
-    try:
-        return _TARGETS[tc["family"]](tc)
-    except ValueError as exc:
-        raise ConfigError(f"[target] tube_radius = {tc['tube_radius']}: {exc}")
+    return _checked(f"[target] tube_radius = {tc['tube_radius']}", _TARGETS[tc["family"]], tc)
 
 
 def build_case(cfg: dict, source, target) -> BenchmarkCase:
     """The configured terminal map as a case of the problem registry."""
     tc = cfg["terminal"]
-    case = terminal_case(tc["name"], source, target, cfg["run"]["t0"],
-                         tc["amplitude"], tc["winding"])
+    case = _checked(f"[terminal] name = {tc['name']}", terminal_case, tc["name"], source, target,
+                    cfg["run"]["t0"], tc["amplitude"], tc["winding"])
     if case.terminal.shape[-1] != target.ambient_dim:
         raise ConfigError(f"[target] family = {cfg['target']['family']}: terminal {tc['name']!r} "
                           f"on {source!r} takes values in R^{case.terminal.shape[-1]}, not "
@@ -186,32 +191,23 @@ def build_terminal(cfg: dict, source, target):
 
 def _check_run(rc: dict, source):
     """Reject [run] values that the solve would only fail on later."""
-    try:
-        step_count(source, 0.0, rc["t0"], rc["dt"])
-    except (HmflowError, ValueError) as exc:
-        raise ConfigError(f"[run] dt = {rc['dt']} with t0 = {rc['t0']}: {exc}")
+    _checked(f"[run] dt = {rc['dt']} with t0 = {rc['t0']}", step_count, source, 0.0, rc["t0"],
+             rc["dt"])
     if rc["n_paths"] < 0:
         raise ConfigError(f"[run] n_paths = {rc['n_paths']} must not be negative")
     if rc["backend"] == "monte_carlo":
-        try:
-            source._check_path_count(rc["n_paths"])
-        except ValueError as exc:
-            raise ConfigError(f"[run] n_paths = {rc['n_paths']}: {exc}")
+        _checked(f"[run] n_paths = {rc['n_paths']}", source._check_path_count, rc["n_paths"])
 
 
 def _check_forward(fc: dict, source):
     """Reject bad [forward] values; returns the start point x0 on the source."""
-    try:
-        x0 = source.chart_point([float(v) for v in fc["x0"].split(",")])
-    except ValueError as exc:
-        raise ConfigError(f"[forward] x0 = {fc['x0']!r}: {exc}")
+    x0 = _checked(f"[forward] x0 = {fc['x0']!r}",
+                  lambda: source.chart_point([float(v) for v in fc["x0"].split(",")]))
     if fc["n_paths"] < 2:
         raise ConfigError(f"[forward] n_paths = {fc['n_paths']} must be at least 2 for a "
                           "standard error")
-    try:
-        step_count(source, 0.0, fc["horizon"], fc["dt"])
-    except (HmflowError, ValueError) as exc:
-        raise ConfigError(f"[forward] horizon = {fc['horizon']}, dt = {fc['dt']}: {exc}")
+    _checked(f"[forward] horizon = {fc['horizon']}, dt = {fc['dt']}", step_count, source, 0.0,
+             fc["horizon"], fc["dt"])
     return x0
 
 
@@ -227,27 +223,29 @@ def _json_dump(obj, path: Path):
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _start(config_path: str, out_dir: str, seed: int | None):
-    """Each command's start: (config, master seed, output directory, source).
-
-    The output directory is made, and the config file is echoed into it.
-    """
+def _start(config_path: str, seed: int | None):
+    """Each command's start: (config, master seed, source), each checked."""
     cfg = load_config(config_path)
-    master_seed = _master_seed(cfg, seed)
+    return cfg, _master_seed(cfg, seed), build_source(cfg)
+
+
+def _make_out(out_dir: str, config_path: str) -> Path:
+    """The output directory with the config echoed in; made once the whole config is checked."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     out.joinpath("config.ini").write_text(Path(config_path).read_text())
-    return cfg, master_seed, out, build_source(cfg)
+    return out
 
 
 def cmd_solve(config_path: str, out_dir: str, seed: int | None,
               backend: str | None) -> int:
-    cfg, master_seed, out, source = _start(config_path, out_dir, seed)
+    cfg, master_seed, source = _start(config_path, seed)
     rc = cfg["run"]
     rc["backend"] = backend.replace("-", "_") if backend else rc["backend"]
     target = build_target(cfg)
     case = build_case(cfg, source, target)
     _check_run(rc, source)
+    out = _make_out(out_dir, config_path)
 
     start = time.perf_counter()
     try:
@@ -330,9 +328,10 @@ def _write_benchmark_csv(out: Path, field, ref, sup_deviation: float):
 
 
 def cmd_simulate_forward(config_path: str, out_dir: str, seed: int | None) -> int:
-    cfg, master_seed, out, source = _start(config_path, out_dir, seed)
+    cfg, master_seed, source = _start(config_path, seed)
     fc = cfg["forward"]
     x0 = _check_forward(fc, source)
+    out = _make_out(out_dir, config_path)
 
     start = time.perf_counter()
     report = moment_check(source, 0.0, x0, fc["horizon"], fc["dt"],
@@ -351,7 +350,7 @@ def cmd_simulate_forward(config_path: str, out_dir: str, seed: int | None) -> in
 
 
 def cmd_verify(config_path: str, out_dir: str, seed: int | None) -> int:
-    cfg, master_seed, out, source = _start(config_path, out_dir, seed)
+    cfg, master_seed, source = _start(config_path, seed)
     vc = cfg["verify"]
     if not vc["field_file"]:
         raise ConfigError("verify needs 'field_file' in section [verify]")
@@ -359,14 +358,13 @@ def cmd_verify(config_path: str, out_dir: str, seed: int | None) -> int:
     field_path = Path(vc["field_file"])
     if not field_path.exists():
         field_path = Path(config_path).parent / vc["field_file"]
-    try:
-        field = MapField.load(field_path, source, target)
-    except (OSError, ValueError, HmflowError) as exc:
-        raise ConfigError(f"cannot load field file {vc['field_file']!r}: {exc}")
+    field = _checked(f"[verify] field_file = {vc['field_file']!r}: cannot load field file",
+                     MapField.load, field_path, source, target)
     if field.n_t < 2:
         raise ConfigError(
             f"field file {vc['field_file']!r} holds {field.n_t + 1} slices; verify needs at "
             "least 3, so that the tension residual has an interior slice")
+    out = _make_out(out_dir, config_path)
 
     def check(value, tol_key, **extra):
         return {"value": value, "threshold": vc[tol_key], "pass": bool(value <= vc[tol_key]),
@@ -419,7 +417,7 @@ def main(argv=None) -> int:
         if args.command == "simulate-forward":
             return cmd_simulate_forward(args.config, args.out, args.seed)
         return cmd_verify(args.config, args.out, args.seed)
-    except (ConfigError, TerminalNotOnTarget) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from hmflow.bsde import bsde_residual, picard_map, sample_solution, step_operators
-from hmflow.errors import BlowUp, HorizonMismatch
+from hmflow.bsde import (BsdeSolutionSample, bsde_residual, picard_map, sample_solution,
+                         step_operators)
+from hmflow.errors import BlowUp, HorizonMismatch, ShapeMismatch
 from hmflow.fields import MapField, c01_norm
 from hmflow.forward import simulate
 from hmflow.sources import Circle, Sphere2, constant_radius, sine_radius
@@ -48,6 +49,12 @@ def test_horizon_mismatch():
         picard_map(u, h[:32], step_operators(u))
     with pytest.raises(HorizonMismatch):   # operators built for another time grid
         picard_map(u, h, step_operators(MapField.constant_in_time(c, S1, h, 0.25, 25)))
+
+
+def test_unknown_backend_rejected():
+    c, h = circle_identity(n_theta=16)
+    with pytest.raises(ValueError, match="unknown backend 'bogus'"):
+        step_operators(MapField.constant_in_time(c, S1, h, 0.05, 5), "bogus")
 
 
 def test_blowup_guard():
@@ -130,6 +137,19 @@ def test_solution_sample_and_z_bound_stability():
         maxima.append(np.linalg.norm(sample.z, axis=(-2, -1)).max())
     ratio = maxima[1] / maxima[0]
     assert 0.8 <= ratio <= 1.25, maxima
+
+
+def test_solution_sample_rejects_bad_arrays():
+    c, h = circle_identity(n_theta=16)
+    field = MapField.constant_in_time(c, S1, h, 0.05, 5)
+    sample = sample_solution(field, simulate(c, 0.0, "grid", 0.05, 0.01, 4, 3))
+    for y, z, message in ((sample.y[:-1], sample.z, "sample arrays do not match the ensemble"),
+                          (sample.y[:, :-1], sample.z, "sample arrays do not match the ensemble"),
+                          (sample.y, sample.z[:-1], "sample arrays do not match the ensemble"),
+                          (np.full_like(sample.y, np.nan), sample.z, "non-finite values"),
+                          (sample.y, np.full_like(sample.z, np.inf), "non-finite values")):
+        with pytest.raises(ShapeMismatch, match=message):
+            BsdeSolutionSample(sample.ensemble, y, z, c, S1)
 
 
 def test_sample_on_own_slices_reads_kept_gradient(monkeypatch):

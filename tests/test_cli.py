@@ -208,6 +208,16 @@ def test_out_of_memory_exits_2_without_traceback(tmp_path, capsys, monkeypatch):
     assert "745. GiB" in err and "Traceback" not in err
 
 
+def test_out_that_is_a_file_exits_2_with_io_error(tmp_path, capsys):
+    # a valid config is fully checked; only then does making the directory fail
+    cfg = write_config(tmp_path, PG_CONFIG.format(field_file="x"))
+    (tmp_path / "o").write_text("a file\n")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("io error:") and "Traceback" not in err
+    assert (tmp_path / "o").read_text() == "a file\n"
+
+
 def test_missing_config_exits_2(tmp_path):
     assert main(["solve", "--config", str(tmp_path / "nope.ini"),
                  "--out", str(tmp_path / "o")]) == 2
@@ -279,6 +289,7 @@ def test_verify_corrupted_field_exits_2(tmp_path):
     cfg = write_config(tmp_path, PG_CONFIG.format(field_file="bad.csv"))
     (tmp_path / "bad.csv").write_text("not,a,field\n")
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 2
+    assert not (tmp_path / "v").exists()
 
 
 def _field_text(header, rows):
@@ -310,7 +321,8 @@ def test_verify_field_that_does_not_fit_exits_2(tmp_path, capsys, content):
         path.write_text(content)
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 2
     err = capsys.readouterr().err
-    assert "cannot load field file" in err and "Traceback" not in err
+    assert "[verify] field_file = 'bad_field': cannot load field file" in err
+    assert "Traceback" not in err and not (tmp_path / "v").exists()
 
 
 def test_verify_header_only_field_exits_2_without_warning(tmp_path):
@@ -339,7 +351,7 @@ def test_verify_field_of_two_slices_exits_2(tmp_path):
                           "--out", str(tmp_path / "v")], capture_output=True, text=True, env=env)
     assert run.returncode == 2, run.stderr
     assert "holds 2 slices" in run.stderr and "Traceback" not in run.stderr
-    assert not (tmp_path / "v" / "verdict.json").exists()
+    assert not (tmp_path / "v").exists()
 
 
 def test_verify_rejects_unknown_test_fn_before_computing(tmp_path, capsys, monkeypatch):
@@ -359,6 +371,7 @@ def test_verify_rejects_unknown_test_fn_before_computing(tmp_path, capsys, monke
 def test_verify_missing_field_file_key_exits_2(tmp_path):
     cfg = write_config(tmp_path, FWD_CONFIG)
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 2
+    assert not (tmp_path / "v").exists()
 
 
 def test_solve_backend_override_monte_carlo(tmp_path):
@@ -528,6 +541,13 @@ BAD_CONFIGS = [
     pytest.param("solve", _edit(SPH_CONFIG, ("[target]\nfamily = sphere2",
                                              "[target]\nfamily = circle")),
                  [], "[target] family", id="sphere_terminal_into_circle_target"),
+    # the terminal registry's rejections name the key they come from
+    pytest.param("solve", _edit(PG_SOLVE, ("name = perturbed_geodesic", "name = nosuch")), [],
+                 "[terminal] name = nosuch:", id="circle_terminal_name_unknown"),
+    pytest.param("solve", _edit(SPH_CONFIG, ("name = equivariant", "name = nosuch")), [],
+                 "[terminal] name = nosuch:", id="sphere_terminal_name_unknown"),
+    pytest.param("solve", _edit(PG_SOLVE, ("name = perturbed_geodesic", "name = great_circle")),
+                 [], "[terminal] name = great_circle:", id="great_circle_into_circle_target"),
     # 0.05 / 0.03 is not a whole number of steps
     pytest.param("solve", _edit(SPH_CONFIG, ("dt = 2.5e-3", "dt = 0.03")), [], "[run] dt",
                  id="run_dt_does_not_divide_t0"),
@@ -598,6 +618,7 @@ def test_bad_config_exits_2_with_message(tmp_path, capsys, command, text, extra,
     err = capsys.readouterr().err
     assert key in err
     assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("name,source,target,terminal", [

@@ -143,6 +143,12 @@ def test_non_finite_rejected():
         MapField(f.times, bad, f.source, f.target)
 
 
+def test_slice_count_must_match_times():
+    f = identity_field()
+    with pytest.raises(ShapeMismatch, match="values and times disagree on slice count"):
+        MapField(f.times[:-1], f.values, f.source, f.target)
+
+
 def test_sup_norm():
     f = identity_field()
     assert sup_norm(f) == pytest.approx(1.0, abs=1e-12)

@@ -131,6 +131,13 @@ def test_terminal_must_lie_on_target():
         solve(c, S1, 1.01 * h, 0.25)
 
 
+@pytest.mark.parametrize("t0_init,tol", [(0.0, 1e-10), (0.25, -1e-10)])
+def test_nonpositive_horizon_or_tolerance_rejected(t0_init, tol):
+    c, h = circle_h(lambda a: a, n_theta=16)
+    with pytest.raises(ValueError, match="need t0_init > 0 and tol > 0"):
+        solve(c, S1, h, t0_init, tol=tol)
+
+
 def test_horizon_beyond_metric_interval():
     c, h = circle_h(lambda a: a, horizon=1.0)
     with pytest.raises(TimeOutOfRange):

@@ -22,6 +22,11 @@ def random_sphere_points(n, seed, dim=2):
     return p / np.linalg.norm(p, axis=-1, keepdims=True)
 
 
+def test_only_circle_and_two_sphere_targets():
+    with pytest.raises(ValueError, match=r"only S\^1 and S\^2 targets are built in"):
+        UnitSphere(3)
+
+
 # ---------------------------------------------------------------------------
 # nearest point / distance
 # ---------------------------------------------------------------------------
