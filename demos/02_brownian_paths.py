@@ -14,13 +14,13 @@ from hmflow import (Circle, Sphere2, constant_radius, moment_check, simulate,
 
 print("=== circle, static radius ===")
 circle = Circle(constant_radius(1.0), n_theta=64, horizon=1.0)
-rep = moment_check(circle, 0.0, 0.0, 1.0, 1 / 256, 20_000, master_seed=42)
+rep = moment_check(circle, 0.0, 1.0, 1 / 256, 20_000, master_seed=42)
 print(f"E[cos theta] at t=1: sample {rep['sample_mean']:.5f} vs exact "
       f"{rep['expected']:.5f}  (z = {rep['zscore']:+.2f}, pass={rep['pass']})")
 
 print("\n=== circle, breathing radius 1 + 0.2 sin t ===")
 breathing = Circle(sine_radius(0.2, 1.0), n_theta=64, horizon=1.0)
-rep = moment_check(breathing, 0.0, 0.0, 1.0, 1 / 256, 20_000, master_seed=43)
+rep = moment_check(breathing, 0.0, 1.0, 1 / 256, 20_000, master_seed=43)
 tau = time_change(breathing.profile, 0.0, 1.0)
 print(f"time change integral of rho^-2 over [0,1]: {tau:.6f}")
 print(f"E[cos theta]: sample {rep['sample_mean']:.5f} vs exact "
@@ -29,15 +29,15 @@ print(f"E[cos theta]: sample {rep['sample_mean']:.5f} vs exact "
 print("\n=== sphere, projected Euler-Maruyama ===")
 sphere = Sphere2(constant_radius(1.0), n_theta=16, n_phi=32, horizon=1.0)
 x0 = np.array([0.0, 0.0, 1.0])
-rep = moment_check(sphere, 0.0, x0, 0.5, 1 / 128, 20_000, master_seed=44)
+rep = moment_check(sphere, x0, 0.5, 1 / 128, 20_000, master_seed=44)
 print(f"E[<X, x0>] at t=0.5: sample {rep['sample_mean']:.5f} vs exact "
       f"{rep['expected']:.5f}  (z = {rep['zscore']:+.2f}, pass={rep['pass']})")
 print(f"max |X|-1 before renormalization: {rep['max_constraint_violation']:.2e} "
       f"(one step is {1 / 128:.4f})")
 
 print("\n=== determinism: same seed, same paths ===")
-a = simulate(circle, 0.0, 0.0, 0.5, 1 / 64, 1000, master_seed=7)
-b = simulate(circle, 0.0, 0.0, 0.5, 1 / 64, 1000, master_seed=7)
+a = simulate(circle, 0.0, 0.5, 1 / 64, 1000, master_seed=7)
+b = simulate(circle, 0.0, 0.5, 1 / 64, 1000, master_seed=7)
 print(f"two runs identical: {np.array_equal(a.states, b.states)}")
 
 print("\n=== one-step weak error beyond (h/2) Lap f ===")

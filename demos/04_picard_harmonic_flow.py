@@ -11,8 +11,7 @@ Run:  python3 demos/04_picard_harmonic_flow.py
 
 import numpy as np
 
-from hmflow import (circle_lift, contraction_report, make_benchmark,
-                    pde_reference, solve, time_change)
+from hmflow import circle_lift, make_benchmark, pde_reference, solve, time_change
 
 print("=== harmonic identity map: one delta and done ===")
 case = make_benchmark("identity_circle", horizon=0.25)
@@ -32,9 +31,11 @@ print(f"converged in {state.iterations} iterations at horizon "
 print(f"sup error vs mode-decay reference: "
       f"{np.abs(field.values - ref.values).max():.2e}")
 print("contraction history (n, delta, ratio):")
-for n, delta, ratio in contraction_report(state)[:8]:
-    print(f"  {int(n):2d}   {delta:.3e}   "
-          f"{'-' if np.isnan(ratio) else f'{ratio:.3f}'}")
+final = [rec for rec in state.records if rec["horizon"] == state.horizon]
+for rec in final[:8]:
+    ratio = rec["ratio"]
+    print(f"  {rec['n']:2d}   {rec['delta']:.3e}   "
+          f"{'-' if ratio is None else f'{ratio:.3f}'}")
 
 print("\namplitude of the sin-theta mode per slice (flow vs exact decay):")
 th = case.source.thetas

@@ -10,14 +10,14 @@ invariants.
 from .bsde import (BsdeSolutionSample, bsde_residual, picard_map, sample_solution,
                    step_operators)
 from .errors import (BlowUp, ConfigError, FieldLeftTube, GridTooCoarse,
-                     HmflowError, HorizonMismatch, InsufficientHistory,
-                     NoContraction, PointNotOnManifold, PointOutsideTube,
-                     ShapeMismatch, StepTooLarge, TerminalNotOnTarget,
-                     TimeOutOfRange, UnsupportedReduction)
+                     HmflowError, HorizonMismatch, NoContraction,
+                     PointNotOnManifold, PointOutsideTube, ShapeMismatch,
+                     StepTooLarge, TerminalNotOnTarget, TimeOutOfRange,
+                     UnsupportedReduction)
 from .fields import MapField, c01_norm, difference_c01, sup_norm
 from .forward import (PathEnsemble, moment_check, simulate, time_change,
                       weak_error_probe)
-from .picard import PicardState, contraction_report, solve
+from .picard import PicardState, solve
 from .sources import (Circle, RadiusProfile, SourceManifold, Sphere2,
                       constant_radius, shrinking_radius, sine_radius)
 from .targets import (FlatSpace, TargetManifold, UnitSphere,

@@ -8,9 +8,10 @@ forward diffusion, one of the operators `step_operators` builds, and
 subtracts the curvature driver evaluated at that conditional expectation
 with the frozen gradient of u.
 
-`sample_solution` and `bsde_residual` reconstruct the stochastic solution
-pair along a forward ensemble and check the discrete backward identity
-pathwise against the very increments that drove the paths.
+`sample_solution` reconstructs the stochastic solution pair along a forward
+ensemble it draws from the field's grid, and `bsde_residual` checks the
+discrete backward identity pathwise against the very increments that drove
+the paths.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from ._rng import DOMAIN_MC_SLICE, keyed_generator
 from .errors import BlowUp, HorizonMismatch, ShapeMismatch
 from .fields import MapField, _value_sup
-from .forward import PathEnsemble
+from .forward import PathEnsemble, simulate
 from .targets import sff_trace
 
 
@@ -119,20 +120,20 @@ class BsdeSolutionSample:
             raise ShapeMismatch("non-finite values in solution sample")
 
 
-def sample_solution(field: MapField, ensemble: PathEnsemble) -> BsdeSolutionSample:
-    """Evaluate the field and its gradient along every path of the ensemble.
+def sample_solution(field: MapField, n_paths: int, master_seed: int,
+                    domain: int) -> BsdeSolutionSample:
+    """Evaluate the field and its gradient along a forward ensemble of its own.
 
-    The ensemble must run on the field's own slice times, as the solve's
-    sample and `verify` do; any other ensemble raises HorizonMismatch.  At
-    each slice k, `field.values[k]` and the kept `field.gradient[k]` are
-    stacked and interpolated at the paths in one call.
+    The ensemble is `simulate`'s: n_paths paths from round-robin grid
+    starts, stepped on the field's own slices (its horizon and slice
+    spacing, which divides the horizon even after a solve halved it), path
+    p driven by stream (master_seed, domain, p).  At each slice k,
+    `field.values[k]` and the kept `field.gradient[k]` are stacked and
+    interpolated at the paths in one call.
     """
-    if not (ensemble.n_steps == field.n_t
-            and np.allclose(ensemble.times, field.times, rtol=0.0, atol=1e-12)):
-        raise HorizonMismatch(
-            f"ensemble of {ensemble.n_steps} steps to T={ensemble.horizon} is not on the "
-            f"field's {field.n_t} slices to T={field.horizon}")
     source = field.source
+    ensemble = simulate(source, "grid", field.horizon, field.dt, n_paths, master_seed,
+                        _domain=domain)
     y = np.empty((field.n_t + 1, ensemble.n_paths, field.value_dim))
     z = np.empty(y.shape[:2] + (source.dim, field.value_dim))
     for k, (sl, zs) in enumerate(zip(field.values, field.gradient)):

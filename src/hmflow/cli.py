@@ -191,8 +191,7 @@ def build_terminal(cfg: dict, source, target):
 
 def _check_run(rc: dict, source):
     """Reject [run] values that the solve would only fail on later."""
-    _checked(f"[run] dt = {rc['dt']} with t0 = {rc['t0']}", step_count, source, 0.0, rc["t0"],
-             rc["dt"])
+    _checked(f"[run] dt = {rc['dt']} with t0 = {rc['t0']}", step_count, source, rc["t0"], rc["dt"])
     if rc["n_paths"] < 0:
         raise ConfigError(f"[run] n_paths = {rc['n_paths']} must not be negative")
     if rc["backend"] == "monte_carlo":
@@ -206,7 +205,7 @@ def _check_forward(fc: dict, source):
     if fc["n_paths"] < 2:
         raise ConfigError(f"[forward] n_paths = {fc['n_paths']} must be at least 2 for a "
                           "standard error")
-    _checked(f"[forward] horizon = {fc['horizon']}, dt = {fc['dt']}", step_count, source, 0.0,
+    _checked(f"[forward] horizon = {fc['horizon']}, dt = {fc['dt']}", step_count, source,
              fc["horizon"], fc["dt"])
     return x0
 
@@ -334,15 +333,13 @@ def cmd_simulate_forward(config_path: str, out_dir: str, seed: int | None) -> in
     out = _make_out(out_dir, config_path)
 
     start = time.perf_counter()
-    report = moment_check(source, 0.0, x0, fc["horizon"], fc["dt"],
-                          fc["n_paths"], master_seed)
+    report = moment_check(source, x0, fc["horizon"], fc["dt"], fc["n_paths"], master_seed)
     report["master_seed"] = master_seed
     report["dt"] = fc["dt"]
     report["horizon"] = fc["horizon"]
     _json_dump(report, out / "moments.json")
     # re-simulate a small slice of paths for the dump; same seed, same paths
-    ens = simulate(source, 0.0, x0, fc["horizon"], fc["dt"], min(fc["n_paths"], 50),
-                   master_seed)
+    ens = simulate(source, x0, fc["horizon"], fc["dt"], min(fc["n_paths"], 50), master_seed)
     ens.to_csv(out / "paths.csv")
     out.joinpath("run.log").write_text(
         f"simulate-forward finished in {time.perf_counter() - start:.3f} s\n")
@@ -375,9 +372,8 @@ def cmd_verify(config_path: str, out_dir: str, seed: int | None) -> int:
     try:
         _, tension = tension_residual(source, target, field)
         checks["tension_residual"] = check(float(tension.max()), "tension_tol")
-        ensemble = simulate(source, 0.0, "grid", field.horizon, field.dt,
-                            vc["sample_paths"], master_seed, _domain=DOMAIN_VERIFY_PATH)
-        report = stay_on_target(target, sample_solution(field, ensemble))
+        report = stay_on_target(target, sample_solution(field, vc["sample_paths"], master_seed,
+                                                        DOMAIN_VERIFY_PATH))
         checks["stay_on_target"] = check(report.max_dist, "max_dist_tol",
                                          gronwall_c_fit=report.c_fit)
         # the test function: cosine of the first chart angle, constant along the other axes

@@ -53,10 +53,6 @@ class TerminalNotOnTarget(HmflowError):
     """Terminal map values do not lie on the target manifold."""
 
 
-class InsufficientHistory(HmflowError):
-    """Not enough recorded iterations to build the requested report."""
-
-
 class UnsupportedReduction(HmflowError):
     """Benchmark case has no supported symmetry reduction for the reference solver."""
 

@@ -69,7 +69,6 @@ class PathEnsemble:
     """
 
     source: object
-    horizon: float
     dt: float
     n_paths: int
     times: np.ndarray
@@ -125,35 +124,34 @@ def _draw_increments(master_seed, domain, paths: range, n_steps, dim, dt):
     return out
 
 
-def step_count(source, t: float, horizon: float, dt: float) -> int:
-    """Number of steps of size dt from t to the horizon, checked against the source.
+def step_count(source, horizon: float, dt: float) -> int:
+    """Number of steps of size dt from time 0 to the horizon, checked against the source.
 
     Raises TimeOutOfRange past the metric's interval, ValueError when dt
-    is not positive, does not divide the span or gives more steps than an
-    array can index, and StepTooLarge beyond the stability bound.
+    is not positive, does not divide the horizon or gives more steps than
+    an array can index, and StepTooLarge beyond the stability bound.
     """
     if not dt > 0:
         raise ValueError(f"dt={dt} must be positive")
-    if not t < horizon <= source.horizon + 1e-12:
-        raise TimeOutOfRange(f"need t < horizon <= {source.horizon}, got [{t}, {horizon}]")
-    span = horizon - t
-    if not span / dt < np.iinfo(np.intp).max:
-        raise ValueError(f"dt={dt} gives more steps over {span} than an array can index")
-    n_steps = int(round(span / dt))
-    if n_steps < 1 or abs(n_steps * dt - span) > 1e-9 * max(span, 1.0):
-        raise ValueError(f"dt={dt} does not divide the interval length {span}")
-    rho_min = source.min_radius(t, horizon)
+    if not 0.0 < horizon <= source.horizon + 1e-12:
+        raise TimeOutOfRange(f"need 0 < horizon <= {source.horizon}, got {horizon}")
+    if not horizon / dt < np.iinfo(np.intp).max:
+        raise ValueError(f"dt={dt} gives more steps over {horizon} than an array can index")
+    n_steps = int(round(horizon / dt))
+    if n_steps < 1 or abs(n_steps * dt - horizon) > 1e-9 * max(horizon, 1.0):
+        raise ValueError(f"dt={dt} does not divide the horizon {horizon}")
+    rho_min = source.min_radius(0.0, horizon)
     if dt > rho_min ** 2 / 4.0:
         raise StepTooLarge(
             f"dt={dt} exceeds the stability bound (min rho)^2/4 = {rho_min ** 2 / 4.0:.3g}")
     return n_steps
 
 
-def _prepare(source, t, x, horizon, dt, n_paths):
-    """Start points (n_paths,) + point_shape and time nodes of a run.
+def _prepare(source, x, horizon, dt, n_paths):
+    """Start points (n_paths,) + point_shape and time nodes of a run from time 0.
 
-    Every argument is checked here, before any increment is drawn; x is a
-    start spec as `simulate` takes it.
+    x is one chart point, shared by every path, or "grid" (see `simulate`).
+    Every argument is checked here, before any increment is drawn.
     """
     shape = (n_paths,) + source.point_shape
     if isinstance(x, str):
@@ -162,12 +160,13 @@ def _prepare(source, t, x, horizon, dt, n_paths):
         starts = np.resize(source.grid_points().reshape((-1,) + source.point_shape), shape)
     else:
         x = np.asarray(x, dtype=float)
-        if x.ndim > len(source.point_shape) and x.shape[0] != n_paths:
-            raise ValueError("per-path starts must have leading length n_paths")
+        if x.shape != source.point_shape:
+            raise ValueError(f"a start is one chart point of shape {source.point_shape}, "
+                             f"not an array of shape {x.shape}")
         starts = np.empty(shape)
         starts[...] = x
-    n_steps = step_count(source, t, horizon, dt)
-    return starts, t + dt * np.arange(n_steps + 1)
+    n_steps = step_count(source, horizon, dt)
+    return starts, dt * np.arange(n_steps + 1)
 
 
 def _step_block(source, times, dt, x, increments, states=None):
@@ -188,31 +187,30 @@ def _step_block(source, times, dt, x, increments, states=None):
     return x, worst
 
 
-def simulate(source, t: float, x, horizon: float, dt: float, n_paths: int,
+def simulate(source, x, horizon: float, dt: float, n_paths: int,
              master_seed: int, _domain: int = DOMAIN_FORWARD_PATH) -> PathEnsemble:
-    """Simulate the forward diffusion from time t to the horizon, keeping every state.
+    """Simulate the forward diffusion from time 0 to the horizon, keeping every state.
 
-    x is a single intrinsic start (angle / unit vector) shared by all paths,
-    an array of per-path starts with leading length n_paths (checked
-    before any increment is drawn), or the string "grid" for round-robin
-    chart-grid starts.  Path p is driven by stream (master_seed, _domain, p)
-    (see `_draw_increments`), so reruns give bit-identical ensembles and
-    the first k paths of any larger ensemble equal a k-path ensemble.  The
-    whole ensemble is held: states and increments of n_steps x n_paths
-    points each.  The public functions draw from the forward domain;
-    `picard.solve` and the CLI's `verify` draw their samples from domains
-    of their own.
+    x is one intrinsic start (angle / unit vector) shared by all paths, or
+    the string "grid" for round-robin chart-grid starts; anything else is
+    rejected before any increment is drawn.  Path p is driven by stream
+    (master_seed, _domain, p) (see `_draw_increments`), so reruns give
+    bit-identical ensembles and the first k paths of any larger ensemble
+    equal a k-path ensemble.  The whole ensemble is held: states and
+    increments of n_steps x n_paths points each.  The public functions
+    draw from the forward domain; `bsde.sample_solution` draws from the
+    domain its caller names.
     """
-    starts, times = _prepare(source, t, x, horizon, dt, n_paths)
+    starts, times = _prepare(source, x, horizon, dt, n_paths)
     n_steps = len(times) - 1
     increments = _draw_increments(master_seed, _domain, range(n_paths), n_steps,
                                   source.ambient_dim, dt)
     states = np.empty((n_steps + 1,) + starts.shape)
     _, worst = _step_block(source, times, dt, starts, increments, states)
-    return PathEnsemble(source, horizon, dt, n_paths, times, states, increments, worst)
+    return PathEnsemble(source, dt, n_paths, times, states, increments, worst)
 
 
-def moment_check(source, t: float, x, horizon: float, dt: float, n_paths: int,
+def moment_check(source, x, horizon: float, dt: float, n_paths: int,
                  master_seed: int) -> dict:
     """Decay of the first nontrivial symmetric moment against the exact law.
 
@@ -220,8 +218,9 @@ def moment_check(source, t: float, x, horizon: float, dt: float, n_paths: int,
     (E[cos theta] on the circle, E[<X, x0>] on the sphere), with tau the
     integral of rho^-2 over the run.  Returns the sample mean, exact value,
     standard error and the 3-sigma verdict, which fails when the
-    statistics are not finite.  Raises ValueError for fewer than two
-    paths, which have no standard error.
+    statistics are not finite or the standard error is zero, since then
+    nothing was tested.  Raises ValueError for fewer than two paths, which
+    have no standard error.
 
     The paths are the forward-domain paths of `simulate`, stepped in
     blocks of max(1, _PATH_BLOCK_POINTS // (n_steps * ambient_dim)) paths,
@@ -232,7 +231,7 @@ def moment_check(source, t: float, x, horizon: float, dt: float, n_paths: int,
     """
     if n_paths < 2:
         raise ValueError(f"n_paths = {n_paths}: a standard error needs at least 2 paths")
-    starts, times = _prepare(source, t, x, horizon, dt, n_paths)
+    starts, times = _prepare(source, x, horizon, dt, n_paths)
     try:
         at_start = source.first_harmonic(starts, x)
     except ValueError as exc:
@@ -249,7 +248,7 @@ def moment_check(source, t: float, x, horizon: float, dt: float, n_paths: int,
         ends[lo:hi], viol = _step_block(source, times, dt, starts[lo:hi], _draw_increments(
             master_seed, DOMAIN_FORWARD_PATH, range(lo, hi), n_steps, dim, dt))
         worst = max(worst, viol)
-    tau = time_change(source.profile, t, horizon)
+    tau = time_change(source.profile, 0.0, horizon)
     vals = source.first_harmonic(ends, x)
     expected = float(np.mean(at_start) * np.exp(-0.5 * source.dim * tau))
     mean = float(np.mean(vals))
@@ -261,7 +260,7 @@ def moment_check(source, t: float, x, horizon: float, dt: float, n_paths: int,
         "expected": expected,
         "stderr": se,
         "zscore": float(z),
-        "pass": bool(np.isfinite([mean, se]).all() and abs(z) <= 3.0),
+        "pass": bool(np.isfinite([mean, se]).all() and se > 0 and abs(z) <= 3.0),
         "n_paths": n_paths,
         "max_constraint_violation": worst,
     }

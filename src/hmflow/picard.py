@@ -16,10 +16,8 @@ import numpy as np
 
 from ._rng import DOMAIN_SAMPLE_PATH
 from .bsde import picard_map, sample_solution, step_operators
-from .errors import (BlowUp, InsufficientHistory, NoContraction,
-                     TerminalNotOnTarget, TimeOutOfRange)
+from .errors import BlowUp, NoContraction, TerminalNotOnTarget, TimeOutOfRange
 from .fields import MapField, c01_norm, handover_c01
-from .forward import simulate
 
 _RATIO_TRIGGER = 0.9
 _MIN_HORIZON = 1e-4
@@ -56,10 +54,10 @@ def solve(source, target, h, t0_init: float, tol: float = 1e-10,
     consecutive delta ratios exceed 0.9, or the iterate bound blows up, the
     horizon is halved and the loop restarts; below a 1e-4 horizon the solve
     gives up with NoContraction.  Returns (field, state, sample) where the
-    sample evaluates the fixed point along a fresh forward ensemble of
-    sample_paths paths from the grid nodes.  That ensemble reads the
-    sample stream domain, so it shares no increments with a `simulate`
-    call, or a `simulate-forward` run, at the same master seed.
+    sample is `sample_solution` of the fixed point over sample_paths paths
+    from the grid nodes.  Its ensemble reads the sample stream domain, so
+    it shares no increments with a `simulate` call, or a
+    `simulate-forward` run, at the same master seed.
 
     Identical inputs (including the master seed for the Monte Carlo
     backend) reproduce identical iterate histories.
@@ -109,12 +107,7 @@ def solve(source, target, h, t0_init: float, tol: float = 1e-10,
                 f"no contraction regime found down to horizon {horizon:.3g}; "
                 f"horizons tried: {tried}, last deltas: {state.deltas[-3:]}")
 
-    # after halving the horizon may no longer be a multiple of the requested
-    # dt; the field's own slice spacing always divides it exactly
-    ensemble = simulate(source, 0.0, "grid", horizon, u.dt, sample_paths,
-                        master_seed, _domain=DOMAIN_SAMPLE_PATH)
-    sample = sample_solution(u, ensemble)
-    return u, state, sample
+    return u, state, sample_solution(u, sample_paths, master_seed, DOMAIN_SAMPLE_PATH)
 
 
 def _iterate(source, target, h, state, *, dt, backend, n_paths, master_seed, max_iter, tol):
@@ -155,15 +148,3 @@ def _iterate(source, target, h, state, *, dt, backend, n_paths, master_seed, max
             return None
     return u
 
-
-def contraction_report(state: PicardState) -> np.ndarray:
-    """History rows (n, delta, ratio) of the final horizon; ratio is NaN where not recorded."""
-    if state.iterations < 2:
-        raise InsufficientHistory("need at least two iterations for a report")
-    rows = []
-    for rec in state.records:
-        if rec["horizon"] != state.horizon:
-            continue
-        ratio = rec["ratio"] if rec["ratio"] is not None else np.nan
-        rows.append((rec["n"], rec["delta"], ratio))
-    return np.array(rows)

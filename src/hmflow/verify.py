@@ -294,10 +294,9 @@ def stay_on_target(target, sample: BsdeSolutionSample) -> StayOnTargetReport:
     g = target.g_value(sample.y)
     mean_g = g.mean(axis=1)
     dt = ens.dt
-    # integral of mean_g from s to the horizon, trapezoid, computed right-to-left
+    # integral of mean_g from s to the horizon: trapezoid increments summed right-to-left
     integral = np.zeros_like(mean_g)
-    for k in range(len(mean_g) - 2, -1, -1):
-        integral[k] = integral[k + 1] + 0.5 * dt * (mean_g[k] + mean_g[k + 1])
+    integral[-2::-1] = np.cumsum((0.5 * dt * (mean_g[:-1] + mean_g[1:]))[::-1])
     floor = max(float(integral.max()), 1e-300) * 1e-3
     valid = integral > floor
     c_fit = float(np.max(mean_g[valid] / integral[valid])) if np.any(valid) else 0.0

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hmflow._rng import DOMAIN_FORWARD_PATH
 from hmflow.bsde import (BsdeSolutionSample, bsde_residual, picard_map, sample_solution,
                          step_operators)
 from hmflow.errors import BlowUp, HorizonMismatch, ShapeMismatch
@@ -142,7 +143,7 @@ def test_solution_sample_and_z_bound_stability():
 def test_solution_sample_rejects_bad_arrays():
     c, h = circle_identity(n_theta=16)
     field = MapField.constant_in_time(c, S1, h, 0.05, 5)
-    sample = sample_solution(field, simulate(c, 0.0, "grid", 0.05, 0.01, 4, 3))
+    sample = sample_solution(field, 4, 3, DOMAIN_FORWARD_PATH)
     for y, z, message in ((sample.y[:-1], sample.z, "sample arrays do not match the ensemble"),
                           (sample.y[:, :-1], sample.z, "sample arrays do not match the ensemble"),
                           (sample.y, sample.z[:-1], "sample arrays do not match the ensemble"),
@@ -167,16 +168,12 @@ def test_sample_on_own_slices_reads_kept_gradient(monkeypatch):
         return original(self, t, f)
 
     monkeypatch.setattr(Circle, "frame_gradient", counting)
-    ens = simulate(c, 0.0, "grid", field.horizon, field.dt, 50, 9)
-    own = sample_solution(field, ens)
+    sample = sample_solution(field, 50, 9, DOMAIN_FORWARD_PATH)
     assert calls == []
-    # the first half of the horizon at the same step draws the same paths and
-    # times, but is not the field's own slice grid
-    half = simulate(c, 0.0, "grid", field.horizon / 2, field.dt, 50, 9)
-    np.testing.assert_array_equal(half.states, ens.states[:6])
-    with pytest.raises(HorizonMismatch):
-        sample_solution(field, half)
-    assert calls == []
+    # the sample's paths start on the grid and step on the field's own slices
+    ens = simulate(c, "grid", field.horizon, field.dt, 50, 9)
+    assert sample.ensemble.n_steps == field.n_t
+    np.testing.assert_array_equal(sample.ensemble.states, ens.states)
 
 
 def test_bsde_residual_zero_noise_constant_field():
@@ -186,14 +183,13 @@ def test_bsde_residual_zero_noise_constant_field():
     p0 = np.array([1.0, 0.0])
     const = MapField.constant_in_time(c, FlatSpace(2),
                                       np.broadcast_to(p0, (64, 2)).copy(), 0.2, 20)
-    ens = simulate(c, 0.0, 0.0, 0.2, 0.01, 16, 5)
-    assert bsde_residual(sample_solution(const, ens)) == pytest.approx(0.0, abs=1e-14)
+    sample = sample_solution(const, 16, 5, DOMAIN_FORWARD_PATH)
+    assert bsde_residual(sample) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_bsde_residual_flat_heat_rate():
     # exact heat solution: the summed pathwise defect decays like sqrt(dt)
     c, h = circle_identity(n_theta=128)
-    starts = np.resize(c.thetas, 400)
     residuals = []
     dts = [0.02, 0.01, 0.005, 0.0025]
     for dt in dts:
@@ -201,8 +197,7 @@ def test_bsde_residual_flat_heat_rate():
         times = np.linspace(0.0, 0.5, n_t + 1)
         vals = np.exp(-0.5 * (0.5 - times))[:, None, None] * h[None]
         w = MapField(times, vals, c, FlatSpace(2))
-        ens = simulate(c, 0.0, starts, 0.5, dt, 400, 77)
-        residuals.append(bsde_residual(sample_solution(w, ens)))
+        residuals.append(bsde_residual(sample_solution(w, 400, 77, DOMAIN_FORWARD_PATH)))
     order = np.polyfit(np.log(dts), np.log(residuals), 1)[0]
     assert residuals[-1] < residuals[0]
     assert order >= 0.4, (order, residuals)
@@ -221,8 +216,7 @@ def test_bsde_residual_flat_heat_sphere_frame():
         times = np.linspace(0.0, 0.5, int(round(0.5 / dt)) + 1)
         w = MapField(times, np.exp(-(0.5 - times))[:, None, None, None] * x[None], s,
                      FlatSpace(3))
-        ens = simulate(s, 0.0, "grid", 0.5, dt, 400, 77)
-        residuals.append(bsde_residual(sample_solution(w, ens)))
+        residuals.append(bsde_residual(sample_solution(w, 400, 77, DOMAIN_FORWARD_PATH)))
     assert all(a > b for a, b in zip(residuals, residuals[1:])), residuals
     assert residuals[0] <= 0.1, residuals
 

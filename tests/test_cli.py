@@ -9,7 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hmflow.bsde as bsde_mod
 from hmflow import cli
+from hmflow._rng import DOMAIN_SAMPLE_PATH, DOMAIN_VERIFY_PATH
+from hmflow.bsde import sample_solution
 from hmflow.cli import (build_case, build_source, build_target, build_terminal,
                         load_config, main)
 from hmflow.fields import MapField
@@ -278,7 +281,7 @@ def test_verify_draws_its_own_stream(tmp_path, monkeypatch):
         drawn.append((args, simulate(*args, **kwargs)))
         return drawn[-1][1]
 
-    monkeypatch.setattr(cli, "simulate", recording)
+    monkeypatch.setattr(bsde_mod, "simulate", recording)
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
     (args, ensemble), = drawn
     forward = simulate(*args)   # the same call in the forward domain
@@ -653,6 +656,28 @@ def test_sphere_equivariant_solve_reports_reference_error(tmp_path):
     tol = make_benchmark("equivariant_s2", horizon=0.05).tolerances["sup_error"]
     assert summary["reference_sup_error"] <= tol
     assert (tmp_path / "s" / "error_vs_reference.csv").exists()
+
+
+def test_cli_writes_the_library_samples(tmp_path):
+    # summary.json's sample_max_dist and verify's stay_on_target value are the
+    # target distances of `sample_solution` on the saved field, drawn in the
+    # sample and the verify stream domains
+    text = SPH_CONFIG + "\n[verify]\nfield_file = s/field.csv\nsample_paths = 48\n"
+    cfg = write_config(tmp_path, text)
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
+    summary = read_json(tmp_path / "s" / "summary.json")
+    verdict = read_json(tmp_path / "v" / "verdict.json")
+    config = load_config(cfg)
+    target = build_target(config)
+    field = MapField.load(tmp_path / "s" / "field.csv", build_source(config), target)
+
+    def max_dist(n_paths, domain):
+        sample = sample_solution(field, n_paths, summary["master_seed"], domain)
+        return float(np.max(target.distance(sample.y)))
+
+    assert summary["sample_max_dist"] == max_dist(64, DOMAIN_SAMPLE_PATH)
+    assert verdict["checks"]["stay_on_target"]["value"] == max_dist(48, DOMAIN_VERIFY_PATH)
 
 
 def test_solve_releases_its_sample_before_the_save(tmp_path, monkeypatch):

@@ -33,11 +33,11 @@ def test_zero_noise_paths_are_constant():
 
 def test_seed_determinism():
     c = Circle(constant_radius(1.0), n_theta=16)
-    a = simulate(c, 0.0, 0.0, 0.5, 1 / 64, 500, 99)
-    b = simulate(c, 0.0, 0.0, 0.5, 1 / 64, 500, 99)
+    a = simulate(c, 0.0, 0.5, 1 / 64, 500, 99)
+    b = simulate(c, 0.0, 0.5, 1 / 64, 500, 99)
     np.testing.assert_array_equal(a.states, b.states)
     np.testing.assert_array_equal(a.increments, b.increments)
-    d = simulate(c, 0.0, 0.0, 0.5, 1 / 64, 500, 100)
+    d = simulate(c, 0.0, 0.5, 1 / 64, 500, 100)
     assert not np.array_equal(a.states, d.states)
 
 
@@ -48,7 +48,7 @@ def test_path_reads_its_own_stream(domain):
     for source, x0 in ((Circle(constant_radius(1.0), n_theta=16), 0.0),
                        (Sphere2(constant_radius(1.0), n_theta=8, n_phi=16),
                         np.array([0.0, 0.0, 1.0]))):
-        ens = simulate(source, 0.0, x0, 0.25, dt, 6, 5, _domain=domain)
+        ens = simulate(source, x0, 0.25, dt, 6, 5, _domain=domain)
         for p in range(6):
             expected = np.sqrt(dt) * path_normals(5, domain, p, 16, source.ambient_dim)
             np.testing.assert_array_equal(ens.increments[:, p], expected)
@@ -58,8 +58,8 @@ def test_leading_paths_do_not_depend_on_ensemble_size():
     # simulate-forward dumps the first paths of its moment ensemble this way
     s = Sphere2(constant_radius(1.0), n_theta=8, n_phi=16)
     x0 = np.array([0.0, 0.6, 0.8])
-    big = simulate(s, 0.0, x0, 0.25, 1 / 64, 64, 5)
-    small = simulate(s, 0.0, x0, 0.25, 1 / 64, 16, 5)
+    big = simulate(s, x0, 0.25, 1 / 64, 64, 5)
+    small = simulate(s, x0, 0.25, 1 / 64, 16, 5)
     np.testing.assert_array_equal(big.increments[:, :16], small.increments)
     np.testing.assert_array_equal(big.states[:, :16], small.states)
 
@@ -96,11 +96,14 @@ def test_per_path_starts_are_checked_before_any_draw(monkeypatch):
         return path_normals(*args)
 
     monkeypatch.setattr(forward_mod, "path_normals", counting)
+    # a start is one chart point or "grid": per-path starts of the right
+    # length are rejected too
     s = Sphere2(constant_radius(1.0), n_theta=8, n_phi=16)
-    starts = np.tile([0.0, 0.0, 1.0], (7, 1))
-    for check in (simulate, moment_check):
-        with pytest.raises(ValueError, match="leading length n_paths"):
-            check(s, 0.0, starts, 0.25, 1 / 64, 8, 3)
+    c = Circle(constant_radius(1.0), n_theta=16)
+    for source, starts in ((s, np.tile([0.0, 0.0, 1.0], (8, 1))), (c, np.zeros(8))):
+        for check in (simulate, moment_check):
+            with pytest.raises(ValueError, match="one chart point of shape"):
+                check(source, starts, 0.25, 1 / 64, 8, 3)
     assert calls == []
 
 
@@ -115,7 +118,7 @@ def test_moment_check_rejects_a_start_spec_the_observable_cannot_take(monkeypatc
     s = Sphere2(constant_radius(1.0), n_theta=8, n_phi=16)
     # the sphere's observable <X, x0> needs one start vector, not grid starts
     with pytest.raises(ValueError, match="start spec 'grid'"):
-        moment_check(s, 0.0, "grid", 0.25, 1 / 64, 20, 3)
+        moment_check(s, "grid", 0.25, 1 / 64, 20, 3)
     assert calls == []
 
 
@@ -123,9 +126,9 @@ def test_solve_sample_reads_the_sample_domain():
     case = make_benchmark("flat_heat", horizon=0.1, n_x=16)
     _, _, sample = solve(case.source, case.target, case.terminal, 0.1, dt=0.01,
                          master_seed=3, sample_paths=8)
-    own = simulate(case.source, 0.0, "grid", 0.1, 0.01, 8, 3,
+    own = simulate(case.source, "grid", 0.1, 0.01, 8, 3,
                    _domain=DOMAIN_SAMPLE_PATH)
-    forward = simulate(case.source, 0.0, "grid", 0.1, 0.01, 8, 3)
+    forward = simulate(case.source, "grid", 0.1, 0.01, 8, 3)
     np.testing.assert_array_equal(sample.ensemble.increments, own.increments)
     assert not np.any(sample.ensemble.increments == forward.increments)
 
@@ -133,58 +136,64 @@ def test_solve_sample_reads_the_sample_domain():
 def test_step_and_time_guards():
     c = Circle(constant_radius(1.0), n_theta=16, horizon=1.0)
     with pytest.raises(StepTooLarge):
-        simulate(c, 0.0, 0.0, 1.0, 0.5, 4, 1)
+        simulate(c, 0.0, 1.0, 0.5, 4, 1)
     with pytest.raises(TimeOutOfRange):
-        simulate(c, 0.0, 0.0, 1.5, 0.01, 4, 1)
+        simulate(c, 0.0, 1.5, 0.01, 4, 1)
     with pytest.raises(ValueError):
-        simulate(c, 0.0, 0.0, 1.0, 0.0301, 4, 1)   # does not divide
+        simulate(c, 0.0, 1.0, 0.0301, 4, 1)   # does not divide
 
 
 @pytest.mark.parametrize("dt", [1e-300, 5e-324])
 def test_step_count_rejects_more_steps_than_an_array_can_index(dt):
     # 0.1 / 5e-324 overflows to inf; 0.1 / 1e-300 is finite but far past intp
     with pytest.raises(ValueError, match="than an array can index"):
-        simulate(Circle(constant_radius(1.0), n_theta=16), 0.0, 0.0, 0.1, dt, 4, 1)
+        simulate(Circle(constant_radius(1.0), n_theta=16), 0.0, 0.1, dt, 4, 1)
 
 
 @pytest.mark.parametrize("dt", [0.0, -1e-3, float("nan")])
 def test_step_count_rejects_a_step_that_is_not_positive(dt):
     # checked before the span is divided by dt
     with pytest.raises(ValueError, match="must be positive"):
-        step_count(Circle(constant_radius(1.0), n_theta=16), 0.0, 0.5, dt)
+        step_count(Circle(constant_radius(1.0), n_theta=16), 0.5, dt)
 
 
 def test_circle_moment_decay():
     c = Circle(constant_radius(1.0), n_theta=16)
-    rep = moment_check(c, 0.0, 0.0, 1.0, 1 / 256, 20_000, 42)
+    rep = moment_check(c, 0.0, 1.0, 1 / 256, 20_000, 42)
     assert rep["pass"], rep
     assert rep["expected"] == pytest.approx(np.exp(-0.5), rel=1e-12)
 
 
 def test_sphere_moment_decay():
     s = Sphere2(constant_radius(1.0), n_theta=8, n_phi=16)
-    rep = moment_check(s, 0.0, np.array([0.0, 0.0, 1.0]), 0.5, 1 / 128, 20_000, 7)
+    rep = moment_check(s, np.array([0.0, 0.0, 1.0]), 0.5, 1 / 128, 20_000, 7)
     assert rep["pass"], rep
     assert rep["expected"] == pytest.approx(np.exp(-0.5), rel=1e-12)
+
+
+def test_moment_check_fails_without_spread():
+    # with x0 = 0 the observable <X, x0> is zero on every path, so the
+    # standard error is zero and the 3-sigma test measures nothing
+    s = Sphere2(n_theta=8, n_phi=16)
+    rep = moment_check(s, np.zeros(3), 0.25, 1 / 64, 20, 3)
+    assert rep["stderr"] == 0.0 and rep["sample_mean"] == rep["expected"] == 0.0
+    assert rep["pass"] is False
 
 
 @pytest.mark.parametrize("n_paths", [0, 1])
 def test_moment_check_needs_two_paths(n_paths):
     # one path has a NaN standard error, which used to pass the 3-sigma check
     with pytest.raises(ValueError, match="n_paths"):
-        moment_check(Circle(n_theta=16), 0.0, 0.0, 0.5, 1 / 64, n_paths, 3)
+        moment_check(Circle(n_theta=16), 0.0, 0.5, 1 / 64, n_paths, 3)
 
 
 _SPHERE = Sphere2(sine_radius(0.2, 1.0), n_theta=8, n_phi=16)
 _CIRCLE = Circle(sine_radius(0.2, 1.0), n_theta=16)
-_UNIT = np.random.default_rng(4).normal(size=(22, 3))
 
 
 @pytest.mark.parametrize("source, x", [
-    (_CIRCLE, 0.3), (_CIRCLE, np.linspace(-1.0, 2.0, 22)),
-    (_SPHERE, np.array([0.0, 0.6, 0.8])),
-    (_SPHERE, _UNIT / np.linalg.norm(_UNIT, axis=1, keepdims=True)),
-], ids=["circle", "circle_per_path", "sphere", "sphere_per_path"])
+    (_CIRCLE, 0.3), (_CIRCLE, "grid"), (_SPHERE, np.array([0.0, 0.6, 0.8])),
+], ids=["circle", "circle_grid", "sphere"])
 def test_moment_check_does_not_depend_on_block_size(monkeypatch, source, x):
     # 16 steps; caps worth less than one path (blocks of one), 2 paths, 7
     # paths (a ragged last block) and far more than the 22 paths
@@ -192,10 +201,10 @@ def test_moment_check_does_not_depend_on_block_size(monkeypatch, source, x):
     reports = []
     for cap in (1, 2 * path_points, 7 * path_points + 5, 1 << 40):
         monkeypatch.setattr(forward_mod, "_PATH_BLOCK_POINTS", cap)
-        reports.append(moment_check(source, 0.0, x, 0.25, 1 / 64, 22, 17))
+        reports.append(moment_check(source, x, 0.25, 1 / 64, 22, 17))
     assert all(report == reports[0] for report in reports)
     # the blocks step the paths that simulate keeps whole
-    ens = simulate(source, 0.0, x, 0.25, 1 / 64, 22, 17)
+    ens = simulate(source, x, 0.25, 1 / 64, 22, 17)
     assert reports[0]["sample_mean"] == float(np.mean(source.first_harmonic(ens.states[-1], x)))
     assert reports[0]["max_constraint_violation"] == ens.max_violation
 
@@ -206,10 +215,10 @@ def test_moment_check_memory_is_one_block(monkeypatch):
     monkeypatch.setattr(forward_mod, "_PATH_BLOCK_POINTS", 64 * 128 * 3)
     s = Sphere2(constant_radius(1.0), n_theta=8, n_phi=16)
     full_increments = 128 * 2000 * 3 * 8
-    moment_check(s, 0.0, np.array([0.0, 0.0, 1.0]), 0.5, 1 / 256, 64, 5)   # warm caches
+    moment_check(s, np.array([0.0, 0.0, 1.0]), 0.5, 1 / 256, 64, 5)   # warm caches
     tracemalloc.start()
     try:
-        rep = moment_check(s, 0.0, np.array([0.0, 0.0, 1.0]), 0.5, 1 / 256, 2000, 5)
+        rep = moment_check(s, np.array([0.0, 0.0, 1.0]), 0.5, 1 / 256, 2000, 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -236,12 +245,12 @@ def test_draw_increments_does_not_depend_on_tile_size(monkeypatch, paths):
 def test_time_change_law():
     # with rho(t) = 1 + 0.2 sin t the decay integrates rho^-2
     cs = Circle(sine_radius(0.2, 1.0), n_theta=16, horizon=1.0)
-    rep = moment_check(cs, 0.0, 0.0, 1.0, 1 / 256, 20_000, 9)
+    rep = moment_check(cs, 0.0, 1.0, 1 / 256, 20_000, 9)
     assert rep["pass"], rep
     tau = time_change(cs.profile, 0.0, 1.0)
     assert rep["expected"] == pytest.approx(np.exp(-tau / 2), rel=1e-9)
     ss = Sphere2(sine_radius(0.2, 1.0), n_theta=8, n_phi=16, horizon=1.0)
-    rep = moment_check(ss, 0.0, np.array([0.0, 0.0, 1.0]), 0.5, 1 / 128, 20_000, 11)
+    rep = moment_check(ss, np.array([0.0, 0.0, 1.0]), 0.5, 1 / 128, 20_000, 11)
     assert rep["pass"], rep
 
 
@@ -283,7 +292,7 @@ def test_sphere_constraint_violation_linear_in_dt():
     x0 = np.array([0.0, 0.0, 1.0])
     viol = {}
     for dt in (1 / 64, 1 / 128):
-        ens = simulate(s, 0.0, x0, 0.5, dt, 5_000, 13)
+        ens = simulate(s, x0, 0.5, dt, 5_000, 13)
         viol[dt] = ens.max_violation
         assert ens.max_violation <= 25.0 * dt
     assert viol[1 / 128] < viol[1 / 64]
@@ -361,7 +370,7 @@ def test_one_step_means_closed_form(source, f, t, x, exact, tol):
 
 def test_path_csv_dump(tmp_path):
     c = Circle(constant_radius(1.0), n_theta=16)
-    ens = simulate(c, 0.0, 0.0, 0.1, 0.05, 3, 21)
+    ens = simulate(c, 0.0, 0.1, 0.05, 3, 21)
     out = tmp_path / "paths.csv"
     ens.to_csv(out)
     lines = out.read_text().splitlines()
@@ -390,7 +399,7 @@ def _csv_writer_dump(ens, path):
 ])
 def test_path_csv_matches_csv_writer(tmp_path, monkeypatch, source, x0):
     monkeypatch.setattr(fields_mod, "_CSV_BLOCK_ROWS", 7)   # several blocks, a ragged last one
-    ens = simulate(source, 0.0, x0, 0.25, 1 / 32, 6, 13)
+    ens = simulate(source, x0, 0.25, 1 / 32, 6, 13)
     ens.to_csv(tmp_path / "paths.csv")
     _csv_writer_dump(ens, tmp_path / "ref.csv")
     assert (tmp_path / "paths.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
@@ -401,7 +410,7 @@ def test_path_csv_memory_is_bounded_by_its_blocks(tmp_path):
     # Its rows array and one formatting block stay near twice the bytes written
     # (2.1x); a block holding every row formatted all of them at once (4.9x).
     s = Sphere2(constant_radius(1.0), n_theta=8, n_phi=16)
-    ens = simulate(s, 0.0, np.array([0.0, 0.0, 1.0]), 1.0, 1 / 256, 50, 8)
+    ens = simulate(s, np.array([0.0, 0.0, 1.0]), 1.0, 1 / 256, 50, 8)
     out = tmp_path / "paths.csv"
     ens.to_csv(out)   # warm caches
     tracemalloc.start()
@@ -414,18 +423,18 @@ def test_path_csv_memory_is_bounded_by_its_blocks(tmp_path):
 
 def test_sphere_states_stay_unit_norm():
     s = Sphere2(constant_radius(1.0), n_theta=8, n_phi=16)
-    ens = simulate(s, 0.0, np.array([0.0, 0.0, 1.0]), 0.25, 1 / 64, 200, 3)
+    ens = simulate(s, np.array([0.0, 0.0, 1.0]), 0.25, 1 / 64, 200, 3)
     norms = np.linalg.norm(ens.states, axis=-1)
     assert np.abs(norms - 1.0).max() <= 1e-12
 
 
 def test_grid_start_spec():
     c = Circle(constant_radius(1.0), n_theta=16)
-    ens = simulate(c, 0.0, "grid", 0.25, 1 / 64, 20, 3)
+    ens = simulate(c, "grid", 0.25, 1 / 64, 20, 3)
     np.testing.assert_allclose(ens.states[0], np.resize(c.thetas, 20))
     s = Sphere2(constant_radius(1.0), n_theta=8, n_phi=16)
-    ens = simulate(s, 0.0, "grid", 0.25, 1 / 64, 10, 3)
+    ens = simulate(s, "grid", 0.25, 1 / 64, 10, 3)
     np.testing.assert_allclose(ens.states[0],
                                np.resize(s.grid_points().reshape(-1, 3), (10, 3)))
     with pytest.raises(ValueError):
-        simulate(c, 0.0, "nodes", 0.25, 1 / 64, 4, 3)
+        simulate(c, "nodes", 0.25, 1 / 64, 4, 3)

@@ -7,10 +7,9 @@ import hmflow.bsde as bsde_mod
 import hmflow.picard as picard_mod
 from hmflow._rng import DOMAIN_MC_SLICE, keyed_generator
 from hmflow.bsde import picard_map, step_operators
-from hmflow.errors import (BlowUp, InsufficientHistory, NoContraction,
-                           TerminalNotOnTarget, TimeOutOfRange)
+from hmflow.errors import BlowUp, NoContraction, TerminalNotOnTarget, TimeOutOfRange
 from hmflow.fields import c01_norm, difference_c01
-from hmflow.picard import contraction_report, solve
+from hmflow.picard import solve
 from hmflow.sources import Circle, Sphere2, constant_radius, sine_radius
 from hmflow.targets import UnitSphere
 from hmflow.verify import terminal_case
@@ -52,23 +51,6 @@ def test_contraction_ratios_small_horizon():
     assert state.ratios and max(state.ratios) <= 0.5
 
 
-def test_contraction_report():
-    c, h = circle_h(lambda a: a + 0.3 * np.sin(a))
-    _, state, _ = solve(c, S1, h, 0.1, tol=1e-10, dt=2e-3, sample_paths=50)
-    rows = contraction_report(state)
-    assert rows.shape[1] == 3
-    assert rows[0, 0] == 1 and np.isnan(rows[0, 2])
-    np.testing.assert_allclose(rows[:, 1], state.deltas)
-
-
-def test_contraction_report_needs_history():
-    c, h = circle_h(lambda a: a)
-    _, state, _ = solve(c, S1, h, 0.02, tol=1e-2, dt=1e-3, sample_paths=50)
-    assert state.iterations == 1
-    with pytest.raises(InsufficientHistory):
-        contraction_report(state)
-
-
 def test_adaptive_halving_engages_for_long_horizon():
     c = Circle(constant_radius(1.0), n_theta=128, horizon=5.0)
     phi = 3 * c.thetas + 0.8 * np.sin(c.thetas)
@@ -85,8 +67,6 @@ def test_adaptive_halving_engages_for_long_horizon():
         recs = [rec for rec in state.records if rec["horizon"] == horizon]
         assert [rec.get("halved") for rec in recs] == [None] * (len(recs) - 1) + ["ratio"]
     assert not any("halved" in rec for rec in state.records if rec["horizon"] == state.horizon)
-    rows = contraction_report(state)
-    np.testing.assert_array_equal(rows[:, 1], state.deltas)
 
 
 def test_blowup_halving_is_recorded(monkeypatch):

@@ -4,10 +4,11 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
 import hmflow.fields as fields_mod
+from hmflow._rng import DOMAIN_FORWARD_PATH
 from hmflow.bsde import sample_solution
 from hmflow.errors import FieldLeftTube, ShapeMismatch, UnsupportedReduction
 from hmflow.fields import MapField
-from hmflow.forward import simulate, time_change
+from hmflow.forward import time_change
 from hmflow.picard import solve
 from hmflow.sources import Circle, Sphere2, constant_radius, shrinking_radius, sine_radius
 from hmflow.targets import FlatSpace, UnitSphere
@@ -249,11 +250,28 @@ def test_stay_on_target_flat_subspace_is_exact():
     h = np.stack([np.cos(c.thetas), np.sin(c.thetas)], axis=-1)
     flat = FlatSpace(2)
     f = MapField.constant_in_time(c, flat, h, 0.2, 20)
-    ens = simulate(c, 0.0, np.resize(c.thetas, 100), 0.2, 0.01, 100, 3)
-    rep = stay_on_target(flat, sample_solution(f, ens))
+    rep = stay_on_target(flat, sample_solution(f, 100, 3, DOMAIN_FORWARD_PATH))
     assert rep.max_dist == 0.0
     assert rep.c_fit == 0.0
     assert rep.times.shape == rep.mean_g.shape == rep.integral.shape == (21,)
+
+
+def test_stay_on_target_integral_adds_trapezoids_from_the_horizon():
+    # a field just off the circle target, by an amount that varies in time and
+    # angle; the right-tail integral is the running sum of the trapezoid
+    # increments from the horizon down, to the bit
+    c = Circle(constant_radius(1.0), n_theta=32)
+    times = np.linspace(0.0, 0.2, 21)
+    h = np.stack([np.cos(c.thetas), np.sin(c.thetas)], axis=-1)
+    scale = 1.0 + 0.02 * np.sin(7.0 * times)[:, None] * (1.0 + np.cos(c.thetas))[None]
+    s1 = UnitSphere(1)
+    f = MapField(times, scale[..., None] * h[None], c, s1)
+    rep = stay_on_target(s1, sample_solution(f, 40, 3, DOMAIN_FORWARD_PATH))
+    expected = np.zeros(21)
+    for k in range(19, -1, -1):
+        expected[k] = expected[k + 1] + 0.5 * f.dt * (rep.mean_g[k] + rep.mean_g[k + 1])
+    assert expected[0] > 0.0
+    np.testing.assert_array_equal(rep.integral, expected)
 
 
 # ---------------------------------------------------------------------------
