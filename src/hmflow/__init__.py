@@ -7,6 +7,7 @@ its fixed point and verified against closed-form reductions and geometric
 invariants.
 """
 
+from ._rng import DOMAIN_SAMPLE_PATH
 from .bsde import (BsdeSolutionSample, bsde_residual, picard_map, sample_solution,
                    step_operators)
 from .errors import (BlowUp, ConfigError, FieldLeftTube, GridTooCoarse,

@@ -102,13 +102,15 @@ class BsdeSolutionSample:
 
     y: (n_steps+1, n_paths, L2) field values along paths;
     z: (n_steps+1, n_paths, m, L2) frame-gradient values along paths, whose
-    block Euclidean norm is the metric gradient norm.
+    block Euclidean norm is the metric gradient norm.  Each fact is held
+    once: the source is `ensemble.source`, and target is the sampled
+    field's target, from which `stay_on_target` measures y and whose
+    curvature `bsde_residual` reads.
     """
 
     ensemble: PathEnsemble
     y: np.ndarray
     z: np.ndarray
-    source: object
     target: object
 
     def __post_init__(self):
@@ -130,6 +132,12 @@ def sample_solution(field: MapField, n_paths: int, master_seed: int,
     p driven by stream (master_seed, domain, p).  At each slice k,
     `field.values[k]` and the kept `field.gradient[k]` are stacked and
     interpolated at the paths in one call.
+
+    `solve` draws no sample; the code that checks one draws it, in a stream
+    domain of its own (the CLI's solve `DOMAIN_SAMPLE_PATH`, its verify
+    `DOMAIN_VERIFY_PATH`), so it shares no increments with a forward run at
+    the same seed.  The field's slice spacing must pass `step_count`'s
+    stability bound, which a solve does not need.
     """
     source = field.source
     ensemble = simulate(source, "grid", field.horizon, field.dt, n_paths, master_seed,
@@ -141,7 +149,7 @@ def sample_solution(field: MapField, n_paths: int, master_seed: int,
                                       ensemble.states[k])
         y[k] = yz[:, 0]
         z[k] = yz[:, 1:]
-    return BsdeSolutionSample(ensemble, y, z, source, field.target)
+    return BsdeSolutionSample(ensemble, y, z, field.target)
 
 
 def bsde_residual(sample: BsdeSolutionSample) -> float:
@@ -156,7 +164,7 @@ def bsde_residual(sample: BsdeSolutionSample) -> float:
     ens = sample.ensemble
     y, z = sample.y, sample.z
     drv = sff_trace(sample.target, y[:-1], z[:-1])
-    db = sample.source.frame_increments(ens.states[:-1], ens.increments)
+    db = ens.source.frame_increments(ens.states[:-1], ens.increments)
     mart = np.einsum("...ml,...m->...l", z[:-1], db)
     defect = y[-1] - y[0] - np.sum(0.5 * ens.dt * drv + mart, axis=0)
     return float(np.sqrt(np.mean(np.sum(defect ** 2, axis=-1))))

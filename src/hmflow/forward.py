@@ -151,7 +151,10 @@ def _prepare(source, x, horizon, dt, n_paths):
     """Start points (n_paths,) + point_shape and time nodes of a run from time 0.
 
     x is one chart point, shared by every path, or "grid" (see `simulate`).
-    Every argument is checked here, before any increment is drawn.
+    Every argument is checked here, before any increment is drawn: a chart
+    point must be one that the source's `chart_point` accepts and keeps
+    (to 1e-10), so a sphere start is a unit vector and a circle start a
+    finite angle.
     """
     shape = (n_paths,) + source.point_shape
     if isinstance(x, str):
@@ -163,6 +166,8 @@ def _prepare(source, x, horizon, dt, n_paths):
         if x.shape != source.point_shape:
             raise ValueError(f"a start is one chart point of shape {source.point_shape}, "
                              f"not an array of shape {x.shape}")
+        if np.max(np.abs(source.chart_point(x.reshape(-1).tolist()) - x)) > 1e-10:
+            raise ValueError(f"start {x.tolist()} is not a point of {source!r}")
         starts = np.empty(shape)
         starts[...] = x
     n_steps = step_count(source, horizon, dt)

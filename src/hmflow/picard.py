@@ -14,8 +14,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from ._rng import DOMAIN_SAMPLE_PATH
-from .bsde import picard_map, sample_solution, step_operators
+from .bsde import picard_map, step_operators
 from .errors import BlowUp, NoContraction, TerminalNotOnTarget, TimeOutOfRange
 from .fields import MapField, c01_norm, handover_c01
 
@@ -47,17 +46,17 @@ class PicardState:
 
 def solve(source, target, h, t0_init: float, tol: float = 1e-10,
           max_iter: int = 40, backend: str = "semigroup", dt: float = 1e-3,
-          n_paths: int = 10_000, master_seed: int = 0, sample_paths: int = 1000):
+          n_paths: int = 10_000, master_seed: int = 0):
     """Iterate the backward operator to its fixed point.
 
     h must map every grid node onto the target (checked to 1e-10).  If two
     consecutive delta ratios exceed 0.9, or the iterate bound blows up, the
     horizon is halved and the loop restarts; below a 1e-4 horizon the solve
-    gives up with NoContraction.  Returns (field, state, sample) where the
-    sample is `sample_solution` of the fixed point over sample_paths paths
-    from the grid nodes.  Its ensemble reads the sample stream domain, so
-    it shares no increments with a `simulate` call, or a
-    `simulate-forward` run, at the same master seed.
+    gives up with NoContraction.  Returns (field, state): the fixed point
+    and the iteration history.  A solve draws no paths; the solution pair
+    along forward paths is `sample_solution` of the field, drawn by a
+    caller that checks it.  Raises ValueError unless t0_init, tol and dt
+    are positive and max_iter is at least 1.
 
     Identical inputs (including the master seed for the Monte Carlo
     backend) reproduce identical iterate histories.
@@ -80,8 +79,8 @@ def solve(source, target, h, t0_init: float, tol: float = 1e-10,
     instead of contracting, see the README's note on the contraction floor.
     """
     h = np.asarray(h, dtype=float)
-    if t0_init <= 0 or tol <= 0:
-        raise ValueError("need t0_init > 0 and tol > 0")
+    if not (t0_init > 0 and tol > 0 and dt > 0 and max_iter >= 1):
+        raise ValueError("need t0_init > 0 and tol > 0 and dt > 0 and max_iter >= 1")
     if t0_init > source.horizon + 1e-12:
         raise TimeOutOfRange(
             f"requested horizon {t0_init} exceeds the metric definition "
@@ -107,7 +106,7 @@ def solve(source, target, h, t0_init: float, tol: float = 1e-10,
                 f"no contraction regime found down to horizon {horizon:.3g}; "
                 f"horizons tried: {tried}, last deltas: {state.deltas[-3:]}")
 
-    return u, state, sample_solution(u, sample_paths, master_seed, DOMAIN_SAMPLE_PATH)
+    return u, state
 
 
 def _iterate(source, target, h, state, *, dt, backend, n_paths, master_seed, max_iter, tol):

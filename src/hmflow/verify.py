@@ -282,14 +282,14 @@ class StayOnTargetReport:
     c_fit: float              # smallest c with mean_g <= c * integral where defined
 
 
-def stay_on_target(target, sample: BsdeSolutionSample) -> StayOnTargetReport:
-    """Maximum target distance along the sample plus the decay-of-G curve.
+def stay_on_target(sample: BsdeSolutionSample) -> StayOnTargetReport:
+    """Maximum distance of the sample's Y from its target plus the decay-of-G curve.
 
     The empirical curve s -> mean G(Y_s) and its right-tail integral expose
     the self-bounding structure that forces G to vanish; the fitted constant
     is the largest observed ratio of the two where the integral is resolved.
     """
-    ens = sample.ensemble
+    ens, target = sample.ensemble, sample.target
     dist = target.distance(sample.y)
     g = target.g_value(sample.y)
     mean_g = g.mean(axis=1)

@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hmflow.bsde import bsde_residual, picard_map, step_operators
+from hmflow._rng import DOMAIN_SAMPLE_PATH
+from hmflow.bsde import bsde_residual, picard_map, sample_solution, step_operators
 from hmflow.cli import main as cli_main
 from hmflow.fields import MapField
 from hmflow.forward import time_change, weak_error_probe
@@ -64,8 +65,7 @@ def test_criterion_02_harmonic_fixed_point():
     start = time.perf_counter()
     c = Circle(constant_radius(1.0), n_theta=256, horizon=1.0)
     h = np.stack([np.cos(c.thetas), np.sin(c.thetas)], axis=-1)
-    field, state, _ = solve(c, UnitSphere(1), h, 0.25, tol=1e-10, dt=1e-3,
-                            sample_paths=100)
+    field, state = solve(c, UnitSphere(1), h, 0.25, tol=1e-10, dt=1e-3)
     dist = float(np.abs(field.values - h[None]).max())
     wall = time.perf_counter() - start
     ok = (state.converged and state.deltas[0] <= 1e-4 and dist <= 1e-3
@@ -76,20 +76,20 @@ def test_criterion_02_harmonic_fixed_point():
 
 
 def _perturbed_geodesic_run(case, horizon):
-    field, state, sample = solve(case.source, case.target, case.terminal,
-                                 horizon, tol=1e-10, dt=1e-3, sample_paths=100)
+    field, state = solve(case.source, case.target, case.terminal,
+                         horizon, tol=1e-10, dt=1e-3)
     th = case.source.thetas
     amp = [0.3 * np.exp(-0.5 * time_change(case.source.profile, t, horizon))
            for t in field.times]
     phi = th[None] + np.array(amp)[:, None] * np.sin(th)[None]
     exact = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-    return field, state, sample, float(np.abs(field.values - exact).max())
+    return field, state, float(np.abs(field.values - exact).max())
 
 
 def test_criterion_03_perturbed_geodesic_closed_form():
     start = time.perf_counter()
     case = make_benchmark("perturbed_geodesic", horizon=0.5)
-    field, state, _, sup_err = _perturbed_geodesic_run(case, 0.5)
+    field, state, sup_err = _perturbed_geodesic_run(case, 0.5)
     wall = time.perf_counter() - start
     ok = state.converged and sup_err <= 5e-3 and wall <= 300
     report(3, ok, f"sup error vs closed form={sup_err:.2e} (<=5e-3), "
@@ -100,7 +100,7 @@ def test_criterion_04_time_dependent_metric():
     from hmflow.verify import circle_lift
     start = time.perf_counter()
     case = make_benchmark("perturbed_geodesic_sine_metric", horizon=0.5)
-    field, state, _, sup_err = _perturbed_geodesic_run(case, 0.5)
+    field, state, sup_err = _perturbed_geodesic_run(case, 0.5)
     # amplitude factor per slice vs the exact time-change decay
     th = case.source.thetas
     amp_err = 0.0
@@ -117,13 +117,13 @@ def test_criterion_04_time_dependent_metric():
 
 def test_criterion_05_contraction_bound():
     case = make_benchmark("perturbed_geodesic", horizon=1.0)
-    _, s005, _ = solve(case.source, case.target, case.terminal, 0.05,
-                       tol=1e-10, dt=1e-3, sample_paths=50)
+    _, s005 = solve(case.source, case.target, case.terminal, 0.05,
+                    tol=1e-10, dt=1e-3)
     max_ratio = max(s005.ratios)
     no_halving = []
     for horizon in (0.2, 0.1):
-        _, st, _ = solve(case.source, case.target, case.terminal, horizon,
-                         tol=1e-10, dt=1e-3, sample_paths=50)
+        _, st = solve(case.source, case.target, case.terminal, horizon,
+                      tol=1e-10, dt=1e-3)
         no_halving.append(st.converged and st.horizons_tried == [horizon])
     ok = max_ratio <= 0.5 and all(no_halving)
     report(5, ok, f"all ratios at T0=0.05 <= {max_ratio:.3f} (<=0.5); "
@@ -135,9 +135,9 @@ def test_criterion_06_stay_on_target():
     case = make_benchmark("great_circle_s2", horizon=0.25)
     dists = {}
     for dt in (1e-3, 1e-4):
-        _, _, sample = solve(case.source, case.target, case.terminal, 0.25,
-                             tol=1e-10, dt=dt, sample_paths=1000)
-        dists[dt] = stay_on_target(case.target, sample).max_dist
+        field, _ = solve(case.source, case.target, case.terminal, 0.25,
+                         tol=1e-10, dt=dt)
+        dists[dt] = stay_on_target(sample_solution(field, 1000, 0, DOMAIN_SAMPLE_PATH)).max_dist
     factor = dists[1e-3] / dists[1e-4]
     wall = time.perf_counter() - start
     ok = dists[1e-3] <= 1e-2 and factor >= 2.0
@@ -191,10 +191,10 @@ def test_criterion_09_bsde_pathwise_residual_refinement():
     for dt in dts:
         # tol sits above the coarse-dt contraction floor of the explicit
         # scheme and five orders below the O(sqrt(dt)) residuals measured
-        _, state, sample = solve(case.source, case.target, case.terminal, 0.5,
-                                 tol=1e-7, dt=dt, sample_paths=1000)
+        field, state = solve(case.source, case.target, case.terminal, 0.5,
+                             tol=1e-7, dt=dt)
         assert state.converged and state.horizons_tried == [0.5]
-        residuals.append(bsde_residual(sample))
+        residuals.append(bsde_residual(sample_solution(field, 1000, 0, DOMAIN_SAMPLE_PATH)))
     order = float(np.polyfit(np.log(dts), np.log(residuals), 1)[0])
     decreasing = all(a > b for a, b in zip(residuals, residuals[1:]))
     ok = decreasing and order >= 0.4

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hmflow._rng import DOMAIN_FORWARD_PATH
+from hmflow._rng import DOMAIN_FORWARD_PATH, DOMAIN_SAMPLE_PATH
 from hmflow.bsde import (BsdeSolutionSample, bsde_residual, picard_map, sample_solution,
                          step_operators)
 from hmflow.errors import BlowUp, HorizonMismatch, ShapeMismatch
@@ -132,8 +132,8 @@ def test_solution_sample_and_z_bound_stability():
         c, _ = circle_identity(n_theta=n_theta)
         phi = c.thetas + 0.3 * np.sin(c.thetas)
         h = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-        field, state, sample = solve(c, S1, h, 0.25, tol=1e-10, dt=2e-3,
-                                     sample_paths=200)
+        field, _ = solve(c, S1, h, 0.25, tol=1e-10, dt=2e-3)
+        sample = sample_solution(field, 200, 0, DOMAIN_SAMPLE_PATH)
         assert np.all(np.isfinite(sample.z))
         maxima.append(np.linalg.norm(sample.z, axis=(-2, -1)).max())
     ratio = maxima[1] / maxima[0]
@@ -150,7 +150,7 @@ def test_solution_sample_rejects_bad_arrays():
                           (np.full_like(sample.y, np.nan), sample.z, "non-finite values"),
                           (sample.y, np.full_like(sample.z, np.inf), "non-finite values")):
         with pytest.raises(ShapeMismatch, match=message):
-            BsdeSolutionSample(sample.ensemble, y, z, c, S1)
+            BsdeSolutionSample(sample.ensemble, y, z, S1)
 
 
 def test_sample_on_own_slices_reads_kept_gradient(monkeypatch):
@@ -158,7 +158,7 @@ def test_sample_on_own_slices_reads_kept_gradient(monkeypatch):
     c = Circle(sine_radius(0.2, 1.0), n_theta=64, horizon=0.1)
     phi = c.thetas + 0.3 * np.sin(c.thetas)
     h = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-    field, state, _ = solve(c, S1, h, 0.02, dt=2e-3, sample_paths=8)
+    field, state = solve(c, S1, h, 0.02, dt=2e-3)
     assert state.converged and field.n_t == 10
     calls = []
     original = Circle.frame_gradient
@@ -224,12 +224,11 @@ def test_bsde_residual_flat_heat_sphere_frame():
 def test_bsde_residual_identity_fixed_point_baseline():
     from hmflow.picard import solve
     c, h = circle_identity()
-    _, _, sample = solve(c, S1, h, 0.25, tol=1e-10, dt=1e-3, sample_paths=1000)
-    assert bsde_residual(sample) <= 1.3e-2
-    _, _, sample_shorter = solve(c, S1, h, 0.2, tol=1e-10, dt=1e-3,
-                                 sample_paths=1000)
+    field, _ = solve(c, S1, h, 0.25, tol=1e-10, dt=1e-3)
+    assert bsde_residual(sample_solution(field, 1000, 0, DOMAIN_SAMPLE_PATH)) <= 1.3e-2
+    shorter, _ = solve(c, S1, h, 0.2, tol=1e-10, dt=1e-3)
     # quadratic-variation noise floor is |u| sqrt(T dt / 2) = 1.0e-2 here
-    assert bsde_residual(sample_shorter) <= 1.1e-2
+    assert bsde_residual(sample_solution(shorter, 1000, 0, DOMAIN_SAMPLE_PATH)) <= 1.1e-2
 
 
 def test_sphere_picard_map_smoke():

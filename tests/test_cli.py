@@ -682,7 +682,7 @@ def test_cli_writes_the_library_samples(tmp_path):
 
 def test_solve_releases_its_sample_before_the_save(tmp_path, monkeypatch):
     # 1000 sample paths on an 8x16 grid: the sample holds about 40x the field's
-    # values. It is built, and peaks, inside `solve`; from the field's save on, the
+    # values. It is drawn, and peaks, before the save; from the field's save on, the
     # reference phase sets the peak at 13.5x the values, or 53x with the sample kept.
     text = SPH_CONFIG.replace("n_theta = 16\nn_phi = 32\nhorizon = 0.05",
                               "n_theta = 8\nn_phi = 16\nhorizon = 0.02")

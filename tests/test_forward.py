@@ -10,6 +10,7 @@ import hmflow.fields as fields_mod
 import hmflow.forward as forward_mod
 from hmflow._rng import (DOMAIN_FORWARD_PATH, DOMAIN_MC_SLICE, DOMAIN_SAMPLE_PATH,
                          DOMAIN_VERIFY_PATH, keyed_generator, path_normals)
+from hmflow.bsde import sample_solution
 from hmflow.errors import StepTooLarge, TimeOutOfRange
 from hmflow.forward import moment_check, simulate, step_count, time_change, weak_error_probe
 from hmflow.picard import solve
@@ -123,9 +124,10 @@ def test_moment_check_rejects_a_start_spec_the_observable_cannot_take(monkeypatc
 
 
 def test_solve_sample_reads_the_sample_domain():
+    # the sample the CLI's solve draws of its fixed point
     case = make_benchmark("flat_heat", horizon=0.1, n_x=16)
-    _, _, sample = solve(case.source, case.target, case.terminal, 0.1, dt=0.01,
-                         master_seed=3, sample_paths=8)
+    field, _ = solve(case.source, case.target, case.terminal, 0.1, dt=0.01, master_seed=3)
+    sample = sample_solution(field, 8, 3, DOMAIN_SAMPLE_PATH)
     own = simulate(case.source, "grid", 0.1, 0.01, 8, 3,
                    _domain=DOMAIN_SAMPLE_PATH)
     forward = simulate(case.source, "grid", 0.1, 0.01, 8, 3)
@@ -171,13 +173,36 @@ def test_sphere_moment_decay():
     assert rep["expected"] == pytest.approx(np.exp(-0.5), rel=1e-12)
 
 
-def test_moment_check_fails_without_spread():
-    # with x0 = 0 the observable <X, x0> is zero on every path, so the
-    # standard error is zero and the 3-sigma test measures nothing
+def test_moment_check_fails_without_spread(monkeypatch):
+    # with zero increments every path stays at x0, so the observable <X, x0>
+    # is 1 on every path, the standard error is zero and the 3-sigma test
+    # measures nothing
+    monkeypatch.setattr(forward_mod, "path_normals",
+                        lambda seed, domain, p, n_steps, dim: np.zeros((n_steps, dim)))
     s = Sphere2(n_theta=8, n_phi=16)
-    rep = moment_check(s, np.zeros(3), 0.25, 1 / 64, 20, 3)
-    assert rep["stderr"] == 0.0 and rep["sample_mean"] == rep["expected"] == 0.0
+    rep = moment_check(s, np.array([0.0, 0.0, 1.0]), 0.25, 1 / 64, 20, 3)
+    assert rep["stderr"] == 0.0 and rep["sample_mean"] == 1.0
     assert rep["pass"] is False
+
+
+@pytest.mark.parametrize("family,start,message", [
+    ("sphere", [0.0, 0.0, 2.0], "is not a point of Sphere2"),
+    ("sphere", [0.0, 0.0, 0.0], "not all zero"),
+    ("circle", np.nan, "one finite angle"),
+], ids=["sphere_norm_2", "sphere_zero", "circle_nan"])
+def test_a_start_off_the_source_is_rejected_before_any_draw(monkeypatch, family, start, message):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return path_normals(*args)
+
+    monkeypatch.setattr(forward_mod, "path_normals", counting)
+    source = Sphere2(n_theta=8, n_phi=16) if family == "sphere" else Circle(n_theta=16)
+    for check in (simulate, moment_check):
+        with pytest.raises(ValueError, match=message):
+            check(source, np.array(start), 0.25, 1 / 64, 20, 3)
+    assert calls == []
 
 
 @pytest.mark.parametrize("n_paths", [0, 1])

@@ -1,13 +1,15 @@
 """Design guards: source families stay behind the source interface and
 each builds its own one-step operators, the demos import only names that
-hmflow exports, every random stream domain is in use under its pinned
-number, every name the benchmark tracer wraps still exists, no test skips
-itself, and the library runs on numpy alone."""
+hmflow exports and the README's quick start runs, every random stream
+domain is in use under its pinned number, every name the benchmark tracer
+wraps still exists, no test skips itself, and the library runs on numpy
+alone."""
 
 import ast
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -51,6 +53,14 @@ def test_demo_imports_resolve():
                 missing += [f"{path.name}: {alias.name}" for alias in node.names
                             if not hasattr(hmflow, alias.name)]
     assert not missing, missing
+
+
+def test_readme_quick_start_runs(capsys):
+    # the documented library API: a change to what `solve` takes or returns breaks it
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Library quick start\n\n```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(block, "README.md quick start", "exec"), {})
+    assert capsys.readouterr().out
 
 
 def test_stream_domains_are_read_and_pinned():

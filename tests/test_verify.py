@@ -4,7 +4,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
 import hmflow.fields as fields_mod
-from hmflow._rng import DOMAIN_FORWARD_PATH
+from hmflow._rng import DOMAIN_FORWARD_PATH, DOMAIN_SAMPLE_PATH
 from hmflow.bsde import sample_solution
 from hmflow.errors import FieldLeftTube, ShapeMismatch, UnsupportedReduction
 from hmflow.fields import MapField
@@ -85,8 +85,8 @@ def test_reference_equivariant_vs_picard():
     case = make_benchmark("equivariant_s2", horizon=0.1, amplitude=0.2,
                           n_theta=32, n_phi=64)
     ref = pde_reference(case, n_t=40, n_x=300)
-    field, state, _ = solve(case.source, case.target, case.terminal, 0.1,
-                            tol=1e-9, dt=0.0025, sample_paths=32)
+    field, state = solve(case.source, case.target, case.terminal, 0.1,
+                         tol=1e-9, dt=0.0025)
     assert state.converged
     assert np.abs(field.values - ref.values).max() <= case.tolerances["sup_error"]
 
@@ -180,8 +180,8 @@ def test_tension_residual_refines_with_time_grid():
     case = make_benchmark("perturbed_geodesic", horizon=0.5)
     sups = []
     for n_t in (25, 50, 100):
-        field, _, _ = solve(case.source, case.target, case.terminal, 0.5,
-                            tol=1e-10, dt=0.5 / n_t, sample_paths=16)
+        field, _ = solve(case.source, case.target, case.terminal, 0.5,
+                         tol=1e-10, dt=0.5 / n_t)
         _, res = tension_residual(case.source, case.target, field)
         sups.append(res.max())
     assert sups[2] < sups[1] < sups[0]
@@ -235,9 +235,9 @@ def test_stay_on_target_fixed_point():
     case = make_benchmark("great_circle_s2", horizon=0.25)
     reports = {}
     for dt in (1e-2, 1e-3):
-        _, _, sample = solve(case.source, case.target, case.terminal, 0.25,
-                             tol=1e-10, dt=dt, sample_paths=300)
-        reports[dt] = stay_on_target(case.target, sample)
+        field, _ = solve(case.source, case.target, case.terminal, 0.25,
+                         tol=1e-10, dt=dt)
+        reports[dt] = stay_on_target(sample_solution(field, 300, 0, DOMAIN_SAMPLE_PATH))
     assert reports[1e-3].max_dist <= 1e-2
     assert reports[1e-2].max_dist / reports[1e-3].max_dist >= 2.0
     # the decay curve vanishes at the horizon where Y is pinned to the target
@@ -250,7 +250,7 @@ def test_stay_on_target_flat_subspace_is_exact():
     h = np.stack([np.cos(c.thetas), np.sin(c.thetas)], axis=-1)
     flat = FlatSpace(2)
     f = MapField.constant_in_time(c, flat, h, 0.2, 20)
-    rep = stay_on_target(flat, sample_solution(f, 100, 3, DOMAIN_FORWARD_PATH))
+    rep = stay_on_target(sample_solution(f, 100, 3, DOMAIN_FORWARD_PATH))
     assert rep.max_dist == 0.0
     assert rep.c_fit == 0.0
     assert rep.times.shape == rep.mean_g.shape == rep.integral.shape == (21,)
@@ -266,7 +266,7 @@ def test_stay_on_target_integral_adds_trapezoids_from_the_horizon():
     scale = 1.0 + 0.02 * np.sin(7.0 * times)[:, None] * (1.0 + np.cos(c.thetas))[None]
     s1 = UnitSphere(1)
     f = MapField(times, scale[..., None] * h[None], c, s1)
-    rep = stay_on_target(s1, sample_solution(f, 40, 3, DOMAIN_FORWARD_PATH))
+    rep = stay_on_target(sample_solution(f, 40, 3, DOMAIN_FORWARD_PATH))
     expected = np.zeros(21)
     for k in range(19, -1, -1):
         expected[k] = expected[k + 1] + 0.5 * f.dt * (rep.mean_g[k] + rep.mean_g[k + 1])
