@@ -33,13 +33,14 @@ def step_operators(u: MapField, backend: str = "semigroup", n_paths: int = 0,
     """The n_t one-step conditional-expectation operators of u's time grid.
 
     Operator k maps slice k + 1 of a field to its conditional expectation
-    at slice k: the source's `heat_semigroup_operator` (the exact Fourier
-    heat kernel on the circle, the implicit heat step on the sphere) for
-    the semigroup backend, or its `mc_step_operator` over n_paths >= 1
-    increments from stream (master_seed, slice k) for the monte_carlo
-    backend.  They depend only on the source and the time grid, so a solve
-    builds them once per horizon, each with its time check and multiplier,
-    and every `picard_map` pass applies them.
+    at slice k: the source's `heat_semigroup_operator` (the heat semigroup
+    with the metric frozen at slice k: the Fourier heat kernel on the
+    circle, exp(kappa lam) per eigenmode on the sphere) for the semigroup
+    backend, or its `mc_step_operator` over n_paths >= 1 increments from
+    stream (master_seed, slice k) for the monte_carlo backend.  They
+    depend only on the source and the time grid, so a solve builds them
+    once per horizon, each with its time check and multiplier, and every
+    `picard_map` pass applies them.
     """
     source, dt = u.source, u.dt
     times = u.times[:-1]

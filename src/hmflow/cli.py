@@ -266,6 +266,7 @@ def cmd_solve(config_path: str, out_dir: str, seed: int | None,
         "converged": state.converged,
         "iterations": state.iterations,
         "final_delta": state.deltas[-1] if state.deltas else None,
+        "fixed_point_error_estimate": state.fixed_point_error_estimate,
         "horizon": state.horizon,
         "horizons_tried": state.horizons_tried,
         "ball_radius": state.ball_radius,

@@ -124,22 +124,32 @@ def _draw_increments(master_seed, domain, paths: range, n_steps, dim, dt):
     return out
 
 
-def step_count(source, horizon: float, dt: float) -> int:
-    """Number of steps of size dt from time 0 to the horizon, checked against the source.
+def whole_steps(horizon: float, dt: float) -> int:
+    """Number of steps of size dt > 0 in a positive horizon.
 
-    Raises TimeOutOfRange past the metric's interval, ValueError when dt
-    is not positive, does not divide the horizon or gives more steps than
-    an array can index, and StepTooLarge beyond the stability bound.
+    Raises ValueError when dt does not divide the horizon (to 1e-9
+    relative) or gives more steps than an array can index.
     """
-    if not dt > 0:
-        raise ValueError(f"dt={dt} must be positive")
-    if not 0.0 < horizon <= source.horizon + 1e-12:
-        raise TimeOutOfRange(f"need 0 < horizon <= {source.horizon}, got {horizon}")
     if not horizon / dt < np.iinfo(np.intp).max:
         raise ValueError(f"dt={dt} gives more steps over {horizon} than an array can index")
     n_steps = int(round(horizon / dt))
     if n_steps < 1 or abs(n_steps * dt - horizon) > 1e-9 * max(horizon, 1.0):
         raise ValueError(f"dt={dt} does not divide the horizon {horizon}")
+    return n_steps
+
+
+def step_count(source, horizon: float, dt: float) -> int:
+    """Number of steps of size dt from time 0 to the horizon, checked against the source.
+
+    Raises TimeOutOfRange past the metric's interval, ValueError when dt
+    is not positive or `whole_steps` rejects it, and StepTooLarge beyond
+    the stability bound.
+    """
+    if not dt > 0:
+        raise ValueError(f"dt={dt} must be positive")
+    if not 0.0 < horizon <= source.horizon + 1e-12:
+        raise TimeOutOfRange(f"need 0 < horizon <= {source.horizon}, got {horizon}")
+    n_steps = whole_steps(horizon, dt)
     rho_min = source.min_radius(0.0, horizon)
     if dt > rho_min ** 2 / 4.0:
         raise StepTooLarge(

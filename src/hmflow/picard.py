@@ -17,6 +17,7 @@ import numpy as np
 from .bsde import picard_map, step_operators
 from .errors import BlowUp, NoContraction, TerminalNotOnTarget, TimeOutOfRange
 from .fields import MapField, c01_norm, handover_c01
+from .forward import whole_steps
 
 _RATIO_TRIGGER = 0.9
 _MIN_HORIZON = 1e-4
@@ -43,6 +44,19 @@ class PicardState:
     horizons_tried: list = dataclass_field(default_factory=list)
     records: list = dataclass_field(default_factory=list)
 
+    @property
+    def fixed_point_error_estimate(self) -> float | None:
+        """Banach's a-posteriori estimate of the last iterate's distance from the fixed point.
+
+        delta_n r / (1 - r), with delta_n the last delta and r the last
+        recorded ratio taken as the contraction constant; None when no
+        ratio was recorded or r >= 1.
+        """
+        if not self.ratios or self.ratios[-1] >= 1.0:
+            return None
+        r = self.ratios[-1]
+        return self.deltas[-1] * r / (1.0 - r)
+
 
 def solve(source, target, h, t0_init: float, tol: float = 1e-10,
           max_iter: int = 40, backend: str = "semigroup", dt: float = 1e-3,
@@ -53,10 +67,13 @@ def solve(source, target, h, t0_init: float, tol: float = 1e-10,
     consecutive delta ratios exceed 0.9, or the iterate bound blows up, the
     horizon is halved and the loop restarts; below a 1e-4 horizon the solve
     gives up with NoContraction.  Returns (field, state): the fixed point
-    and the iteration history.  A solve draws no paths; the solution pair
-    along forward paths is `sample_solution` of the field, drawn by a
-    caller that checks it.  Raises ValueError unless t0_init, tol and dt
-    are positive and max_iter is at least 1.
+    and the iteration history, whose `fixed_point_error_estimate` says how
+    far the field is from the exact fixed point.  A solve draws no paths;
+    the solution pair along forward paths is `sample_solution` of the
+    field, drawn by a caller that checks it.  Raises ValueError unless
+    t0_init, tol and dt are positive, dt divides t0_init
+    (`forward.whole_steps`) and max_iter is at least 1; a halved horizon
+    takes the nearest whole number of steps of dt.
 
     Identical inputs (including the master seed for the Monte Carlo
     backend) reproduce identical iterate histories.
@@ -65,9 +82,10 @@ def solve(source, target, h, t0_init: float, tol: float = 1e-10,
     horizon, and rebuilt after a halving, since the slice times change.
     On the circle each is a Fourier multiplier: n_t times len(_k) reals for
     the semigroup and complex numbers for Monte Carlo.  The sphere's
-    semigroup operators hold n_modes times n_theta factors each; its Monte
-    Carlo operators draw their increments again in every pass, so they
-    hold none.
+    semigroup operators hold n_modes times n_theta factors exp(kappa lam)
+    each; on both families the semigroup step is exact in time for the
+    metric frozen at the slice.  The sphere's Monte Carlo operators draw
+    their increments again in every pass, so they hold none.
 
     Memory: while it iterates, a solve holds two fields, the current
     iterate and the next, one gradient array and the step operators.
@@ -85,6 +103,7 @@ def solve(source, target, h, t0_init: float, tol: float = 1e-10,
         raise TimeOutOfRange(
             f"requested horizon {t0_init} exceeds the metric definition "
             f"interval [0, {source.horizon}]")
+    whole_steps(t0_init, dt)
     dist = target.distance(h)
     if np.any(dist > 1e-10):
         raise TerminalNotOnTarget(

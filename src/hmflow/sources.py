@@ -624,8 +624,9 @@ class Sphere2(SourceManifold):
         """(V, lam, V^-1) with A_m = V_m diag(lam_m) V_m^-1 for every azimuthal mode m.
 
         Raises HmflowError, naming the grid and the mode, when an eigenvalue
-        is not real and <= 0 up to rounding (1 - kappa lam could vanish) or
-        V is ill-conditioned (steps would be silently inaccurate).
+        is not real and <= 0 up to rounding (exp(kappa lam) would amplify
+        that mode) or V is ill-conditioned (steps would be silently
+        inaccurate).
         """
         n = self.n_theta
         vecs, inv = np.empty((len(self._m), n, n)), np.empty((len(self._m), n, n))
@@ -645,21 +646,24 @@ class Sphere2(SourceManifold):
         return vecs, lam, inv
 
     def heat_semigroup_operator(self, t, dt):
-        """One implicit (backward Euler) step of the heat semigroup, as a map of a field.
+        """One step of the heat semigroup with the metric frozen at t, as a map of a field.
 
         Longitude is diagonalized by FFT; each azimuthal mode m applies
-        (I - kappa A_m)^-1 = V_m diag(1 / (1 - kappa lam_m)) V_m^-1 with
+        exp(kappa A_m) = V_m diag(exp(kappa lam_m)) V_m^-1 with
         kappa = dt / (2 rho(t)^2), where A_m is `laplace_beltrami`'s own
         stencil on mode m, its pole rows from `_pad_poles` with sign (-1)^m
         (see `_mode_operator`).  The eigenbasis does not depend on t
         or dt: it is built once per source, on the first operator, at a cost
         of O(n_modes n_theta^3), and holds 2 n_modes n_theta^2 doubles.  The
-        time check and the factors 1 / (1 - kappa lam), n_modes n_theta reals,
-        are done once here.  Unconditionally stable, O(dt) accurate.
+        time check and the factors exp(kappa lam), n_modes n_theta reals,
+        are done once here.  The kernel is exact in time for the frozen
+        metric, as the circle's is: two steps of dt equal one of 2 dt.
+        Unconditionally stable (every lam <= 0), O(dt) accurate, since
+        the metric is frozen over the step.
 
         Both FFTs run along the contiguous axis, as `_dphi_spectral`'s do.
         Longitude is moved last for `rfft`; the modes are copied mode-major
-        for the per-mode solve and back to the last axis for `irfft`; then
+        for the per-mode product and back to the last axis for `irfft`; then
         longitude returns to its place in a C-contiguous slice, since the
         curvature driver and the sups that read the slice next take about
         twice as long on a strided one.  The copies only move values, so
@@ -668,7 +672,7 @@ class Sphere2(SourceManifold):
         self._check_time(t)
         vecs, lam, inv = self._eigenbasis
         kappa = 0.5 * dt / float(self.profile(t)) ** 2
-        factor = (1.0 / (1.0 - kappa * lam))[..., None]
+        factor = np.exp(kappa * lam)[..., None]
 
         def apply(field):
             field = self._grid_field(field)

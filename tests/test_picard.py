@@ -10,7 +10,7 @@ from hmflow._rng import DOMAIN_MC_SLICE, keyed_generator, path_normals
 from hmflow.bsde import picard_map, step_operators
 from hmflow.errors import BlowUp, NoContraction, TerminalNotOnTarget, TimeOutOfRange
 from hmflow.fields import c01_norm, difference_c01
-from hmflow.picard import solve
+from hmflow.picard import PicardState, solve
 from hmflow.sources import Circle, Sphere2, constant_radius, sine_radius
 from hmflow.targets import FlatSpace, UnitSphere
 from hmflow.verify import terminal_case
@@ -125,6 +125,13 @@ def test_nonpositive_step_or_no_iterations_rejected(kwargs):
         solve(c, S1, h, 0.25, **kwargs)
 
 
+@pytest.mark.parametrize("dt", [0.1, 7.0])
+def test_step_must_divide_the_horizon(dt):
+    c, h = circle_h(lambda a: a, n_theta=16)
+    with pytest.raises(ValueError, match=f"dt={dt} does not divide the horizon 0.25"):
+        solve(c, S1, h, 0.25, dt=dt)
+
+
 def test_horizon_beyond_metric_interval():
     c, h = circle_h(lambda a: a, horizon=1.0)
     with pytest.raises(TimeOutOfRange):
@@ -150,6 +157,26 @@ def test_fixed_point_residual_within_twice_tolerance():
     tol = 1e-9
     field, state = solve(c, S1, h, 0.25, tol=tol, dt=2e-3)
     assert difference_c01(picard_map(field, h, step_operators(field)), field) <= 2 * tol
+
+
+def test_fixed_point_error_estimate():
+    state = PicardState(horizon=0.1, ball_radius=1.0, deltas=[1e-3, 2e-4, 5e-5],
+                        ratios=[0.2, 0.25])
+    assert state.fixed_point_error_estimate == 5e-5 * 0.25 / 0.75
+    # no ratio recorded, or the last one shows no contraction
+    assert PicardState(horizon=0.1, ball_radius=1.0,
+                       deltas=[1e-3]).fixed_point_error_estimate is None
+    for r in (1.0, 1.5):
+        assert PicardState(horizon=0.1, ball_radius=1.0, deltas=[1e-3, r * 1e-3],
+                           ratios=[r]).fixed_point_error_estimate is None
+
+
+def test_fixed_point_error_estimate_bounds_a_tighter_solve():
+    c, h = circle_h(lambda a: a + 0.3 * np.sin(a), n_theta=64)
+    loose, state = solve(c, S1, h, 0.1, tol=1e-6, dt=2e-3)
+    tight, _ = solve(c, S1, h, 0.1, tol=1e-13, dt=2e-3)
+    assert state.converged and state.fixed_point_error_estimate is not None
+    assert difference_c01(loose, tight) <= state.fixed_point_error_estimate
 
 
 def test_ball_stability_reported():

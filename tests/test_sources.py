@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hmflow import sources
 from hmflow._linalg import row_dot
@@ -255,13 +256,27 @@ def test_circle_heat_step_exact_mode_decay():
     np.testing.assert_allclose(out2, np.exp(-0.05 / 4) * f, atol=1e-14)
 
 
-def test_sphere_heat_step_implicit_euler():
+def test_sphere_heat_step_l1_decay():
     s = Sphere2(constant_radius(1.0), n_theta=32, n_phi=64)
     f = s.grid_points()[..., 2]
     dt = 0.01
     out = s.heat_semigroup_step(0.0, dt, f)
-    # backward Euler on the l=1 eigenspace: factor 1/(1 + dt)
-    np.testing.assert_allclose(out, f / (1 + dt), atol=1e-5)
+    # the heat semigroup on the l=1 eigenspace: factor exp(-dt), up to the stencil's error
+    np.testing.assert_allclose(out, f * np.exp(-dt), atol=1e-7)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: Circle(constant_radius(1.0), n_theta=64), id="circle"),
+    pytest.param(lambda: Sphere2(constant_radius(1.0), n_theta=16, n_phi=32), id="sphere16x32"),
+    pytest.param(lambda: Sphere2(constant_radius(1.0), n_theta=24, n_phi=48), id="sphere24x48"),
+])
+@pytest.mark.parametrize("value_shape", [(), (3,)], ids=["scalar", "vector"])
+def test_heat_step_is_a_semigroup(make, value_shape):
+    # with the metric frozen, two steps of dt are one step of 2 dt
+    s = make()
+    f = np.random.default_rng(9).standard_normal(s.grid_shape + value_shape)
+    twice = s.heat_semigroup_step(0.0, 0.01, s.heat_semigroup_step(0.0, 0.01, f))
+    np.testing.assert_allclose(twice, s.heat_semigroup_step(0.0, 0.02, f), rtol=0, atol=1e-12)
 
 
 BLOCK_SOURCES = [
@@ -290,7 +305,7 @@ def test_time_blocked_calculus_equals_stacked_slices(make, value_shape):
 
 
 def _heat_step_reference(s, t, dt, f):
-    """The one-slice heat kernels written out: Fourier decay, or implicit per sphere mode.
+    """The one-slice heat kernels written out: Fourier decay, or exp(kappa lam) per sphere mode.
 
     The sphere's FFTs run along the strided longitude axis; the operator runs
     them with longitude last, which moves values and changes no bit.
@@ -305,7 +320,7 @@ def _heat_step_reference(s, t, dt, f):
     modes = np.fft.rfft(f, axis=1)
     rhs = np.ascontiguousarray(
         modes.reshape(s.n_theta, modes.shape[1], -1).transpose(1, 0, 2)).view(float)
-    out = vecs @ ((1.0 / (1.0 - kappa * lam))[..., None] * (inv @ rhs))
+    out = vecs @ (np.exp(kappa * lam)[..., None] * (inv @ rhs))
     out = out.view(complex).transpose(1, 0, 2).reshape(modes.shape)
     return np.fft.irfft(out, n=s.n_phi, axis=1)
 
@@ -562,12 +577,11 @@ def _held_nbytes(obj):
 
 
 def _dense_heat_step(s, t, dt, field):
-    """Reference backward Euler step: one dense solve of (I - kappa A_m) per mode."""
+    """Reference heat semigroup step: one dense matrix exponential exp(kappa A_m) per mode."""
     kappa = 0.5 * dt / float(s.profile(t)) ** 2
     modes = np.fft.rfft(field, axis=1)
     for im, m in enumerate(s._m):
-        modes[:, im] = np.linalg.solve(np.eye(s.n_theta) - kappa * s._mode_operator(int(m)),
-                                       modes[:, im])
+        modes[:, im] = scipy.linalg.expm(kappa * s._mode_operator(int(m))) @ modes[:, im]
     return np.fft.irfft(modes, n=s.n_phi, axis=1)
 
 
@@ -592,8 +606,8 @@ def test_sphere_heat_step_eigenbasis_bounded():
                                   s.heat_semigroup_step(0.3, 0.01, field))
     f = s.grid_points()[..., 2]
     out = s.heat_semigroup_step(0.0, 0.01, f)
-    np.testing.assert_allclose(out, f / (1 + 0.01 / float(s.profile(0.0)) ** 2),
-                               atol=2e-3)
+    np.testing.assert_allclose(out, f * np.exp(-0.01 / float(s.profile(0.0)) ** 2),
+                               atol=1e-5)
 
 
 @pytest.mark.parametrize("block,found", [

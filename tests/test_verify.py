@@ -14,7 +14,7 @@ from hmflow.sources import Circle, Sphere2, constant_radius, shrinking_radius, s
 from hmflow.targets import FlatSpace, UnitSphere
 from hmflow.verify import (BenchmarkCase, _not_a_knot_spline, circle_lift, make_benchmark,
                            pde_reference, stay_on_target, tension_residual,
-                           weak_form_residual)
+                           terminal_case, weak_form_residual)
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +89,21 @@ def test_reference_equivariant_vs_picard():
                          tol=1e-9, dt=0.0025)
     assert state.converged
     assert np.abs(field.values - ref.values).max() <= case.tolerances["sup_error"]
+
+
+@pytest.mark.parametrize("n_theta, dt, bound", [
+    (24, 1e-3, 7.57e-5), (24, 2e-3, 1.526e-4), (48, 1e-3, 7.69e-5), (48, 2e-3, 1.541e-4)])
+def test_sphere_semigroup_solve_accuracy(n_theta, dt, bound):
+    # the benchmark's sphere case; each bound is 0.6 times the error of a
+    # backward Euler heat step (1.262e-4, 2.543e-4, 1.282e-4, 2.568e-4).
+    # At tol 1e-10 the 48x96 solve at dt 2e-3 halves its horizon: the pole-row
+    # growth of the README's note on the contraction floor.
+    source = Sphere2(sine_radius(0.2, 1.0), n_theta=n_theta, n_phi=2 * n_theta, horizon=0.034)
+    case = terminal_case("equivariant", source, UnitSphere(2), 0.034)
+    field, state = solve(source, case.target, case.terminal, 0.034, tol=1e-9, dt=dt)
+    assert state.converged and state.horizons_tried == [0.034]
+    ref = pde_reference(case, n_t=field.n_t)
+    assert np.linalg.norm(field.values - ref.values, axis=-1).max() <= bound
 
 
 def _equivariant_dop853(case, n_t, n_x=200):
