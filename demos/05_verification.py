@@ -52,7 +52,7 @@ err = np.abs(field.values - ref.values).max()
 print(f"converged in {state.iterations} iterations; "
       f"sup error vs reference = {err:.2e}")
 
-print("\n=== refinement: the stay-on-target distance is O(dt) ===")
+print("\n=== refinement: the stay-on-target distance is O(dt^2) ===")
 case = make_benchmark("great_circle_s2", horizon=0.25)
 for dt in (1e-2, 1e-3):
     u, _ = solve(case.source, case.target, case.terminal, 0.25, tol=1e-10, dt=dt)

@@ -3,10 +3,10 @@
 `picard_map` is the map whose fixed point solves the quasi-linear backward
 system: given a frozen-gradient field u and terminal data h, it steps the
 linear backward equation from the terminal slice to time zero.  Each step
-takes the one-step conditional expectation of the next slice under the
-forward diffusion, one of the operators `step_operators` builds, and
-subtracts the curvature driver evaluated at that conditional expectation
-with the frozen gradient of u.
+takes the one-step conditional expectation under the forward diffusion,
+one of the operators `step_operators` builds, of a carried value, and
+evaluates the curvature driver there once with the frozen gradient of u:
+a half-shifted driver sweep, second order in the step (see `picard_map`).
 
 `sample_solution` reconstructs the stochastic solution pair along a forward
 ensemble it draws from the field's grid, and `bsde_residual` checks the
@@ -34,10 +34,11 @@ def step_operators(u: MapField, backend: str = "semigroup", n_paths: int = 0,
 
     Operator k maps slice k + 1 of a field to its conditional expectation
     at slice k: the source's `heat_semigroup_operator` (the heat semigroup
-    with the metric frozen at slice k: the Fourier heat kernel on the
-    circle, exp(kappa lam) per eigenmode on the sphere) for the semigroup
-    backend, or its `mc_step_operator` over n_paths >= 1 increments from
-    stream (master_seed, slice k) for the monte_carlo backend.  They
+    of the moving metric over the step, kappa half its time change tau:
+    the Fourier heat kernel on the circle, exp(kappa lam) per eigenmode on
+    the sphere) for the semigroup backend, or its `mc_step_operator` over
+    n_paths >= 1 increments from stream (master_seed, slice k) for the
+    monte_carlo backend.  They
     depend only on the source and the time grid, so a solve builds them
     once per horizon, each with its time check and multiplier, and every
     `picard_map` pass applies them.
@@ -56,11 +57,17 @@ def step_operators(u: MapField, backend: str = "semigroup", n_paths: int = 0,
 def picard_map(u: MapField, h, steps) -> MapField:
     """One application of the backward-flow operator to the frozen field u.
 
-    Stepping backward from w(horizon) = h: each slice k first applies
-    steps[k] (see `step_operators`) to slice k + 1, then subtracts (dt/2)
-    times the curvature driver with the gradient of u frozen at the current
-    slice.  The driver's base point is the conditional expectation (a
-    one-step lag).  The frozen gradient is u's kept `MapField.gradient`,
+    Stepping backward from w(horizon) = h with F(v, k) = sff_trace(target,
+    v, grad u[k]), the driver with the gradient of u frozen at slice k, a
+    carried value starts at x = h - (dt/4) F(h, n_t).  Each slice k applies
+    steps[k] (see `step_operators`) to it, cond = steps[k](x), evaluates
+    drv = F(cond, k) once, stores w[k] = cond - (dt/4) drv and carries
+    x = cond - (dt/2) drv.  The sweep that applies the driver once after
+    each heat step (a Lie splitting) is conjugate, by a half driver step,
+    to the Strang splitting: half driver step, heat step, half driver step.
+    Storing the midpoint of each driver step gives Strang's slices, second
+    order in dt, at n_t + 1 driver evaluations per pass.  The frozen
+    gradient is u's kept `MapField.gradient`,
     computed on its first read, in time blocks; the returned field has none
     until something reads it.  So the loop over slices holds only the
     sequential recursion and the per-slice `BlowUp` check, which stops a
@@ -86,9 +93,12 @@ def picard_map(u: MapField, h, steps) -> MapField:
     grad = u.gradient
     w = np.empty_like(u.values)
     w[n_t] = h
+    x = h - 0.25 * dt * sff_trace(target, h, grad[n_t])
     for k in range(n_t - 1, -1, -1):
-        cond = steps[k](w[k + 1])
-        w[k] = cond - 0.5 * dt * sff_trace(target, cond, grad[k])
+        cond = steps[k](x)
+        drv = sff_trace(target, cond, grad[k])
+        w[k] = cond - 0.25 * dt * drv
+        x = cond - 0.5 * dt * drv
         worst = _value_sup(w[k])
         if worst > bound:
             raise BlowUp(

@@ -274,6 +274,7 @@ def cmd_solve(config_path: str, out_dir: str, seed: int | None,
         "backend": rc["backend"],
         "master_seed": master_seed,
         "n_t": field.n_t,
+        "dt": field.dt,
         "n_nodes": field.n_nodes,
         "sample_max_dist": sample_max_dist,
     }
@@ -295,6 +296,9 @@ def cmd_solve(config_path: str, out_dir: str, seed: int | None,
     if len(state.horizons_tried) > 1:
         log = (f"solve halved its horizon to {state.horizon:g}: horizons tried "
                f"{state.horizons_tried}\n")
+        if abs(field.dt - rc["dt"]) > 1e-9 * rc["dt"]:
+            log += (f"[run] dt = {rc['dt']:g} does not divide the horizon {state.horizon:g}: "
+                    f"the solve took {field.n_t} steps of {field.dt:.6g}\n")
         print(log, end="", file=sys.stderr)
     if state.converged:
         out.joinpath("run.log").write_text(

@@ -84,8 +84,10 @@ def solve(source, target, h, t0_init: float, tol: float = 1e-10,
     the semigroup and complex numbers for Monte Carlo.  The sphere's
     semigroup operators hold n_modes times n_theta factors exp(kappa lam)
     each; on both families the semigroup step is exact in time for the
-    metric frozen at the slice.  The sphere's Monte Carlo operators draw
-    their increments again in every pass, so they hold none.
+    moving metric (kappa is half the time change over the step), and with
+    `picard_map`'s half-shifted driver sweep the fixed point is second
+    order in dt.  The sphere's Monte Carlo operators draw their increments
+    again in every pass, so they hold none.
 
     Memory: while it iterates, a solve holds two fields, the current
     iterate and the next, one gradient array and the step operators.

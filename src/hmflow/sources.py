@@ -21,6 +21,7 @@ import numpy as np
 
 from ._linalg import row_dot
 from .errors import GridTooCoarse, HmflowError, ShapeMismatch, TimeOutOfRange
+from .forward import time_change
 
 _TIME_SLACK = 1e-12
 _EIG_ROUNDING = 1e-10   # eigenvalue / spectral radius above this is not "<= 0"
@@ -367,13 +368,18 @@ class Circle(SourceManifold):
     # -- one-step conditional expectations ---------------------------------------
 
     def heat_semigroup_operator(self, t, dt):
-        """Exact periodic heat kernel over one step with diffusivity rho(t)^-2 / 2, as a map.
+        """Exact periodic heat kernel from t to t + dt of the moving metric, as a map.
 
-        The time check and the multiplier exp(-k^2 dt / (2 rho(t)^2)), len(_k)
+        The generator rho(s)^-2 d^2/dtheta^2 / 2 is a scalar multiple of one
+        fixed operator, so the step is exact in time for the moving radius:
+        the multiplier exp(-k^2 kappa), with kappa = tau / 2 and tau the
+        time change `forward.time_change(profile, t, t + dt)`, the integral of
+        rho^-2 over the step.  The time check and the multiplier, len(_k)
         reals, are done once here; each application is one rfft/irfft pair.
         """
         self._check_time(t)
-        mult = np.exp(-0.5 * self._k ** 2 * dt / float(self.profile(t)) ** 2)
+        kappa = 0.5 * time_change(self.profile, t, t + dt)
+        mult = np.exp(-kappa * self._k ** 2)
         return lambda field: self._fourier(self._grid_field(field), mult)
 
     def heat_semigroup_step(self, t, dt, field):
@@ -388,7 +394,10 @@ class Circle(SourceManifold):
         the empirical increment distribution: the Fourier multiplier chi,
         the sample's empirical characteristic function, len(_k) complex
         numbers that are drawn from one new_rng() and computed once here.
-        Each application is then one rfft/irfft pair: unbiased per node, no
+        The draws are standard normals scaled by sqrt(tau), tau the time
+        change of the step (see `heat_semigroup_operator`), so the estimator
+        is unbiased for the exact kernel of the moving metric.  Each
+        application is then one rfft/irfft pair: unbiased per node, no
         interpolation error.  The draws are taken in chunks of
         `_PHASE_CHUNK`; each chunk adds the phase sums of all n_modes
         wavenumbers as one small complex GEMM of its blocked phase tables,
@@ -397,12 +406,12 @@ class Circle(SourceManifold):
         """
         self._check_time(t)
         self._check_path_count(n_paths)
-        rho = float(self.profile(t))
+        scale = math.sqrt(time_change(self.profile, t, t + dt))
         rng = new_rng()
         sums = 0.0
         for start in range(0, n_paths, _PHASE_CHUNK):
             delta = rng.standard_normal(min(_PHASE_CHUNK, n_paths - start))
-            lo, hi = self._phase_tables(delta * (np.sqrt(dt) / rho))
+            lo, hi = self._phase_tables(delta * scale)
             sums = sums + (hi @ lo.T).ravel()
         chi = sums[:len(self._k)] / n_paths
 
@@ -458,9 +467,12 @@ class Sphere2(SourceManifold):
         self._m = np.fft.rfftfreq(self.n_phi, d=1.0 / self.n_phi)
         self._sin = np.sin(self.thetas)
         self._cot = np.cos(self.thetas) / self._sin
-        # exact spherical cell areas: their total is 4 pi up to rounding
-        caps = np.cos(self.thetas - 0.5 * self.dtheta) - np.cos(self.thetas + 0.5 * self.dtheta)
-        self._cells = np.broadcast_to((self.dphi * caps)[:, None], self.grid_shape)
+        # Fejer's first rule in cos(theta) at the cell-centred colatitudes, times dphi:
+        # exact for polynomials in cos(theta) below degree n_theta; the total is 4 pi
+        j = np.arange(1, self.n_theta // 2 + 1)
+        fejer = (2.0 / self.n_theta) * (
+            1.0 - 2.0 * (np.cos(2.0 * np.outer(self.thetas, j)) / (4.0 * j ** 2 - 1.0)).sum(axis=1))
+        self._cells = np.broadcast_to((self.dphi * fejer)[:, None], self.grid_shape)
 
     def __repr__(self):
         return (f"Sphere2(rho={self.profile.label!r}, "
@@ -646,20 +658,19 @@ class Sphere2(SourceManifold):
         return vecs, lam, inv
 
     def heat_semigroup_operator(self, t, dt):
-        """One step of the heat semigroup with the metric frozen at t, as a map of a field.
+        """One step of the heat semigroup from t to t + dt of the moving metric, as a map.
 
         Longitude is diagonalized by FFT; each azimuthal mode m applies
-        exp(kappa A_m) = V_m diag(exp(kappa lam_m)) V_m^-1 with
-        kappa = dt / (2 rho(t)^2), where A_m is `laplace_beltrami`'s own
-        stencil on mode m, its pole rows from `_pad_poles` with sign (-1)^m
-        (see `_mode_operator`).  The eigenbasis does not depend on t
-        or dt: it is built once per source, on the first operator, at a cost
-        of O(n_modes n_theta^3), and holds 2 n_modes n_theta^2 doubles.  The
-        time check and the factors exp(kappa lam), n_modes n_theta reals,
-        are done once here.  The kernel is exact in time for the frozen
-        metric, as the circle's is: two steps of dt equal one of 2 dt.
-        Unconditionally stable (every lam <= 0), O(dt) accurate, since
-        the metric is frozen over the step.
+        exp(kappa A_m) = V_m diag(exp(kappa lam_m)) V_m^-1 with kappa = tau / 2,
+        tau the time change `forward.time_change(profile, t, t + dt)`, where
+        A_m is `laplace_beltrami`'s own stencil on mode m, its pole rows from
+        `_pad_poles` with sign (-1)^m (see `_mode_operator`).  A round metric
+        moves by a scalar factor only, so the step is exact in time for the
+        moving metric, as the circle's is.  The eigenbasis does not depend on
+        t or dt: it is built once per source, on the first operator, at a
+        cost of O(n_modes n_theta^3), and holds 2 n_modes n_theta^2 doubles.
+        The time check and the factors exp(kappa lam), n_modes n_theta reals,
+        are done once here.  Unconditionally stable (every lam <= 0).
 
         Both FFTs run along the contiguous axis, as `_dphi_spectral`'s do.
         Longitude is moved last for `rfft`; the modes are copied mode-major
@@ -671,7 +682,7 @@ class Sphere2(SourceManifold):
         """
         self._check_time(t)
         vecs, lam, inv = self._eigenbasis
-        kappa = 0.5 * dt / float(self.profile(t)) ** 2
+        kappa = 0.5 * time_change(self.profile, t, t + dt)
         factor = np.exp(kappa * lam)[..., None]
 
         def apply(field):

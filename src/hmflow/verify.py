@@ -120,14 +120,19 @@ def pde_reference(case: BenchmarkCase, n_t: int, n_x: int | None = None) -> MapF
     The case's data picks the reduction.  A lift on a flat target gives the
     componentwise heat decay of the terminal slice; a lift on a curved
     target lifts to the scalar heat equation on the angle.  Both are solved
-    exactly per Fourier mode with the adaptive time-change integral.  A
+    exactly per Fourier mode with the adaptive time-change integral,
+    `forward.time_change`.  The backward step's semigroup operators read
+    the same integral, so the circle reference and the solve share it;
+    `test_time_change_closed_forms` and
+    `test_time_change_matches_adaptive_quadrature` (tests/test_forward.py)
+    pin it to 1e-13 relative against closed forms and scipy's quad.  A
     psi_terminal integrates the equivariant colatitude profile by method of
     lines on n_x + 1 colatitude knots, with classical RK4 in time: each
     slice takes ceil(span L / 2) substeps, L = (4/h^2 + max|cot|/h +
     1/sin^2 h) / (2 rho_min^2) bounding the Jacobian over the slice, so
     every substep lies in RK4's real stability interval.  A not-a-knot
     cubic spline reads the profiles at the grid colatitudes.  Shares no
-    stepping code with the backward operator.
+    other stepping code with the backward operator.
     """
     source = case.source
     times = np.linspace(0.0, case.horizon, n_t + 1)

@@ -434,14 +434,27 @@ def test_solve_that_converges_after_halving_says_so(tmp_path, capsys):
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
     summary = read_json(out / "summary.json")
     assert summary["converged"] and summary["horizons_tried"] == [2.0, 1.0, 0.5, 0.25]
+    assert summary["dt"] == 5e-3
     note = "horizons tried [2.0, 1.0, 0.5, 0.25]"
     assert note in capsys.readouterr().err
     log = (out / "run.log").read_text().splitlines()
-    assert note in log[0] and log[-1].startswith("solve finished")
+    assert note in log[0] and log[-1].startswith("solve finished") and len(log) == 2
     # a solve at its first horizon stays quiet
     assert main(["solve", "--config", write_config(tmp_path, PG_CONFIG.format(field_file="x"),
                                                    "pg.ini"), "--out", str(tmp_path / "pg")]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_halved_horizon_that_dt_does_not_divide_states_its_step(tmp_path, capsys):
+    # t0 = 2.0 takes 250 steps of 8e-3, but the halved horizon 0.25 is 31.25 of them
+    cfg = write_config(tmp_path, HALVING_CONFIG.replace("dt = 5e-3", "dt = 8e-3"))
+    out = tmp_path / "h"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    summary = read_json(out / "summary.json")
+    assert summary["horizons_tried"] == [2.0, 1.0, 0.5, 0.25] and summary["dt"] == 0.25 / 31
+    note = ("[run] dt = 0.008 does not divide the horizon 0.25: the solve took 31 steps of "
+            "0.00806452\n")
+    assert note in capsys.readouterr().err and note in (out / "run.log").read_text()
 
 
 def test_solve_emits_benchmark_quantities(tmp_path):

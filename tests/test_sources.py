@@ -8,6 +8,7 @@ from hmflow import sources
 from hmflow._linalg import row_dot
 from hmflow._rng import DOMAIN_MC_SLICE, keyed_generator
 from hmflow.errors import GridTooCoarse, HmflowError, ShapeMismatch, TimeOutOfRange
+from hmflow.forward import time_change
 from hmflow.sources import (Circle, Sphere2, constant_radius, shrinking_radius,
                             sine_radius)
 
@@ -307,16 +308,16 @@ def test_time_blocked_calculus_equals_stacked_slices(make, value_shape):
 def _heat_step_reference(s, t, dt, f):
     """The one-slice heat kernels written out: Fourier decay, or exp(kappa lam) per sphere mode.
 
-    The sphere's FFTs run along the strided longitude axis; the operator runs
-    them with longitude last, which moves values and changes no bit.
+    kappa is half the time change tau over [t, t + dt].  The sphere's FFTs run
+    along the strided longitude axis; the operator runs them with longitude
+    last, which moves values and changes no bit.
     """
-    rho = float(s.profile(t))
+    kappa = 0.5 * time_change(s.profile, t, t + dt)
     if isinstance(s, Circle):
-        decay = np.exp(-0.5 * s._k ** 2 * dt / rho ** 2)
+        decay = np.exp(-kappa * s._k ** 2)
         return np.fft.irfft(np.fft.rfft(f, axis=0) * decay.reshape((-1,) + (1,) * (f.ndim - 1)),
                             n=s.n_theta, axis=0)
     vecs, lam, inv = s._eigenbasis
-    kappa = 0.5 * dt / rho ** 2
     modes = np.fft.rfft(f, axis=1)
     rhs = np.ascontiguousarray(
         modes.reshape(s.n_theta, modes.shape[1], -1).transpose(1, 0, 2)).view(float)
@@ -411,7 +412,7 @@ def test_circle_mc_step_matches_per_mode_formula():
     n_paths = 4 * sources._PHASE_CHUNK + 202
     got = c.mc_step_mean(t, dt, f, n_paths, np.random.Generator(np.random.Philox(key=11)))
     draws = np.random.Generator(np.random.Philox(key=11)).standard_normal(n_paths)
-    delta = draws * (np.sqrt(dt) / float(c.profile(t)))
+    delta = draws * np.sqrt(time_change(c.profile, t, t + dt))
     chi = np.array([np.mean(np.exp(1j * k * delta)) for k in range(c.n_theta // 2 + 1)])
     modes = np.fft.rfft(f, axis=0)
     expected = np.fft.irfft(modes * chi[:, None], n=c.n_theta, axis=0)
@@ -578,7 +579,7 @@ def _held_nbytes(obj):
 
 def _dense_heat_step(s, t, dt, field):
     """Reference heat semigroup step: one dense matrix exponential exp(kappa A_m) per mode."""
-    kappa = 0.5 * dt / float(s.profile(t)) ** 2
+    kappa = 0.5 * time_change(s.profile, t, t + dt)
     modes = np.fft.rfft(field, axis=1)
     for im, m in enumerate(s._m):
         modes[:, im] = scipy.linalg.expm(kappa * s._mode_operator(int(m))) @ modes[:, im]
@@ -606,7 +607,7 @@ def test_sphere_heat_step_eigenbasis_bounded():
                                   s.heat_semigroup_step(0.3, 0.01, field))
     f = s.grid_points()[..., 2]
     out = s.heat_semigroup_step(0.0, 0.01, f)
-    np.testing.assert_allclose(out, f * np.exp(-0.01 / float(s.profile(0.0)) ** 2),
+    np.testing.assert_allclose(out, f * np.exp(-time_change(s.profile, 0.0, 0.01)),
                                atol=1e-5)
 
 

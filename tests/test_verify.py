@@ -92,18 +92,42 @@ def test_reference_equivariant_vs_picard():
 
 
 @pytest.mark.parametrize("n_theta, dt, bound", [
-    (24, 1e-3, 7.57e-5), (24, 2e-3, 1.526e-4), (48, 1e-3, 7.69e-5), (48, 2e-3, 1.541e-4)])
+    (24, 1e-3, 7.57e-5), (24, 2e-3, 1.526e-4), (48, 1e-3, 7.69e-5), (48, 2e-3, 1.541e-4),
+    (24, 8.5e-3, 1e-5)])
 def test_sphere_semigroup_solve_accuracy(n_theta, dt, bound):
-    # the benchmark's sphere case; each bound is 0.6 times the error of a
-    # backward Euler heat step (1.262e-4, 2.543e-4, 1.282e-4, 2.568e-4).
-    # At tol 1e-10 the 48x96 solve at dt 2e-3 halves its horizon: the pole-row
-    # growth of the README's note on the contraction floor.
+    # the benchmark's sphere case; the first four bounds are 0.6 times the error
+    # of a backward Euler heat step (1.262e-4, 2.543e-4, 1.282e-4, 2.568e-4). In 4
+    # slices of 8.5e-3 the second-order step reads 5.0e-6, the 24x48 grid's spatial
+    # floor; a first-order step reads 5.9e-4
     source = Sphere2(sine_radius(0.2, 1.0), n_theta=n_theta, n_phi=2 * n_theta, horizon=0.034)
     case = terminal_case("equivariant", source, UnitSphere(2), 0.034)
     field, state = solve(source, case.target, case.terminal, 0.034, tol=1e-9, dt=dt)
     assert state.converged and state.horizons_tried == [0.034]
     ref = pde_reference(case, n_t=field.n_t)
     assert np.linalg.norm(field.values - ref.values, axis=-1).max() <= bound
+
+
+def test_circle_solve_is_second_order_in_time():
+    # the exact time change and the half-shifted driver sweep: errors 4.1e-6,
+    # 1.0e-6, 2.6e-7; a first-order step falls 2x per halving
+    source = Circle(sine_radius(0.2, 1.0), n_theta=256, horizon=0.25)
+    case = terminal_case("perturbed_geodesic", source, UnitSphere(1), 0.25)
+    errors = []
+    for dt in (1e-2, 5e-3, 2.5e-3):
+        field, state = solve(source, case.target, case.terminal, 0.25, tol=1e-10, dt=dt)
+        assert state.converged and state.horizons_tried == [0.25]
+        ref = pde_reference(case, n_t=field.n_t)
+        errors.append(np.linalg.norm(field.values - ref.values, axis=-1).max())
+    assert errors[0] >= 3.5 * errors[1] >= 3.5 ** 2 * errors[2], errors
+
+
+def test_fine_sphere_solve_keeps_its_horizon():
+    # 48x96 at tol 1e-10: a first-order step halves this horizon twice (the
+    # pole-row growth of the README's note on the contraction floor)
+    source = Sphere2(sine_radius(0.2, 1.0), n_theta=48, n_phi=96, horizon=0.034)
+    case = terminal_case("equivariant", source, UnitSphere(2), 0.034)
+    _, state = solve(source, case.target, case.terminal, 0.034, tol=1e-10, dt=2e-3)
+    assert state.converged and state.horizons_tried == [0.034]
 
 
 def _equivariant_dop853(case, n_t, n_x=200):
@@ -319,6 +343,18 @@ def test_weak_form_refinement_monotone():
     res = [weak_form_residual(case.source, pde_reference(case, n_t=n), f)
            for n in (50, 100, 200)]
     assert res[2] < res[1] < res[0]
+
+
+def test_weak_form_of_the_equivariant_reference_refines():
+    # spectral colatitude weights: 3.9e-5, 2.6e-6, 2.6e-7 on 16x32, 32x64, 64x128;
+    # exact cap areas hold the defect at 1.1e-3, 2.7e-4, 6.9e-5
+    res = []
+    for n in (16, 32, 64):
+        source = Sphere2(sine_radius(0.2, 1.0), n_theta=n, n_phi=2 * n, horizon=0.05)
+        case = terminal_case("equivariant", source, UnitSphere(2), 0.05)
+        f = np.broadcast_to(np.cos(source.thetas)[:, None], source.grid_shape)
+        res.append(weak_form_residual(source, pde_reference(case, n_t=20), f))
+    assert res[0] < 1e-4 and res[0] >= 4.0 * res[1] >= 4.0 ** 2 * res[2], res
 
 
 def test_quadrature_self_adjointness():
