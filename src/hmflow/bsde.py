@@ -77,7 +77,7 @@ def picard_map(u: MapField, h, steps) -> MapField:
     realized operator is one fixed deterministic map: iterating it measures
     genuine contraction, not sampling churn.  A solve therefore builds the
     steps once per horizon and hands the same ones to every pass; on the
-    circle they are Fourier multipliers, n_t times len(_k) complex numbers.
+    circle they are Fourier multipliers, n_t times len(_k) reals.
     """
     source, target = u.source, u.target
     h = np.asarray(h, dtype=float)

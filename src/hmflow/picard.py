@@ -81,7 +81,7 @@ def solve(source, target, h, t0_init: float, tol: float = 1e-10,
     The n_t one-step operators (`step_operators`) are built once per
     horizon, and rebuilt after a halving, since the slice times change.
     On the circle each is a Fourier multiplier: n_t times len(_k) reals for
-    the semigroup and complex numbers for Monte Carlo.  The sphere's
+    either backend.  The sphere's
     semigroup operators hold n_modes times n_theta factors exp(kappa lam)
     each; on both families the semigroup step is exact in time for the
     moving metric (kappa is half the time change over the step), and with

@@ -115,6 +115,10 @@ class SourceManifold:
             raise TimeOutOfRange(
                 f"t={t!r} outside metric definition interval [0, {self.horizon}]")
 
+    def _check_step(self, t, dt):
+        """`_check_time` of both ends of a one-step operator's step, whose radius it reads."""
+        self._check_time([t, t + dt])
+
     @property
     def n_nodes(self) -> int:
         return math.prod(self.grid_shape)
@@ -374,10 +378,10 @@ class Circle(SourceManifold):
         fixed operator, so the step is exact in time for the moving radius:
         the multiplier exp(-k^2 kappa), with kappa = tau / 2 and tau the
         time change `forward.time_change(profile, t, t + dt)`, the integral of
-        rho^-2 over the step.  The time check and the multiplier, len(_k)
+        rho^-2 over the step.  The step check and the multiplier, len(_k)
         reals, are done once here; each application is one rfft/irfft pair.
         """
-        self._check_time(t)
+        self._check_step(t, dt)
         kappa = 0.5 * time_change(self.profile, t, t + dt)
         mult = np.exp(-kappa * self._k ** 2)
         return lambda field: self._fourier(self._grid_field(field), mult)
@@ -390,21 +394,28 @@ class Circle(SourceManifold):
         """The one-step Monte Carlo conditional expectation at time t, as a map of a field.
 
         The node batch shares one increment sample per slice, so the
-        estimator mean_j w(theta + delta_j) is a circular convolution with
-        the empirical increment distribution: the Fourier multiplier chi,
-        the sample's empirical characteristic function, len(_k) complex
-        numbers that are drawn from one new_rng() and computed once here.
+        estimator is a circular convolution with the empirical increment
+        distribution: a Fourier multiplier chi.  Each draw delta_j is paired
+        with its mirror -delta_j, whose phase e^{-ik delta_j} is the
+        conjugate of the draw's, so the 2 n_paths points cost no more than
+        the n_paths draws and chi_k = mean_j cos(k delta_j) is real: the real
+        part of the draws' empirical characteristic function.  The imaginary
+        part, which drops out, is pure noise, since the exact kernel is
+        symmetric; on the low modes its variance is about k^2 tau / n_paths,
+        against (k^2 tau)^2 / (2 n_paths) for the real part.  chi, len(_k)
+        reals, is drawn from one new_rng() and computed once here.
         The draws are standard normals scaled by sqrt(tau), tau the time
         change of the step (see `heat_semigroup_operator`), so the estimator
-        is unbiased for the exact kernel of the moving metric.  Each
-        application is then one rfft/irfft pair: unbiased per node, no
-        interpolation error.  The draws are taken in chunks of
-        `_PHASE_CHUNK`; each chunk adds the phase sums of all n_modes
-        wavenumbers as one small complex GEMM of its blocked phase tables,
-        hi @ lo.T, so building chi costs about n_modes * n_paths multiply-adds
-        in BLAS and under 0.5 MB of temporaries.
+        is unbiased for the exact kernel of the moving metric and commutes
+        with the reflection theta -> -theta.  Each application is then one
+        rfft/irfft pair: unbiased per node, no interpolation error.  The
+        draws are taken in chunks of `_PHASE_CHUNK`; each chunk adds the
+        phase sums of all n_modes wavenumbers as one small complex GEMM of
+        its blocked phase tables, hi @ lo.T, so building chi costs about
+        n_modes * n_paths multiply-adds in BLAS and under 0.5 MB of
+        temporaries.
         """
-        self._check_time(t)
+        self._check_step(t, dt)
         self._check_path_count(n_paths)
         scale = math.sqrt(time_change(self.profile, t, t + dt))
         rng = new_rng()
@@ -413,7 +424,7 @@ class Circle(SourceManifold):
             delta = rng.standard_normal(min(_PHASE_CHUNK, n_paths - start))
             lo, hi = self._phase_tables(delta * scale)
             sums = sums + (hi @ lo.T).ravel()
-        chi = sums[:len(self._k)] / n_paths
+        chi = sums[:len(self._k)].real / n_paths
 
         return lambda field: self._fourier(self._grid_field(field), chi)
 
@@ -669,7 +680,7 @@ class Sphere2(SourceManifold):
         moving metric, as the circle's is.  The eigenbasis does not depend on
         t or dt: it is built once per source, on the first operator, at a
         cost of O(n_modes n_theta^3), and holds 2 n_modes n_theta^2 doubles.
-        The time check and the factors exp(kappa lam), n_modes n_theta reals,
+        The step check and the factors exp(kappa lam), n_modes n_theta reals,
         are done once here.  Unconditionally stable (every lam <= 0).
 
         Both FFTs run along the contiguous axis, as `_dphi_spectral`'s do.
@@ -680,7 +691,7 @@ class Sphere2(SourceManifold):
         twice as long on a strided one.  The copies only move values, so
         the step is bit-equal to FFTs along the strided longitude axis.
         """
-        self._check_time(t)
+        self._check_step(t, dt)
         vecs, lam, inv = self._eigenbasis
         kappa = 0.5 * time_change(self.profile, t, t + dt)
         factor = np.exp(kappa * lam)[..., None]
@@ -714,7 +725,7 @@ class Sphere2(SourceManifold):
         generator in node order, and Philox fills draws in C order, so the
         result does not depend on the chunk size.
         """
-        self._check_time(t)
+        self._check_step(t, dt)
         self._check_path_count(n_paths)
         step = max(1, _MC_CHUNK_POINTS // n_paths)
 

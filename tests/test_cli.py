@@ -585,8 +585,9 @@ BAD_CONFIGS = [
     # the plots key and its matplotlib output are gone
     pytest.param("solve", _edit(PG_SOLVE, ("master_seed = 42", "master_seed = 42\nplots = true")),
                  [], "unknown config key 'plots'", id="run_plots_retired"),
-    # antithetic sampling, the paths.csv switch and the verify test function are gone;
-    # a config that asks for antithetic pairs over an odd path count names the key
+    # the paths.csv switch and the verify test function are gone, and the antithetic
+    # key stays unknown: the circle's Monte Carlo step always pairs each draw with its
+    # mirror; a config that asks for antithetic pairs over an odd path count names the key
     pytest.param("solve", SPH_CONFIG + "n_paths = 7\nantithetic = true\n",
                  ["--backend", "monte-carlo"], "unknown config key 'antithetic'",
                  id="sphere_odd_antithetic_paths"),

@@ -334,7 +334,7 @@ def test_heat_operator_equals_the_one_step_kernel(make):
     rng = np.random.default_rng(6)
     for value_shape in ((), (3,)):
         f = rng.standard_normal(s.grid_shape + value_shape)
-        for t in (0.0, 0.37, 1.0):
+        for t in (0.0, 0.37, 0.99):
             step = s.heat_semigroup_operator(t, 0.01)
             np.testing.assert_array_equal(step(f), _heat_step_reference(s, t, 0.01, f))
             np.testing.assert_array_equal(s.heat_semigroup_step(t, 0.01, f), step(f))
@@ -342,6 +342,26 @@ def test_heat_operator_equals_the_one_step_kernel(make):
         s.heat_semigroup_operator(1.5, 0.01)
     with pytest.raises(ShapeMismatch):
         s.heat_semigroup_operator(0.0, 0.01)(np.ones(4))
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: Circle(shrinking_radius(), n_theta=16, horizon=0.45), id="circle"),
+    pytest.param(lambda: Sphere2(shrinking_radius(), n_theta=8, n_phi=16, horizon=0.45),
+                 id="sphere")])
+def test_one_step_operators_check_their_whole_step(make):
+    # the step from 0.45 by 0.04 would read the radius past the horizon; by
+    # 0.06 it would cross the radius's zero at t = 1/2
+    s = make()
+    new_rng = lambda: keyed_generator(5, DOMAIN_MC_SLICE, 0)
+    for dt in (0.04, 0.06):
+        with pytest.raises(TimeOutOfRange, match="outside metric definition interval"):
+            s.heat_semigroup_operator(0.45, dt)
+        with pytest.raises(TimeOutOfRange):
+            s.mc_step_operator(0.45, dt, 16, new_rng)
+    with pytest.raises(TimeOutOfRange):
+        s.heat_semigroup_operator(-0.01, 0.005)
+    s.heat_semigroup_operator(0.44, 0.01)
+    s.mc_step_operator(0.44, 0.01, 16, new_rng)
 
 
 
@@ -403,9 +423,9 @@ def test_circle_mc_step_unbiased_and_deterministic():
 
 
 def test_circle_mc_step_matches_per_mode_formula():
-    # the same draws (a cloned Philox key) through the explicit empirical
-    # characteristic function chi_k = mean_j exp(i k delta_j); the draws span
-    # more than one chunk, with an uneven last chunk
+    # the same draws (a cloned Philox key) through the explicit multiplier of
+    # the draws and their mirrors, chi_k = mean_j cos(k delta_j); the draws
+    # span more than one chunk, with an uneven last chunk
     c = Circle(sine_radius(0.2, 1.0), n_theta=256)
     f = np.stack([np.cos(c.thetas + 0.3 * np.sin(c.thetas)), np.sin(3 * c.thetas)], axis=-1)
     t, dt = 0.1, 5e-3
@@ -413,10 +433,46 @@ def test_circle_mc_step_matches_per_mode_formula():
     got = c.mc_step_mean(t, dt, f, n_paths, np.random.Generator(np.random.Philox(key=11)))
     draws = np.random.Generator(np.random.Philox(key=11)).standard_normal(n_paths)
     delta = draws * np.sqrt(time_change(c.profile, t, t + dt))
-    chi = np.array([np.mean(np.exp(1j * k * delta)) for k in range(c.n_theta // 2 + 1)])
+    chi = np.array([np.mean(np.cos(k * delta)) for k in range(c.n_theta // 2 + 1)])
     modes = np.fft.rfft(f, axis=0)
     expected = np.fft.irfft(modes * chi[:, None], n=c.n_theta, axis=0)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
+
+
+def test_circle_mc_step_commutes_with_reflection():
+    # each draw is paired with its mirror, so the step maps f(-theta) to its
+    # own output at -theta, and an even field to an even field; a complex chi
+    # leaves an odd part of about k sqrt(tau / n_paths) in mode k
+    c = Circle(sine_radius(0.2, 1.0), n_theta=128)
+    mirror = -np.arange(c.n_theta) % c.n_theta   # grid index of -theta
+    step = c.mc_step_operator(0.1, 0.01, 2 * sources._PHASE_CHUNK + 77,
+                              lambda: keyed_generator(5, DOMAIN_MC_SLICE, 3))
+    f = np.random.default_rng(4).standard_normal((c.n_theta, 2))
+    np.testing.assert_allclose(step(f[mirror]), step(f)[mirror], rtol=0, atol=1e-14)
+    even = np.exp(np.cos(c.thetas)) + np.cos(3 * c.thetas)
+    out = step(even)
+    np.testing.assert_allclose(out[mirror], out, rtol=0, atol=1e-14)
+
+
+def test_circle_mc_step_spread_is_below_the_complex_multiplier():
+    # cos(theta) at tau = 0.01: over 30 seeds the mirrored step's per-node
+    # spread peaks near tau / sqrt(2 n), against sqrt(tau / n) for the
+    # empirical characteristic function of the same draws, a ratio near
+    # sqrt(2 / tau) = 14
+    c = Circle(constant_radius(1.0), n_theta=64)
+    f = np.cos(c.thetas)
+    n_paths, dt = 2000, 0.01
+    modes = np.fft.rfft(f)
+    mirrored, complex_chi = [], []
+    for seed in range(30):
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        mirrored.append(c.mc_step_mean(0.0, dt, f, n_paths, rng))
+        delta = np.random.Generator(np.random.Philox(key=seed)).standard_normal(n_paths)
+        delta *= np.sqrt(time_change(c.profile, 0.0, dt))
+        chi = np.exp(1j * np.outer(np.arange(len(modes)), delta)).mean(axis=1)
+        complex_chi.append(np.fft.irfft(modes * chi, n=c.n_theta))
+    spread = np.std(mirrored, axis=0).max()
+    assert 5 * spread <= np.std(complex_chi, axis=0).max()
 
 
 def test_circle_phase_kernels_memory_is_bounded():
