@@ -139,8 +139,8 @@ def sample_solution(field: MapField, n_paths: int, master_seed: int,
 
     The ensemble is `simulate`'s: n_paths paths from round-robin grid
     starts, stepped on the field's own slices (its horizon and slice
-    spacing, which divides the horizon even after a solve halved it), path
-    p driven by stream (master_seed, domain, p).  At each slice k,
+    spacing, which is the solve's dt on every horizon it tries), path p
+    driven by stream (master_seed, domain, p).  At each slice k,
     `field.values[k]` and the kept `field.gradient[k]` are stacked and
     interpolated at the paths in one call.
 
@@ -148,7 +148,9 @@ def sample_solution(field: MapField, n_paths: int, master_seed: int,
     domain of its own (the CLI's solve `DOMAIN_SAMPLE_PATH`, its verify
     `DOMAIN_VERIFY_PATH`), so it shares no increments with a forward run at
     the same seed.  The field's slice spacing must pass `step_count`'s
-    stability bound, which a solve does not need.
+    stability bound, which a solve does not need; a halved solve keeps its
+    dt on a sub-interval [0, t] of [0, t0], so a bound that held at t0
+    holds there too.
     """
     source = field.source
     ensemble = simulate(source, "grid", field.horizon, field.dt, n_paths, master_seed,

@@ -296,9 +296,6 @@ def cmd_solve(config_path: str, out_dir: str, seed: int | None,
     if len(state.horizons_tried) > 1:
         log = (f"solve halved its horizon to {state.horizon:g}: horizons tried "
                f"{state.horizons_tried}\n")
-        if abs(field.dt - rc["dt"]) > 1e-9 * rc["dt"]:
-            log += (f"[run] dt = {rc['dt']:g} does not divide the horizon {state.horizon:g}: "
-                    f"the solve took {field.n_t} steps of {field.dt:.6g}\n")
         print(log, end="", file=sys.stderr)
     if state.converged:
         out.joinpath("run.log").write_text(

@@ -2,8 +2,9 @@
 
 Starting from the terminal map extended constantly in time, the loop
 iterates the backward operator, monitors successive deltas in the
-contraction norm, and adaptively halves the horizon whenever the measured
-ratios show no contraction (or the iterate bound blows up).  The fixed
+contraction norm, and halves the horizon's step count whenever the
+measured ratios show no contraction (or the iterate bound blows up), so
+every horizon it tries is a sub-interval [0, t] at the same step.  The fixed
 point is the discretized solution of the backward quasi-linear flow, and
 its value at (t, x) is the field the solution pair evaluates through.
 """
@@ -20,7 +21,6 @@ from .fields import MapField, c01_norm, handover_c01
 from .forward import whole_steps
 
 _RATIO_TRIGGER = 0.9
-_MIN_HORIZON = 1e-4
 
 
 @dataclass
@@ -30,8 +30,9 @@ class PicardState:
     `records` holds one entry per pass over every horizon tried, each with
     its horizon; the entry that closes an abandoned horizon says why under
     "halved": "ratio" for the ratio trigger, or the `BlowUp` message, which
-    names the slice, on an entry with null delta and ratio.  The other
-    counters describe the final horizon only.
+    names the slice, on an entry with null delta and ratio.  Every horizon
+    tried is a whole number of steps of the solve's dt.  The other counters
+    describe the final horizon only.
     """
 
     horizon: float
@@ -65,15 +66,15 @@ def solve(source, target, h, t0_init: float, tol: float = 1e-10,
 
     h must map every grid node onto the target (checked to 1e-10).  If two
     consecutive delta ratios exceed 0.9, or the iterate bound blows up, the
-    horizon is halved and the loop restarts; below a 1e-4 horizon the solve
-    gives up with NoContraction.  Returns (field, state): the fixed point
-    and the iteration history, whose `fixed_point_error_estimate` says how
-    far the field is from the exact fixed point.  A solve draws no paths;
-    the solution pair along forward paths is `sample_solution` of the
-    field, drawn by a caller that checks it.  Raises ValueError unless
+    horizon's step count is halved (rounding down) and the loop restarts at
+    the same dt; once no whole step is left the solve gives up with
+    NoContraction.  Returns (field, state): the fixed point and the
+    iteration history, whose `fixed_point_error_estimate` says how far the
+    field is from the exact fixed point.  A solve draws no paths; the
+    solution pair along forward paths is `sample_solution` of the field,
+    drawn by a caller that checks it.  Raises ValueError unless
     t0_init, tol and dt are positive, dt divides t0_init
-    (`forward.whole_steps`) and max_iter is at least 1; a halved horizon
-    takes the nearest whole number of steps of dt.
+    (`forward.whole_steps`) and max_iter is at least 1.
 
     Identical inputs (including the master seed for the Monte Carlo
     backend) reproduce identical iterate histories.
@@ -105,37 +106,33 @@ def solve(source, target, h, t0_init: float, tol: float = 1e-10,
         raise TimeOutOfRange(
             f"requested horizon {t0_init} exceeds the metric definition "
             f"interval [0, {source.horizon}]")
-    whole_steps(t0_init, dt)
+    n_0 = n_t = whole_steps(t0_init, dt)
     dist = target.distance(h)
     if np.any(dist > 1e-10):
         raise TerminalNotOnTarget(
             f"terminal map leaves the target by {float(np.max(dist)):.3g}")
 
-    horizon = float(t0_init)
     tried, records = [], []
     while True:
-        tried.append(horizon)
-        state = PicardState(horizon=horizon, ball_radius=0.0, horizons_tried=list(tried),
+        tried.append(t0_init * (n_t / n_0))
+        state = PicardState(horizon=tried[-1], ball_radius=0.0, horizons_tried=list(tried),
                             records=records)
-        u = _iterate(source, target, h, state, dt=dt, backend=backend,
+        u = _iterate(source, target, h, state, n_t, backend=backend,
                      n_paths=n_paths, master_seed=master_seed, max_iter=max_iter, tol=tol)
         if u is not None:
-            break
-        horizon *= 0.5
-        if horizon < _MIN_HORIZON:
+            return u, state
+        n_t //= 2
+        if n_t == 0:
             raise NoContraction(
-                f"no contraction regime found down to horizon {horizon:.3g}; "
+                f"no contraction regime found down to one step of dt = {dt:g}; "
                 f"horizons tried: {tried}, last deltas: {state.deltas[-3:]}")
 
-    return u, state
 
-
-def _iterate(source, target, h, state, *, dt, backend, n_paths, master_seed, max_iter, tol):
+def _iterate(source, target, h, state, n_t, *, backend, n_paths, master_seed, max_iter, tol):
     # the last iterate, or None when the horizon must be halved.  The start
     # iterate lives in this frame only, so the first pass frees it; it also
     # sets the state's ball radius.  The step operators depend on the
     # horizon's time grid only, so every pass applies the same ones.
-    n_t = max(int(round(state.horizon / dt)), 1)
     u = MapField.constant_in_time(source, target, h, state.horizon, n_t)
     steps = step_operators(u, backend, n_paths, master_seed)
     state.ball_radius = 2.0 * c01_norm(u) + 1.0

@@ -32,15 +32,6 @@ _PHASE_BLOCK = 12           # low powers per block of the circle's phase tables
 _PHASE_CHUNK = 1 << 9       # angles per chunk of the circle's phase-table kernels
 
 
-def _squares(rho):
-    """rho ** 2 slice by slice through Python's float power, which a one-slice kernel uses.
-
-    numpy squares an array by one multiply, which differs from the power in
-    the last bit for about one value in a thousand.
-    """
-    return np.array([r ** 2 for r in rho.ravel().tolist()]).reshape(rho.shape)
-
-
 class RadiusProfile:
     """Smooth positive radius as a function of time, with derivative."""
 
@@ -317,7 +308,7 @@ class Circle(SourceManifold):
     def laplace_beltrami(self, t, field):
         """(1/rho^2) d^2/dtheta^2 via the multiplier -k^2/rho^2; t as in `frame_gradient`."""
         block, rho = self._slices(t, field)
-        lap = self._fourier(block, -(self._k ** 2) / _squares(rho).reshape(-1, 1), axis=1)
+        lap = self._fourier(block, -(self._k ** 2) / rho.reshape(-1, 1) ** 2, axis=1)
         return lap if np.ndim(t) else lap[0]
 
     # -- interpolation ---------------------------------------------------------
@@ -587,7 +578,7 @@ class Sphere2(SourceManifold):
         lap = (self._d2theta_fd(block)
                + self._colatitude(self._cot, block) * self._dtheta_fd(block)
                + self._dphi_spectral(block, order=2) / self._colatitude(self._sin ** 2, block))
-        lap = lap / _squares(rho)
+        lap = lap / rho ** 2
         return lap if np.ndim(t) else lap[0]
 
     def frame_increments(self, states, dW):

@@ -391,19 +391,20 @@ def test_solve_backend_override_monte_carlo(tmp_path):
     assert summary["converged"] and summary["iterations"] == 2
 
 
-def test_solve_no_contraction_exits_3(tmp_path, monkeypatch):
-    import hmflow.picard as picard_mod
-    monkeypatch.setattr(picard_mod, "_MIN_HORIZON", 0.45)
-    text = PG_CONFIG.format(field_file="x").replace(
-        "amplitude = 0.3", "amplitude = 0.8").replace(
-        "name = perturbed_geodesic", "name = winding").replace(
-        "master_seed = 42", "master_seed = 42\nmax_iter = 30")
-    text = text.replace("[terminal]\nname = winding",
-                        "[terminal]\nname = winding\nwinding = 3")
-    text = text.replace("horizon = 0.5", "horizon = 5.0").replace(
-        "t0 = 0.5", "t0 = 2.0").replace("dt = 2e-3", "dt = 5e-3")
+def test_solve_no_contraction_exits_3(tmp_path, capsys):
+    # 8 steps of 0.25 (the stability bound for radius 1) stall on every
+    # horizon down to one step, where the solve gives up
+    text = PG_CONFIG.format(field_file="x").replace("amplitude = 0.3", "amplitude = 0.8") \
+        .replace("horizon = 0.5", "horizon = 2.0").replace("t0 = 0.5", "t0 = 2.0") \
+        .replace("dt = 2e-3", "dt = 0.25")
     cfg = write_config(tmp_path, text)
-    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "nc")]) == 3
+    out = tmp_path / "nc"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 3
+    message = ("no contraction regime found down to one step of dt = 0.25; horizons tried: "
+               "[2.0, 1.0, 0.5, 0.25]")
+    assert message in capsys.readouterr().err
+    assert (out / "run.log").read_text().startswith(f"failed: {message}")
+    assert not (out / "field.csv").exists()
 
 
 HALVING_CONFIG = """\
@@ -445,16 +446,16 @@ def test_solve_that_converges_after_halving_says_so(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_halved_horizon_that_dt_does_not_divide_states_its_step(tmp_path, capsys):
-    # t0 = 2.0 takes 250 steps of 8e-3, but the halved horizon 0.25 is 31.25 of them
+def test_halved_odd_step_count_keeps_dt(tmp_path, capsys):
+    # t0 = 2.0 takes 250 steps of 8e-3; 125 halve to 62 and 31, at the same step
     cfg = write_config(tmp_path, HALVING_CONFIG.replace("dt = 5e-3", "dt = 8e-3"))
     out = tmp_path / "h"
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
     summary = read_json(out / "summary.json")
-    assert summary["horizons_tried"] == [2.0, 1.0, 0.5, 0.25] and summary["dt"] == 0.25 / 31
-    note = ("[run] dt = 0.008 does not divide the horizon 0.25: the solve took 31 steps of "
-            "0.00806452\n")
-    assert note in capsys.readouterr().err and note in (out / "run.log").read_text()
+    assert summary["horizons_tried"] == [2.0, 1.0, 0.496, 0.248]
+    assert summary["n_t"] == 31 and summary["dt"] == 0.008
+    log = (out / "run.log").read_text()
+    assert "0.008" not in capsys.readouterr().err + log and len(log.splitlines()) == 2
 
 
 def test_solve_emits_benchmark_quantities(tmp_path):

@@ -89,19 +89,14 @@ def test_blowup_halving_is_recorded(monkeypatch):
     assert len(state.records) == 1 + state.iterations
 
 
-def test_no_contraction_below_floor():
-    # an unreasonably tight ratio trigger cannot be simulated, so force the
-    # geometry: a huge-gradient map keeps ratios high until the floor
-    c = Circle(constant_radius(1.0), n_theta=128, horizon=5.0)
-    phi = 3 * c.thetas + 0.8 * np.sin(c.thetas)
-    h = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-    old = picard_mod._MIN_HORIZON
-    picard_mod._MIN_HORIZON = 1.9   # floor right below the initial horizon
-    try:
-        with pytest.raises(NoContraction):
-            solve(c, S1, h, 2.0, tol=1e-9, dt=5e-3, max_iter=30)
-    finally:
-        picard_mod._MIN_HORIZON = old
+def test_no_contraction_once_the_step_count_runs_out():
+    # at so coarse a step the deltas stall on every horizon: 8 steps of 0.25
+    # halve to 4, 2 and 1, and a halving below one step gives up
+    c = Circle(constant_radius(1.0), n_theta=128, horizon=2.0)
+    h = terminal_case("perturbed_geodesic", c, S1, 2.0, 0.8, 1).terminal
+    with pytest.raises(NoContraction, match=r"one step of dt = 0\.25; horizons tried: "
+                                            r"\[2\.0, 1\.0, 0\.5, 0\.25\]"):
+        solve(c, S1, h, 2.0, dt=0.25)
 
 
 def test_terminal_must_lie_on_target():
