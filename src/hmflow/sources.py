@@ -24,6 +24,10 @@ from .errors import GridTooCoarse, HmflowError, ShapeMismatch, TimeOutOfRange
 from .forward import time_change
 
 _TIME_SLACK = 1e-12
+# 6th-order central colatitude stencils: h d/dtheta and h^2 d^2/dtheta^2 on 7 rows
+_D1_STENCIL = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
+_D2_STENCIL = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
+_POLE_GHOSTS = len(_D1_STENCIL) // 2   # ghost rows beyond each pole
 _EIG_ROUNDING = 1e-10   # eigenvalue / spectral radius above this is not "<= 0"
 _EIG_MAX_COND = 1e6     # 1-norm cond(V) above this lets a step's rounding pass ~1e-10
 _PROBE_QUAD_NODES = 60  # Gauss-Hermite nodes per ambient axis of the weak-error probe
@@ -445,7 +449,7 @@ class Sphere2(SourceManifold):
 
     Fields live on a latitude-longitude grid with cell-centered colatitudes
     (no node sits on a pole).  Longitude derivatives are spectral; colatitude
-    derivatives use 4th-order differences with the exact cross-pole
+    derivatives use 6th-order differences with the exact cross-pole
     continuation f(-theta, phi) = f(theta, phi + pi).
     """
 
@@ -516,7 +520,7 @@ class Sphere2(SourceManifold):
     # -- padded colatitude differences ---------------------------------------
 
     def _pad_poles(self, block, sign=None):
-        """Two ghost rows beyond each pole via f(-theta, phi) = f(theta, phi + pi).
+        """`_POLE_GHOSTS` ghost rows beyond each pole via f(-theta, phi) = f(theta, phi + pi).
 
         The one statement of the cross-pole rule.  block carries a leading
         slice axis, then colatitude.  Grid fields (sign None) are rolled by
@@ -527,17 +531,21 @@ class Sphere2(SourceManifold):
         """
         def ghost(rows):
             return np.roll(rows, self.n_phi // 2, axis=2) if sign is None else sign * rows
-        # rows at -3h/2, -h/2 above, pi + h/2, pi + 3h/2 below
-        return np.concatenate([ghost(block[:, 1::-1]), block, ghost(block[:, :-3:-1])], axis=1)
+        g = _POLE_GHOSTS
+        # rows at -5h/2, -3h/2, -h/2 above, pi + h/2, pi + 3h/2, pi + 5h/2 below
+        return np.concatenate([ghost(block[:, g - 1::-1]), block,
+                               ghost(block[:, :-g - 1:-1])], axis=1)
+
+    def _colatitude_stencil(self, block, sign, weights):
+        """weights summed along colatitude over the pole-padded block, one row per node."""
+        p, n = self._pad_poles(block, sign), self.n_theta
+        return sum(w * p[:, k:k + n] for k, w in enumerate(weights) if w)
 
     def _dtheta_fd(self, block, sign=None):
-        p = self._pad_poles(block, sign)
-        return (p[:, :-4] - 8.0 * p[:, 1:-3] + 8.0 * p[:, 3:-1] - p[:, 4:]) / (12.0 * self.dtheta)
+        return self._colatitude_stencil(block, sign, _D1_STENCIL) / self.dtheta
 
     def _d2theta_fd(self, block, sign=None):
-        p = self._pad_poles(block, sign)
-        return (-p[:, :-4] + 16.0 * p[:, 1:-3] - 30.0 * p[:, 2:-2] + 16.0 * p[:, 3:-1]
-                - p[:, 4:]) / (12.0 * self.dtheta ** 2)
+        return self._colatitude_stencil(block, sign, _D2_STENCIL) / self.dtheta ** 2
 
     def _dphi_spectral(self, block, order: int = 1):
         """Longitude derivative of a block of grid fields, spectral along the contiguous axis.
@@ -602,7 +610,8 @@ class Sphere2(SourceManifold):
         theta = np.arccos(np.clip(xr[:, 2], -1.0, 1.0))
         phi = np.mod(np.arctan2(xr[:, 1], xr[:, 0]), 2.0 * np.pi)
 
-        padded = self._pad_poles(field[None])[0, 1:-1]   # one ghost row beyond each pole
+        g = _POLE_GHOSTS - 1   # keep one ghost row beyond each pole
+        padded = self._pad_poles(field[None])[0, g:-g]
         padded = np.concatenate([padded, padded[:, :1]], axis=1)
 
         ti = (theta - 0.5 * self.dtheta) / self.dtheta  # index into padded rows - 1

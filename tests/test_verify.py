@@ -97,14 +97,26 @@ def test_reference_equivariant_vs_picard():
 def test_sphere_semigroup_solve_accuracy(n_theta, dt, bound):
     # the benchmark's sphere case; the first four bounds are 0.6 times the error
     # of a backward Euler heat step (1.262e-4, 2.543e-4, 1.282e-4, 2.568e-4). In 4
-    # slices of 8.5e-3 the second-order step reads 5.0e-6, the 24x48 grid's spatial
-    # floor; a first-order step reads 5.9e-4
+    # slices of 8.5e-3 the second-order step reads 4.5e-6, its time error (4.45e-6
+    # against an n_x = 800 reference); a first-order step reads 5.9e-4
     source = Sphere2(sine_radius(0.2, 1.0), n_theta=n_theta, n_phi=2 * n_theta, horizon=0.034)
     case = terminal_case("equivariant", source, UnitSphere(2), 0.034)
     field, state = solve(source, case.target, case.terminal, 0.034, tol=1e-9, dt=dt)
     assert state.converged and state.horizons_tried == [0.034]
     ref = pde_reference(case, n_t=field.n_t)
     assert np.linalg.norm(field.values - ref.values, axis=-1).max() <= bound
+
+
+def test_sphere_solve_matches_a_resolved_oracle():
+    # the benchmark's sphere case against a reference on 800 knots: 9.6e-8 with
+    # 6th-order colatitude stencils, 5.3e-6 with 4th-order ones. The default
+    # n_x = 200 reference is itself 6.9e-7 away
+    source = Sphere2(sine_radius(0.2, 1.0), n_theta=24, n_phi=48, horizon=0.034)
+    case = terminal_case("equivariant", source, UnitSphere(2), 0.034)
+    field, state = solve(source, case.target, case.terminal, 0.034, tol=1e-10, dt=1e-3)
+    assert state.converged and state.horizons_tried == [0.034]
+    ref = pde_reference(case, n_t=field.n_t, n_x=800)
+    assert np.linalg.norm(field.values - ref.values, axis=-1).max() <= 3e-7
 
 
 def test_circle_solve_is_second_order_in_time():
@@ -346,14 +358,16 @@ def test_weak_form_refinement_monotone():
 
 
 def test_weak_form_of_the_equivariant_reference_refines():
-    # spectral colatitude weights: 3.9e-5, 2.6e-6, 2.6e-7 on 16x32, 32x64, 64x128;
-    # exact cap areas hold the defect at 1.1e-3, 2.7e-4, 6.9e-5
+    # against a reference on 800 knots and 80 slices, fine enough that its own
+    # error stays below the 64x128 defect: 3.2e-6, 5.8e-8, 7.2e-9 on 16x32, 32x64,
+    # 64x128 (4th-order colatitude stencils: 3.9e-5, 2.5e-6, 1.65e-7); exact cap
+    # areas in place of the spectral weights hold the defect at 1.1e-3, 2.7e-4, 6.9e-5
     res = []
     for n in (16, 32, 64):
         source = Sphere2(sine_radius(0.2, 1.0), n_theta=n, n_phi=2 * n, horizon=0.05)
         case = terminal_case("equivariant", source, UnitSphere(2), 0.05)
         f = np.broadcast_to(np.cos(source.thetas)[:, None], source.grid_shape)
-        res.append(weak_form_residual(source, pde_reference(case, n_t=20), f))
+        res.append(weak_form_residual(source, pde_reference(case, n_t=80, n_x=800), f))
     assert res[0] < 1e-4 and res[0] >= 4.0 * res[1] >= 4.0 ** 2 * res[2], res
 
 
