@@ -45,7 +45,7 @@ print(f"pathwise backward-identity residual: {bsde_residual(sample):.3e} "
 print("\n=== equivariant sphere -> sphere flow vs method-of-lines ===")
 case = make_benchmark("equivariant_s2", horizon=0.1, amplitude=0.2,
                       n_theta=32, n_phi=64)
-ref = pde_reference(case, n_t=40, n_x=300)
+ref = pde_reference(case, n_t=40)
 field, state = solve(case.source, case.target, case.terminal, 0.1,
                      tol=1e-9, dt=0.0025)
 err = np.abs(field.values - ref.values).max()

@@ -114,7 +114,7 @@ def make_benchmark(name: str, horizon: float, n_x: int = 256,
 # reference solver
 # ---------------------------------------------------------------------------
 
-def pde_reference(case: BenchmarkCase, n_t: int, n_x: int | None = None) -> MapField:
+def pde_reference(case: BenchmarkCase, n_t: int, n_x: int = 100) -> MapField:
     """Reference solution of the backward flow on the case grid.
 
     The case's data picks the reduction.  A lift on a flat target gives the
@@ -127,11 +127,15 @@ def pde_reference(case: BenchmarkCase, n_t: int, n_x: int | None = None) -> MapF
     `test_time_change_matches_adaptive_quadrature` (tests/test_forward.py)
     pin it to 1e-13 relative against closed forms and scipy's quad.  A
     psi_terminal integrates the equivariant colatitude profile by method of
-    lines on n_x + 1 colatitude knots, with classical RK4 in time: each
-    slice takes ceil(span L / 2) substeps, L = (4/h^2 + max|cot|/h +
-    1/sin^2 h) / (2 rho_min^2) bounding the Jacobian over the slice, so
-    every substep lies in RK4's real stability interval.  A not-a-knot
-    cubic spline reads the profiles at the grid colatitudes.  Shares no
+    lines with fourth-order central differences, on r uniform knots of
+    spacing h = dtheta / r centred on each grid colatitude, r the odd
+    integer nearest n_x / n_theta.  The knots hold the grid colatitudes,
+    which are read back by index.  Two ghost knots beyond each pole come
+    from the profile's odd symmetries psi(-x) = -psi(x) and
+    psi(pi + x) = 2 pi - psi(pi - x).  Classical RK4 steps it in time: each
+    slice takes ceil(span L / 2) substeps, L = (16/(3h^2) + 1.5 max|cot|/h
+    + 1/sin^2(h/2)) / (2 rho_min^2) bounding the Jacobian over the slice,
+    so every substep lies in RK4's real stability interval.  Shares no
     other stepping code with the backward operator.
     """
     source = case.source
@@ -153,27 +157,31 @@ def pde_reference(case: BenchmarkCase, n_t: int, n_x: int | None = None) -> MapF
         return MapField(times, values, source, case.target)
 
     if case.psi_terminal is not None:
-        n_x = n_x or 200
-        grid = np.linspace(0.0, np.pi, n_x + 1)
-        inner = grid[1:-1]
-        hstep = grid[1] - grid[0]
-        sin_i = np.sin(inner)
-        cot_i = np.cos(inner) / sin_i
-        two_sin2_i = 2.0 * sin_i ** 2
+        # r knots per grid colatitude, centred on it; r odd and nearest n_x / n_theta
+        r = max(1, 2 * (n_x // (2 * source.n_theta)) + 1)
+        hstep = source.dtheta / r
+        knots = (source.thetas[:, None] + hstep * np.arange(-(r // 2), r // 2 + 1)).ravel()
+        sin_k = np.sin(knots)
+        cot_k = np.cos(knots) / sin_k
+        two_sin2_k = 2.0 * sin_k ** 2
         # bound on the Jacobian of rhs at unit radius: stencil, cot term, sin(2 psi) term
-        jac_bound = 0.5 * (4.0 / hstep ** 2 + np.max(np.abs(cot_i)) / hstep + 1.0 / sin_i[0] ** 2)
+        jac_bound = 0.5 * (16.0 / (3.0 * hstep ** 2) + 1.5 * np.max(np.abs(cot_k)) / hstep
+                           + 1.0 / sin_k[0] ** 2)
+        # fourth-order central stencils of d/dtheta and d^2/dtheta^2 on the knots
+        d1_stencil = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * hstep)
+        d2_stencil = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * hstep ** 2)
 
-        def rhs(t, psi_in):
-            # d psi / d(-t) of the backward flow; boundary pins 0 and pi
-            full = np.concatenate([[0.0], psi_in, [np.pi]])
-            d1 = (full[2:] - full[:-2]) / (2.0 * hstep)
-            d2 = (full[2:] - 2.0 * full[1:-1] + full[:-2]) / hstep ** 2
-            rho = float(source.profile(t))
-            return 0.5 / rho ** 2 * (d2 + cot_i * d1 - np.sin(2.0 * psi_in) / two_sin2_i)
+        def rhs(scale, psi_in):
+            # d psi / d(-t) of the backward flow, scale = 1 / (2 rho^2); two ghost knots
+            # beyond each pole from the odd symmetries psi(-x) = -psi(x) and
+            # psi(pi + x) = 2 pi - psi(pi - x)
+            full = np.concatenate([-psi_in[1::-1], psi_in, 2.0 * np.pi - psi_in[:-3:-1]])
+            d1 = np.correlate(full, d1_stencil, "valid")
+            d2 = np.correlate(full, d2_stencil, "valid")
+            return scale * (d2 + cot_k * d1 - np.sin(2.0 * psi_in) / two_sin2_k)
 
-        psi = np.empty((n_t + 1, n_x + 1))
-        psi[:, 0], psi[:, -1] = 0.0, np.pi
-        psi[n_t, 1:-1] = case.psi_terminal(inner)
+        psi = np.empty((n_t + 1, len(knots)))
+        psi[n_t] = case.psi_terminal(knots)
         for j in range(n_t, 0, -1):
             # classical RK4 from t_j down to t_{j-1}: substep x Jacobian bound
             # stays within 2, inside RK4's real stability interval [-2.78, 0]
@@ -181,59 +189,23 @@ def pde_reference(case: BenchmarkCase, n_t: int, n_x: int | None = None) -> MapF
             rho_min = source.min_radius(times[j - 1], times[j])
             n_sub = math.ceil(span * jac_bound / rho_min ** 2 / 2.0)
             k = span / n_sub
-            y = psi[j, 1:-1]
+            # 1 / (2 rho^2) at t_j - i k / 2: each substep's ends and midpoint
+            scale = 0.5 / source.profile(times[j] - 0.5 * k * np.arange(2 * n_sub + 1)) ** 2
+            y = psi[j]
             for i in range(n_sub):
-                t = times[j] - i * k
-                k1 = rhs(t, y)
-                k2 = rhs(t - 0.5 * k, y + 0.5 * k * k1)
-                k3 = rhs(t - 0.5 * k, y + 0.5 * k * k2)
-                k4 = rhs(t - k, y + k * k3)
+                k1 = rhs(scale[2 * i], y)
+                k2 = rhs(scale[2 * i + 1], y + 0.5 * k * k1)
+                k3 = rhs(scale[2 * i + 1], y + 0.5 * k * k2)
+                k4 = rhs(scale[2 * i + 2], y + k * k3)
                 y = y + k / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            psi[j - 1, 1:-1] = y
-        on_grid = _not_a_knot_spline(grid, psi.T, source.thetas).T
-        values = np.stack([source.profile_map(p, case.target.ambient_dim) for p in on_grid])
+            psi[j - 1] = y
+        values = np.empty((n_t + 1,) + source.grid_shape + (3,))
+        for j, p in enumerate(psi[:, r // 2::r]):
+            values[j] = source.profile_map(p, case.target.ambient_dim)
         return MapField(times, values, source, case.target)
 
     raise UnsupportedReduction(
         f"no reference reduction for benchmark {case.name!r}")
-
-
-def _not_a_knot_spline(x, y, x_new):
-    """Not-a-knot cubic spline through knots x with values y (n, m), read at x_new.
-
-    The knot slopes solve one tridiagonal system for all m columns at once,
-    by elimination without pivoting, which the diagonally dominant interior
-    rows keep stable.  Each interval is then the cubic Hermite piece of
-    its end values and slopes.  Needs at least four knots.
-    """
-    dx = np.diff(x)
-    slope = np.diff(y, axis=0) / dx[:, None]
-    # row i reads lower[i] s[i-1] + diag[i] s[i] + upper[i] s[i+1] = rhs[i]; the
-    # end rows make the third derivative continuous at the second and last-but-one knot
-    d0, d1 = x[2] - x[0], x[-1] - x[-3]
-    lower = [0.0, *dx[1:], d1]
-    diag = [dx[1], *(2.0 * (dx[:-1] + dx[1:])), dx[-2]]
-    upper = [d0, *dx[:-1], 0.0]
-    rhs = np.empty_like(y)
-    rhs[0] = ((dx[0] + 2.0 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0
-    rhs[1:-1] = 3.0 * (dx[1:, None] * slope[:-1] + dx[:-1, None] * slope[1:])
-    rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
-    n = len(x)
-    for i in range(1, n):
-        w = lower[i] / diag[i - 1]
-        diag[i] -= w * upper[i - 1]
-        rhs[i] -= w * rhs[i - 1]
-    s = np.empty_like(rhs)
-    s[-1] = rhs[-1] / diag[-1]
-    for i in range(n - 2, -1, -1):
-        s[i] = (rhs[i] - upper[i] * s[i + 1]) / diag[i]
-
-    i = np.clip(np.searchsorted(x, x_new, side="right") - 1, 0, n - 2)
-    h = dx[i, None]
-    u = (x_new - x[i])[:, None]
-    c3 = (s[i] + s[i + 1] - 2.0 * slope[i]) / h
-    c2 = (slope[i] - s[i]) / h - c3
-    return ((c3 / h * u + c2) * u + s[i]) * u + y[i]
 
 
 # ---------------------------------------------------------------------------

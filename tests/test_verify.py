@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 
 import hmflow.fields as fields_mod
 from hmflow._rng import DOMAIN_FORWARD_PATH, DOMAIN_SAMPLE_PATH
@@ -12,9 +11,9 @@ from hmflow.forward import time_change
 from hmflow.picard import solve
 from hmflow.sources import Circle, Sphere2, constant_radius, shrinking_radius, sine_radius
 from hmflow.targets import FlatSpace, UnitSphere
-from hmflow.verify import (BenchmarkCase, _not_a_knot_spline, circle_lift, make_benchmark,
-                           pde_reference, stay_on_target, tension_residual,
-                           terminal_case, weak_form_residual)
+from hmflow.verify import (BenchmarkCase, circle_lift, make_benchmark, pde_reference,
+                           stay_on_target, tension_residual, terminal_case,
+                           weak_form_residual)
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +83,7 @@ def test_reference_equivariant_identity_stationary():
 def test_reference_equivariant_vs_picard():
     case = make_benchmark("equivariant_s2", horizon=0.1, amplitude=0.2,
                           n_theta=32, n_phi=64)
-    ref = pde_reference(case, n_t=40, n_x=300)
+    ref = pde_reference(case, n_t=40)
     field, state = solve(case.source, case.target, case.terminal, 0.1,
                          tol=1e-9, dt=0.0025)
     assert state.converged
@@ -97,8 +96,8 @@ def test_reference_equivariant_vs_picard():
 def test_sphere_semigroup_solve_accuracy(n_theta, dt, bound):
     # the benchmark's sphere case; the first four bounds are 0.6 times the error
     # of a backward Euler heat step (1.262e-4, 2.543e-4, 1.282e-4, 2.568e-4). In 4
-    # slices of 8.5e-3 the second-order step reads 4.5e-6, its time error (4.45e-6
-    # against an n_x = 800 reference); a first-order step reads 5.9e-4
+    # slices of 8.5e-3 the second-order step reads 4.45e-6, its time error; a
+    # first-order step reads 5.9e-4
     source = Sphere2(sine_radius(0.2, 1.0), n_theta=n_theta, n_phi=2 * n_theta, horizon=0.034)
     case = terminal_case("equivariant", source, UnitSphere(2), 0.034)
     field, state = solve(source, case.target, case.terminal, 0.034, tol=1e-9, dt=dt)
@@ -108,14 +107,14 @@ def test_sphere_semigroup_solve_accuracy(n_theta, dt, bound):
 
 
 def test_sphere_solve_matches_a_resolved_oracle():
-    # the benchmark's sphere case against a reference on 800 knots: 9.6e-8 with
-    # 6th-order colatitude stencils, 5.3e-6 with 4th-order ones. The default
-    # n_x = 200 reference is itself 6.9e-7 away
+    # the benchmark's sphere case: 1.17e-7 with 6th-order colatitude stencils,
+    # 5.3e-6 with 4th-order ones. The reference is 3.0e-10 from one on 4x as many
+    # knots, so this is the solve's own error
     source = Sphere2(sine_radius(0.2, 1.0), n_theta=24, n_phi=48, horizon=0.034)
     case = terminal_case("equivariant", source, UnitSphere(2), 0.034)
     field, state = solve(source, case.target, case.terminal, 0.034, tol=1e-10, dt=1e-3)
     assert state.converged and state.horizons_tried == [0.034]
-    ref = pde_reference(case, n_t=field.n_t, n_x=800)
+    ref = pde_reference(case, n_t=field.n_t)
     assert np.linalg.norm(field.values - ref.values, axis=-1).max() <= 3e-7
 
 
@@ -142,31 +141,31 @@ def test_fine_sphere_solve_keeps_its_horizon():
     assert state.converged and state.horizons_tried == [0.034]
 
 
-def _equivariant_dop853(case, n_t, n_x=200):
-    """The equivariant method of lines integrated by scipy's DOP853 and read by CubicSpline."""
-    grid = np.linspace(0.0, np.pi, n_x + 1)
-    inner, h = grid[1:-1], grid[1] - grid[0]
+def _equivariant_dop853(case, n_t, n_x=100):
+    """The equivariant method of lines integrated by scipy's DOP853 and read by index."""
+    # knots per grid colatitude: the odd number nearest n_x / n_theta, ties up
+    r = (n_x // case.source.n_theta) | 1
+    h = case.source.dtheta / r
+    knots = (case.source.thetas[:, None] + h * np.arange(-(r // 2), r // 2 + 1)).ravel()
 
     def rhs(s, psi):
-        full = np.concatenate([[0.0], psi, [np.pi]])
-        d1 = (full[2:] - full[:-2]) / (2.0 * h)
-        d2 = (full[2:] - 2.0 * full[1:-1] + full[:-2]) / h ** 2
+        full = np.concatenate([-psi[1::-1], psi, 2.0 * np.pi - psi[:-3:-1]])
+        d1 = (full[:-4] - 8.0 * full[1:-3] + 8.0 * full[3:-1] - full[4:]) / (12.0 * h)
+        d2 = (-full[:-4] + 16.0 * full[1:-3] - 30.0 * psi + 16.0 * full[3:-1]
+              - full[4:]) / (12.0 * h ** 2)
         rho = float(case.source.profile(case.horizon - s))
-        return 0.5 / rho ** 2 * (d2 + d1 / np.tan(inner)
-                                 - np.sin(2.0 * psi) / (2.0 * np.sin(inner) ** 2))
+        return 0.5 / rho ** 2 * (d2 + d1 / np.tan(knots)
+                                 - np.sin(2.0 * psi) / (2.0 * np.sin(knots) ** 2))
 
     times = np.linspace(0.0, case.horizon, n_t + 1)
-    sol = solve_ivp(rhs, (0.0, case.horizon), case.psi_terminal(inner), method="DOP853",
+    sol = solve_ivp(rhs, (0.0, case.horizon), case.psi_terminal(knots), method="DOP853",
                     t_eval=case.horizon - times[::-1], rtol=1e-13, atol=1e-15)
     assert sol.success
-    psi = np.concatenate([np.zeros((1, n_t + 1)), sol.y[:, ::-1],
-                          np.full((1, n_t + 1), np.pi)])
-    return np.stack([case.source.profile_map(CubicSpline(grid, p)(case.source.thetas), 3)
-                     for p in psi.T])
+    return np.stack([case.source.profile_map(p, 3) for p in sol.y[r // 2::r, ::-1].T])
 
 
 @pytest.mark.parametrize("profile, n_theta, horizon, n_t", [
-    (sine_radius(0.2, 1.0), 24, 0.034, 34),   # the benchmark's sphere case
+    (sine_radius(0.2, 1.0), 24, 0.034, 34),   # the benchmark's sphere case: 5 knots a row
     (shrinking_radius(), 16, 0.4, 40),        # rho_min^2 = 0.2 multiplies the substeps by 5
 ])
 def test_reference_equivariant_rk4_matches_dop853(profile, n_theta, horizon, n_t):
@@ -174,18 +173,26 @@ def test_reference_equivariant_rk4_matches_dop853(profile, n_theta, horizon, n_t
     case = BenchmarkCase("equivariant", source, UnitSphere(2), horizon, None)
     case.psi_terminal = lambda th: th + 0.3 * np.sin(th)
     ref = pde_reference(case, n_t=n_t)
-    # the benchmark's solved field sits about 1.3e-4 from this reference
     assert np.abs(ref.values - _equivariant_dop853(case, n_t)).max() <= 1e-10
 
 
-@pytest.mark.parametrize("knots", [np.linspace(0.0, np.pi, 201), np.linspace(0.0, 1.0, 4),
-                                   np.sort(np.random.default_rng(5).uniform(0.0, 3.0, 40))])
-def test_not_a_knot_spline_matches_cubic_spline(knots):
-    y = np.stack([np.sin(3.0 * knots) + knots, knots ** 3,
-                  np.random.default_rng(6).normal(size=len(knots))], axis=1)
-    x_new = np.concatenate([np.linspace(knots[0], knots[-1], 97), knots])
-    ref = CubicSpline(knots, y)(x_new)
-    assert np.abs(_not_a_knot_spline(knots, y, x_new) - ref).max() <= 1e-13 * np.abs(ref).max()
+def _benchmark_sphere_case():
+    source = Sphere2(sine_radius(0.2, 1.0), n_theta=24, n_phi=48, horizon=0.034)
+    return terminal_case("equivariant", source, UnitSphere(2), 0.034)
+
+
+def test_equivariant_reference_is_resolved_at_its_default():
+    # fourth-order knots: 3.0e-10 from a reference on 4x as many knots; the
+    # second-order knots read 5.3e-7 between 200 and 400 of them
+    case = _benchmark_sphere_case()
+    ref = pde_reference(case, n_t=34)
+    assert np.abs(ref.values - pde_reference(case, n_t=34, n_x=400).values).max() <= 1e-8
+
+
+def test_equivariant_reference_keeps_the_terminal_slice():
+    # the knots hold the grid colatitudes, so no interpolant moves the terminal data
+    case = _benchmark_sphere_case()
+    assert pde_reference(case, n_t=34).values[-1].tobytes() == case.terminal.tobytes()
 
 
 def test_reference_unsupported_reduction():
@@ -358,16 +365,16 @@ def test_weak_form_refinement_monotone():
 
 
 def test_weak_form_of_the_equivariant_reference_refines():
-    # against a reference on 800 knots and 80 slices, fine enough that its own
-    # error stays below the 64x128 defect: 3.2e-6, 5.8e-8, 7.2e-9 on 16x32, 32x64,
-    # 64x128 (4th-order colatitude stencils: 3.9e-5, 2.5e-6, 1.65e-7); exact cap
-    # areas in place of the spectral weights hold the defect at 1.1e-3, 2.7e-4, 6.9e-5
+    # against a reference on 80 slices, whose own error stays below the 64x128
+    # defect: 3.1e-6, 5.0e-8, 4.9e-10 on 16x32, 32x64, 64x128 (4th-order colatitude
+    # stencils: 3.9e-5, 2.5e-6, 1.65e-7); exact cap areas in place of the spectral
+    # weights hold the defect at 1.1e-3, 2.7e-4, 6.9e-5
     res = []
     for n in (16, 32, 64):
         source = Sphere2(sine_radius(0.2, 1.0), n_theta=n, n_phi=2 * n, horizon=0.05)
         case = terminal_case("equivariant", source, UnitSphere(2), 0.05)
         f = np.broadcast_to(np.cos(source.thetas)[:, None], source.grid_shape)
-        res.append(weak_form_residual(source, pde_reference(case, n_t=80, n_x=800), f))
+        res.append(weak_form_residual(source, pde_reference(case, n_t=80), f))
     assert res[0] < 1e-4 and res[0] >= 4.0 * res[1] >= 4.0 ** 2 * res[2], res
 
 
