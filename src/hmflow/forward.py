@@ -84,7 +84,8 @@ class PathEnsemble:
         """Dump paths as rows (path_id, step, time, chart coordinates...).
 
         Header and rows end in CRLF, as `csv.writer` writes them, and floats
-        carry 17 significant digits.
+        carry 17 significant digits, "%.17g"; `fields.write_rows` writes
+        the rows a block at a time.
         """
         columns = ("path_id", "step", "time", *self.source.chart_columns)
         n_rows, n_coords = self.n_paths * len(self.times), len(columns) - 3
@@ -93,8 +94,8 @@ class PathEnsemble:
         rows = np.column_stack([path_id, step, self.times[step],
                                 coords.transpose(1, 0, 2).reshape(n_rows, n_coords)])
         row = ",".join(["%d", "%d"] + ["%.17g"] * (1 + n_coords)) + "\r\n"
-        with open(str(path), "w", newline="") as fh:
-            fh.write(",".join(columns) + "\r\n")
+        with open(str(path), "wb") as fh:
+            fh.write((",".join(columns) + "\r\n").encode())
             write_rows(fh, rows, row)
 
 

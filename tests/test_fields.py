@@ -1,3 +1,4 @@
+import io
 import tracemalloc
 
 import numpy as np
@@ -181,10 +182,49 @@ def test_csv_bytes_match_per_value_formatting(tmp_path, monkeypatch):
     np.testing.assert_array_equal(MapField.load(tmp_path / "f.csv", c, f.target).values, values)
 
 
+def _ulps_around(x, n=4):
+    """The 2n + 1 doubles from n below x to n above it."""
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return below[:0:-1] + above
+
+
+def _random_in_every_decade(n_per_decade=40):
+    rng = np.random.default_rng(5)
+    exponents = np.repeat(np.arange(-324, 309), n_per_decade)
+    with np.errstate(over="ignore"):
+        values = rng.uniform(1.0, 10.0, exponents.size) * 10.0 ** exponents.astype(float)
+    values *= rng.choice([-1.0, 1.0], values.size)
+    return values[np.isfinite(values)]
+
+
+@pytest.mark.parametrize("values", [
+    pytest.param([float(f"1e{k}") for k in range(-320, 301)], id="powers_of_ten"),
+    pytest.param([y for x in (1e-4, 1e-3, 1e-2, 1e-1, 1.0) for y in _ulps_around(x)],
+                 id="four_ulps_around_the_fixed_point_decades"),
+    # m / 2^18, m odd: 18 digits ending in 5, each exactly halfway between two 17-digit texts
+    pytest.param(np.arange(2 ** 17 + 1, 2 ** 18, 2) / 2.0 ** 18, id="exact_ties"),
+    pytest.param([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.0, 1.0],
+                 id="special"),
+    pytest.param(_random_in_every_decade(), id="random_in_every_decade"),
+    pytest.param(np.random.default_rng(6).uniform(-1.0, 1.0, 30_000), id="uniform_unit"),
+])
+def test_write_rows_matches_percent_g(values):
+    values = np.resize(np.asarray(values, dtype=float), (-(-len(values) // 3), 3))
+    fh = io.BytesIO()
+    fields.write_rows(fh, values, "%.17g,%.17g,%.17g\n")
+    expected = "".join(",".join("%.17g" % v for v in row) + "\n" for row in values.tolist())
+    assert fh.getvalue() == expected.encode()
+
+
 def test_save_memory_is_one_block(tmp_path):
     # the sphere benchmark's field: 35 slices of 24x48 3-vectors, 2.4 MB of text.
-    # One block of rows formatted at a time peaks at 0.3x the bytes written; the
-    # whole field formatted at once peaked at 3x.
+    # One block of 2^10 rows formatted at a time, its word slots and numpy
+    # temporaries, peaks at 0.26x the bytes written (0.63 MB, as for unit
+    # vectors); the %-format's blocks of 2^12 rows read 0.3x, and the whole
+    # field formatted at once 3x.
     s = Sphere2(sine_radius(0.2, 1.0), n_theta=24, n_phi=48, horizon=0.034)
     values = np.random.default_rng(8).standard_normal((35, 24, 48, 3))
     f = MapField(np.linspace(0.0, 0.034, 35), values, s, UnitSphere(2))
@@ -217,6 +257,24 @@ def test_load_rejects_wrong_grid(tmp_path):
     other = Circle(constant_radius(1.0), n_theta=32)
     with pytest.raises(ShapeMismatch):
         MapField.load(tmp_path / "field.csv", other, f.target)
+
+
+@pytest.mark.parametrize("mangle", [
+    pytest.param(lambda rows: ["".join(f"{a},{b}," for a, b in zip(rows[::2], rows[1::2]))
+                               .rstrip(",")], id="two_nodes_per_row"),
+    pytest.param(lambda rows: [",".join(rows)], id="whole_body_on_one_line"),
+    pytest.param(lambda rows: rows[:3] + [rows[3].split(",")[0]] + rows[4:], id="ragged_row"),
+    pytest.param(lambda rows: rows[:3] + ["0.5,x"] + rows[4:], id="token_not_a_number"),
+])
+def test_load_rejects_a_body_whose_rows_are_not_nodes(tmp_path, mangle):
+    # each body but the ragged one holds the value count the header implies
+    f = identity_field(n_theta=8, n_t=1)
+    p = tmp_path / "field.csv"
+    f.save(p)
+    header, *rows = p.read_text().splitlines()
+    p.write_text("\n".join([header] + mangle(rows)) + "\n")
+    with pytest.raises(ShapeMismatch):
+        MapField.load(p, f.source, f.target)
 
 
 def test_load_rejects_truncated(tmp_path):

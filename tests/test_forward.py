@@ -1,4 +1,5 @@
 import csv
+import io
 import tracemalloc
 
 import numpy as np
@@ -430,10 +431,23 @@ def test_path_csv_matches_csv_writer(tmp_path, monkeypatch, source, x0):
     assert (tmp_path / "paths.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
+def test_write_rows_int_columns_match_percent_d():
+    # "%d" columns around the 4-digit table's ends, a 7-digit step, a truncated
+    # fraction, a negative and a "%d" longer than the three words a slot's text
+    # usually has
+    ints = [0.0, 9999.0, 1e4, 1234567.0, 9999.5, -0.0, -3.0, 1e25]
+    rows = np.column_stack([ints, ints[::-1], np.linspace(0.0, 1.5, len(ints))])
+    fh = io.BytesIO()
+    fields_mod.write_rows(fh, rows, "%d,%d,%.17g\r\n")
+    expected = "".join("%d,%d,%.17g\r\n" % tuple(row) for row in rows.tolist())
+    assert fh.getvalue() == expected.encode()
+
+
 def test_path_csv_memory_is_bounded_by_its_blocks(tmp_path):
     # the 50-path dump of `simulate-forward` on the sphere: 12 850 rows, 1.0 MB of text.
-    # Its rows array and one formatting block stay near twice the bytes written
-    # (2.1x); a block holding every row formatted all of them at once (4.9x).
+    # Its rows array and one formatting block of 2^10 rows stay under twice the
+    # bytes written (1.75x); the %-format's blocks of 2^12 rows read 2.1x, and one
+    # block holding every row formatted all of them at once (4.9x).
     s = Sphere2(constant_radius(1.0), n_theta=8, n_phi=16)
     ens = simulate(s, np.array([0.0, 0.0, 1.0]), 1.0, 1 / 256, 50, 8)
     out = tmp_path / "paths.csv"
