@@ -4,8 +4,13 @@ Chart points and target values mostly carry two or three ambient
 coordinates, and a numpy reduction over so short an axis costs more than
 the arithmetic it does.  So the norms over such an axis on the solve and
 verify path are np.sqrt(row_dot(x, x)), bit-equal to
-np.linalg.norm(x, axis=-1), and the C^{0,1} sups add a gradient's frame
-and value axes as one flattened row.
+np.linalg.norm(x, axis=-1): the value sup `fields._value_sup` (3 columns,
+where row_dot is faster than one `np.einsum` pass), the targets' distance
+and curvature trace, `Sphere2.step_paths`, and the tension residual's and
+the CLI's error norms.
+The gradient sup `fields._gradient_sup`, 6 columns a node on the sphere,
+sums them in one `np.einsum` pass and calls row_dot only on the few
+nodes near its largest sum.
 """
 
 from __future__ import annotations

@@ -59,16 +59,19 @@ def keyed_generator(master_seed: int, domain: int, index: int) -> np.random.Gene
 
 
 def path_normals(master_seed: int, domain: int, path_index: int,
-                 n_steps: int, dim: int) -> np.ndarray:
+                 n_steps: int, dim: int, out=None) -> np.ndarray:
     """Standard-normal increments for one path, shape (n_steps, dim).
 
     Bit-equal to `keyed_generator(master_seed, domain, path_index)
     .standard_normal((n_steps, dim))`, but it re-keys one module-level
     Philox through its `state` (the stream's key, zero counter, empty
     buffer) instead of building a generator per path, which costs more.
-    The shared generator makes this function unsafe to call from several
-    threads at once.  Raises ValueError as `keyed_generator` does.
+    Given out, a C-contiguous float array of that shape, the draws are
+    written straight into it and out is returned, so a caller's tile
+    row takes them without a per-path array and copy.  The shared
+    generator makes this function unsafe to call from several threads at
+    once.  Raises ValueError as `keyed_generator` does.
     """
     _PATH_KEY[:] = _key_words(master_seed, domain, path_index)
     _PATH_BITS.state = _PATH_STATE     # the setter copies the words into the Philox
-    return _PATH_GENERATOR.standard_normal((n_steps, dim))
+    return _PATH_GENERATOR.standard_normal((n_steps, dim), out=out)

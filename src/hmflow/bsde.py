@@ -16,7 +16,6 @@ the paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -107,42 +106,55 @@ def picard_map(u: MapField, h, steps) -> MapField:
     return MapField(u.times.copy(), w, source, target)
 
 
-@dataclass
 class BsdeSolutionSample:
     """Solution pair reconstructed along a forward ensemble.
 
     y: (n_steps+1, n_paths, L2) field values along paths;
     z: (n_steps+1, n_paths, m, L2) frame-gradient values along paths, whose
-    block Euclidean norm is the metric gradient norm.  Each fact is held
-    once: the source is `ensemble.source`, and target is the sampled
-    field's target, from which `stay_on_target` measures y and whose
-    curvature `bsde_residual` reads.
+    block Euclidean norm is the metric gradient norm.  z is computed by
+    `z_of`, a function of no arguments, on its first read, and checked
+    then: the distance checks read only y, so they compute none.  Each
+    fact is held once: the source is `ensemble.source`, and target is the
+    sampled field's target, from which `stay_on_target` measures y and
+    whose curvature `bsde_residual` reads.
     """
 
-    ensemble: PathEnsemble
-    y: np.ndarray
-    z: np.ndarray
-    target: object
-
-    def __post_init__(self):
-        n = self.ensemble.n_steps + 1
-        if self.y.shape[0] != n or self.z.shape[0] != n \
-                or self.y.shape[1] != self.ensemble.n_paths:
+    def __init__(self, ensemble: PathEnsemble, y: np.ndarray, z_of, target):
+        self.ensemble, self.y, self.target = ensemble, y, target
+        if y.shape[:2] != (ensemble.n_steps + 1, ensemble.n_paths):
             raise ShapeMismatch("sample arrays do not match the ensemble shape")
-        if not (np.all(np.isfinite(self.y)) and np.all(np.isfinite(self.z))):
+        if not np.all(np.isfinite(y)):
             raise ShapeMismatch("non-finite values in solution sample")
+        self._z_of, self._z = z_of, None
+
+    @property
+    def z(self) -> np.ndarray:
+        if self._z is None:
+            z = self._z_of()
+            if z.shape[0] != self.ensemble.n_steps + 1:
+                raise ShapeMismatch("sample arrays do not match the ensemble shape")
+            if not np.all(np.isfinite(z)):
+                raise ShapeMismatch("non-finite values in solution sample")
+            self._z = z
+        return self._z
 
 
 def sample_solution(field: MapField, n_paths: int, master_seed: int,
                     domain: int) -> BsdeSolutionSample:
-    """Evaluate the field and its gradient along a forward ensemble of its own.
+    """Evaluate the field, and on demand its gradient, along a forward ensemble of its own.
 
     The ensemble is `simulate`'s: n_paths paths from round-robin grid
     starts, stepped on the field's own slices (its horizon and slice
     spacing, which is the solve's dt on every horizon it tries), path p
     driven by stream (master_seed, domain, p).  At each slice k,
-    `field.values[k]` and the kept `field.gradient[k]` are stacked and
-    interpolated at the paths in one call.
+    `field.values[k]` is interpolated at the paths: Y.  Z is the kept
+    `field.gradient[k]` interpolated there, computed the first time the
+    sample's `z` is read, as `MapField.gradient` is; the distance checks
+    of the CLI's solve and verify read only Y, so they interpolate no
+    gradient.  On the sphere, bilinear interpolation takes each column on
+    its own, so Y and Z are bit-equal to interpolating the values and the
+    gradient stacked; the circle's Fourier sums go through one complex
+    GEMM whose BLAS kernels group columns, so there they agree to rounding.
 
     `solve` draws no sample; the code that checks one draws it, in a stream
     domain of its own (the CLI's solve `DOMAIN_SAMPLE_PATH`, its verify
@@ -156,13 +168,18 @@ def sample_solution(field: MapField, n_paths: int, master_seed: int,
     ensemble = simulate(source, "grid", field.horizon, field.dt, n_paths, master_seed,
                         _domain=domain)
     y = np.empty((field.n_t + 1, ensemble.n_paths, field.value_dim))
-    z = np.empty(y.shape[:2] + (source.dim, field.value_dim))
-    for k, (sl, zs) in enumerate(zip(field.values, field.gradient)):
-        yz = source.interpolate_slice(np.concatenate([sl[..., None, :], zs], axis=-2),
-                                      ensemble.states[k])
-        y[k] = yz[:, 0]
-        z[k] = yz[:, 1:]
-    return BsdeSolutionSample(ensemble, y, z, field.target)
+    for k, sl in enumerate(field.values):
+        y[k] = source.interpolate_slice(sl, ensemble.states[k])
+    return BsdeSolutionSample(ensemble, y, partial(_gradient_along, field, ensemble),
+                              field.target)
+
+
+def _gradient_along(field: MapField, ensemble: PathEnsemble) -> np.ndarray:
+    """Z of `sample_solution`: field's kept gradient interpolated at the ensemble's states."""
+    z = np.empty((field.n_t + 1, ensemble.n_paths, field.source.dim, field.value_dim))
+    for k, zs in enumerate(field.gradient):
+        z[k] = field.source.interpolate_slice(zs, ensemble.states[k])
+    return z
 
 
 def bsde_residual(sample: BsdeSolutionSample) -> float:

@@ -232,11 +232,41 @@ class MapField:
     @classmethod
     def constant_in_time(cls, source, target, terminal_values, horizon: float,
                          n_t: int) -> "MapField":
-        """Field equal to the terminal slice on every slice (the starting iterate)."""
+        """Field equal to the terminal slice on every slice (the starting iterate).
+
+        Its gradient is kept from the start: per time block (see
+        `_time_blocks`), the terminal is differentiated once for all the
+        block's slice times (a block of one slice, see
+        `SourceManifold._slices`), bit-equal to a call per slice, with
+        temporaries of one block.
+        """
         terminal_values = np.asarray(terminal_values, dtype=float)
         times = np.linspace(0.0, horizon, n_t + 1)
         values = np.broadcast_to(terminal_values, (n_t + 1,) + terminal_values.shape).copy()
-        return cls(times, values, source, target)
+        field = cls(times, values, source, target)
+        grad = np.empty(values.shape[:-1] + (source.dim, field.value_dim))
+        for ks in _time_blocks(field):
+            grad[ks] = source.frame_gradient(times[ks], terminal_values[None])
+        field._gradient = grad
+        return field
+
+    @classmethod
+    def with_gradient(cls, times, values, source, target, gradient) -> "MapField":
+        """Field keeping `gradient` as its `gradient`, known from how its values were made.
+
+        For a field whose maker differentiates it by its own rule (as
+        `verify.pde_reference` does its reduction), so that reading the
+        gradient calls no `frame_gradient`.  Raises ShapeMismatch when the
+        gradient is not one frame row of value_dim entries per node and
+        slice.
+        """
+        field = cls(times, values, source, target)
+        gradient = np.asarray(gradient, dtype=float)
+        if gradient.shape != field.values.shape[:-1] + (source.dim, field.value_dim):
+            raise ShapeMismatch(f"gradient of shape {gradient.shape} for field values of "
+                                f"shape {field.values.shape} on a {source.dim}-d source")
+        field._gradient = gradient
+        return field
 
     def check_compatible(self, other: "MapField"):
         if self.values.shape != other.values.shape or \
@@ -312,18 +342,36 @@ def _time_blocks(field: MapField) -> list:
 
 # Both sups take the root of the largest squared norm: the square root is
 # monotone and correctly rounded, so that is the largest norm, bit for bit.
-# The squares of a node add in order (`row_dot`), as numpy's reduction over
-# so short a C-ordered axis does, without its set-up.
 
 def _value_sup(values) -> float:
-    """Sup over the nodes of the Euclidean value norm."""
+    """Sup over the nodes of the Euclidean value norm.
+
+    The squares of a node's few values add in order (`row_dot`), as
+    numpy's reduction over so short a C-ordered axis does, without its
+    set-up.
+    """
     return float(np.sqrt(row_dot(values, values).max()))
 
 
 def _gradient_sup(gradient) -> float:
-    """Sup over the nodes of the metric gradient norm (frame and value axes, flattened)."""
+    """Sup over the nodes of the metric gradient norm (frame and value axes, flattened).
+
+    The squares of each node's flattened row are summed in one
+    `np.einsum` pass, which reads the block once where `row_dot` takes a
+    pass per entry.  einsum adds them in another order than numpy's
+    reduction, so its sums may differ in the last bits; a sum of 6
+    squares is within 6 ulps of exact in any order, so only the nodes
+    within 1e-14 of the largest einsum sum can hold the largest sum in
+    order, and those few are summed again by `row_dot`.  The sup is
+    thus numpy's, bit for bit.
+    """
     flat = gradient.reshape(gradient.shape[:-2] + (-1,))
-    return float(np.sqrt(row_dot(flat, flat).max()))
+    squares = np.einsum("...i,...i->...", flat, flat)
+    top = squares.max()
+    if not top > 0.0:   # all zero (every node would be a candidate), or NaN
+        return float(np.sqrt(top))
+    near = flat[squares >= top * (1.0 - 1e-14)]
+    return float(np.sqrt(row_dot(near, near).max()))
 
 
 def sup_norm(field: MapField) -> float:
@@ -359,8 +407,9 @@ def handover_c01(u: MapField, w: MapField) -> tuple[float, float]:
     Block by block (see `_time_blocks`), w's gradient is computed
     once, compared with u's kept gradient, and written over it, so
     afterwards w owns the array and u has none: consecutive Picard iterates
-    share one gradient array.  The sups are exact maxima, so they do not
-    depend on the block size.
+    share one gradient array.  The difference is taken in that array,
+    which w's gradient then overwrites, so it needs no block of its own.
+    The sups are exact maxima, so they do not depend on the block size.
     """
     w.check_compatible(u)
     grad = u.gradient
@@ -369,7 +418,7 @@ def handover_c01(u: MapField, w: MapField) -> tuple[float, float]:
     for ks in _time_blocks(w):
         zw = w.source.frame_gradient(w.times[ks], w.values[ks])
         d0 = max(d0, _value_sup(w.values[ks] - u.values[ks]))
-        d1 = max(d1, _gradient_sup(zw - grad[ks]))
+        d1 = max(d1, _gradient_sup(np.subtract(grad[ks], zw, out=grad[ks])))
         n0 = max(n0, _value_sup(w.values[ks]))
         n1 = max(n1, _gradient_sup(zw))
         grad[ks] = zw

@@ -103,9 +103,10 @@ def _draw_increments(master_seed, domain, paths: range, n_steps, dim, dt):
     """Brownian increments (n_steps, len(paths), dim) of a range of paths.
 
     Path p reads stream (master_seed, domain, p).  The streams are drawn
-    path-major into a tile of max(1, _INCREMENT_TILE_POINTS // (n_steps *
-    dim)) paths, scaled there, and each tile is transposed into its
-    step-major place in one copy, not one strided row per step and path.
+    path-major, each straight into its row (`path_normals` with out), into
+    a tile of max(1, _INCREMENT_TILE_POINTS // (n_steps * dim)) paths,
+    scaled there, and each tile is transposed into its step-major place
+    in one copy, not one strided row per step and path.
     The copy moves each step's dim numbers as one record, so its inner loop
     runs over the tile's paths.  The product is the same sqrt(dt) * normals,
     so the result does not depend on the tile size.
@@ -119,7 +120,7 @@ def _draw_increments(master_seed, domain, paths: range, n_steps, dim, dt):
     for lo in range(0, len(paths), width):
         hi = min(lo + width, len(paths))
         for j, p in enumerate(paths[lo:hi]):
-            tile[j] = path_normals(master_seed, domain, p, n_steps, dim)
+            path_normals(master_seed, domain, p, n_steps, dim, out=tile[j])
         tile[:hi - lo] *= scale
         out_records[:, lo:hi] = tile[:hi - lo].view(record)[..., 0].T
     return out

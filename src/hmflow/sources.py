@@ -28,6 +28,8 @@ _TIME_SLACK = 1e-12
 _D1_STENCIL = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
 _D2_STENCIL = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
 _POLE_GHOSTS = len(_D1_STENCIL) // 2   # ghost rows beyond each pole
+_STENCIL_BLOCK_ROWS = 32   # most colatitude rows per block of the stencil matrices
+_DENSE_PHI_MAX = 96        # most longitudes differentiated by a dense matrix, not FFTs
 _EIG_ROUNDING = 1e-10   # eigenvalue / spectral radius above this is not "<= 0"
 _EIG_MAX_COND = 1e6     # 1-norm cond(V) above this lets a step's rounding pass ~1e-10
 _PROBE_QUAD_NODES = 60  # Gauss-Hermite nodes per ambient axis of the weak-error probe
@@ -134,7 +136,10 @@ class SourceManifold:
         """(field as floats with a leading slice axis, rho per slice) for the calculus.
 
         t is one time, or a 1-D array of slice times with field carrying a
-        matching leading axis; one time is a block of one slice.  rho is
+        matching leading axis; one time is a block of one slice.  A block of
+        one slice, leading axis 1, also goes with several times: it is that
+        slice at each of them, differentiated once and scaled by each rho,
+        since the calculus is linear in the field with rho a factor.  rho is
         float(profile(s)) slice by slice, the value a one-slice call reads,
         so a block's slices are bit-equal to their one-slice calls; it is
         shaped to broadcast over the block.
@@ -144,7 +149,7 @@ class SourceManifold:
         block = np.asarray(field, dtype=float)
         if times.ndim == 0:
             times, block = times[None], block[None]
-        elif times.ndim != 1 or block.shape[:1] != times.shape:
+        elif times.ndim != 1 or block.shape[:1] not in (times.shape, (1,)):
             raise ShapeMismatch(f"{times.shape} slice times for a field block of shape "
                                 f"{block.shape}")
         self._require_grid(block, lead=1)
@@ -536,29 +541,83 @@ class Sphere2(SourceManifold):
         return np.concatenate([ghost(block[:, g - 1::-1]), block,
                                ghost(block[:, :-g - 1:-1])], axis=1)
 
-    def _colatitude_stencil(self, block, sign, weights):
-        """weights summed along colatitude over the pole-padded block, one row per node."""
-        p, n = self._pad_poles(block, sign), self.n_theta
-        return sum(w * p[:, k:k + n] for k, w in enumerate(weights) if w)
+    @cached_property
+    def _stencil_matrices(self):
+        """(D1, D2): the 7-row colatitude stencils as (b, b + 6) row blocks.
 
-    def _dtheta_fd(self, block, sign=None):
-        return self._colatitude_stencil(block, sign, _D1_STENCIL) / self.dtheta
+        Row i of a block holds the stencil's weights at columns i to i + 6,
+        so the block times b + 6 consecutive rows of the pole-padded block
+        gives b rows of h f_theta or h^2 f_thetatheta, h = dtheta; callers
+        divide by h with their other factors.  The stencil does not move
+        along colatitude, so one block serves every window.  b is n_theta
+        split evenly into blocks of at most `_STENCIL_BLOCK_ROWS` rows: one
+        dense block up to that many colatitudes (24 at 24x48), a band of
+        blocks beyond, where a dense (n, n + 6) matrix would cost n
+        multiply-adds per value, not b.
+        """
+        n_blocks = -(-self.n_theta // _STENCIL_BLOCK_ROWS)
+        b = -(-self.n_theta // n_blocks)
+        return tuple(sum(w * np.eye(b, b + 2 * _POLE_GHOSTS, k) for k, w in enumerate(weights))
+                     for weights in (_D1_STENCIL, _D2_STENCIL))
 
-    def _d2theta_fd(self, block, sign=None):
-        return self._colatitude_stencil(block, sign, _D2_STENCIL) / self.dtheta ** 2
+    def _colatitude_stencil(self, padded, matrix):
+        """matrix, a block of `_stencil_matrices`, applied along colatitude to a padded block.
+
+        padded is a `_pad_poles` block (slices, n_theta + 6, ...), its
+        trailing axes flattened into columns.  Windows of b + 6 rows start
+        every b rows, and all of them, in every slice, are one batched
+        matmul, each window's BLAS product on its own, so a slice does not
+        depend on the others in its block.  When b does not divide
+        n_theta, the last window starts at n_theta - b and writes its rows
+        again.
+        """
+        n, b = self.n_theta, matrix.shape[0]
+        rows = padded.reshape(padded.shape[:2] + (-1,))
+        out = np.empty((len(rows), n, rows.shape[2]))
+        full = n // b
+        windows = np.lib.stride_tricks.sliding_window_view(rows, matrix.shape[1], axis=1)[:, ::b]
+        np.matmul(matrix, windows.swapaxes(-1, -2),
+                  out=out[:, :full * b].reshape(len(rows), full, b, -1))
+        if full * b < n:
+            np.matmul(matrix, rows[:, n - b:], out=out[:, n - b:])
+        return out.reshape((len(rows), n) + padded.shape[2:])
+
+    def _dphi_multiplier(self, order: int):
+        """Fourier multiplier of d^order/dphi^order; an odd order has no Nyquist mode."""
+        mult = (1j * self._m) ** order
+        if order % 2 and self.n_phi % 2 == 0:
+            mult[-1] = 0.0
+        return mult
+
+    @cached_property
+    def _dphi_matrices(self):
+        """The spectral d/dphi and d^2/dphi^2 as dense (n_phi, n_phi) matrices.
+
+        Column q is the multiplier's FFT pair applied to the q-th unit vector.
+        """
+        eye = np.eye(self.n_phi)
+        return tuple(np.fft.irfft(np.fft.rfft(eye, axis=0) * self._dphi_multiplier(order)[:, None],
+                                  n=self.n_phi, axis=0) for order in (1, 2))
 
     def _dphi_spectral(self, block, order: int = 1):
-        """Longitude derivative of a block of grid fields, spectral along the contiguous axis.
+        """Longitude derivative of a block of grid fields, spectral, into a C-contiguous result.
 
-        Longitude is moved last for the FFTs and back after, into a
-        C-contiguous result.
+        Up to `_DENSE_PHI_MAX` longitudes it is one batched matmul by the
+        dense matrix of `_dphi_matrices`, whose n_phi multiply-adds a value
+        cost less there than the FFT pair and its two transposing copies.
+        d/dphi of a block of 3-vectors, one BLAS thread, dense against
+        FFTs: 0.12 against 0.47 ms at 24x48 (9 slices), 0.26 against 0.46
+        at 32x64 (9), 0.33 against 0.47 at 48x96 (4), 0.38 against 0.40 at
+        64x128 (2) and 1.20 against 0.83 at 256x128 (1); so rings of 128
+        longitudes and more keep the FFTs.  There, longitude is moved last
+        for the FFTs and back after.
         """
-        mult = (1j * self._m) ** order
-        if order == 1 and self.n_phi % 2 == 0:
-            mult = mult.copy()
-            mult[-1] = 0.0
+        if self.n_phi <= _DENSE_PHI_MAX:
+            rows = block.reshape(block.shape[:3] + (-1,))
+            return np.matmul(self._dphi_matrices[order - 1], rows).reshape(block.shape)
         rows = np.ascontiguousarray(np.moveaxis(block, 2, -1))
-        out = np.fft.irfft(np.fft.rfft(rows, axis=-1) * mult, n=self.n_phi, axis=-1)
+        out = np.fft.irfft(np.fft.rfft(rows, axis=-1) * self._dphi_multiplier(order),
+                           n=self.n_phi, axis=-1)
         return np.ascontiguousarray(np.moveaxis(out, -1, 2))
 
     # -- calculus ----------------------------------------------------------------
@@ -572,20 +631,33 @@ class Sphere2(SourceManifold):
 
         Output shape (n_theta, n_phi, 2, *value_shape).  With a 1-D array of
         slice times t and a matching leading axis on field, every slice is
-        differentiated at once, bit-equal to its one-slice call.
+        differentiated at once, bit-equal to its one-slice call; a block of
+        one slice is differentiated once for all the times (see `_slices`).
+        The colatitude part is one batched matmul of the pole-padded block
+        by the D1 stencil matrix (`_colatitude_stencil`), the longitude part
+        `_dphi_spectral`.  Each is divided by its metric factor and the two are
+        stacked: a division straight into a strided half of the output
+        took longer than the stack's copy.
         """
         block, rho = self._slices(t, field)
-        z_th = self._dtheta_fd(block) / rho
-        z_ph = self._dphi_spectral(block) / (rho * self._colatitude(self._sin, block))
-        z = np.stack([z_th, z_ph], axis=3)
+        d1 = self._colatitude_stencil(self._pad_poles(block), self._stencil_matrices[0])
+        z = np.stack([d1 / (rho * self.dtheta),
+                      self._dphi_spectral(block) / (rho * self._colatitude(self._sin, block))],
+                     axis=3)
         return z if np.ndim(t) else z[0]
 
     def laplace_beltrami(self, t, field):
-        """(1/rho^2)[f_tt + cot(t) f_t + f_pp / sin^2(t)]; t as in `frame_gradient`."""
+        """(1/rho^2)[f_tt + cot(t) f_t + f_pp / sin^2(t)]; t as in `frame_gradient`.
+
+        Both colatitude stencils read one pole-padded block.
+        """
         block, rho = self._slices(t, field)
-        lap = (self._d2theta_fd(block)
-               + self._colatitude(self._cot, block) * self._dtheta_fd(block)
-               + self._dphi_spectral(block, order=2) / self._colatitude(self._sin ** 2, block))
+        padded = self._pad_poles(block)
+        d1, d2 = self._stencil_matrices
+        lap = self._colatitude_stencil(padded, d2) / self.dtheta ** 2
+        lap += (self._colatitude(self._cot, block) / self.dtheta
+                * self._colatitude_stencil(padded, d1))
+        lap += self._dphi_spectral(block, order=2) / self._colatitude(self._sin ** 2, block)
         lap = lap / rho ** 2
         return lap if np.ndim(t) else lap[0]
 
@@ -637,10 +709,16 @@ class Sphere2(SourceManifold):
     # -- one-step conditional expectations -------------------------------------------
 
     def _mode_operator(self, m: int):
-        """A_m: rho^2 times `laplace_beltrami` on the colatitude column of azimuthal mode m."""
-        eye, sign = np.eye(self.n_theta)[None], (-1.0) ** m
-        return (self._d2theta_fd(eye, sign) + self._cot[:, None] * self._dtheta_fd(eye, sign)
-                - np.diag(m ** 2 / self._sin ** 2))[0]
+        """A_m: rho^2 times `laplace_beltrami` on the colatitude column of azimuthal mode m.
+
+        The identity's columns go through the grid's own stencil matrices,
+        their pole rows mirrored with sign (-1)^m.
+        """
+        padded = self._pad_poles(np.eye(self.n_theta)[None], (-1.0) ** m)
+        d1, d2 = self._stencil_matrices
+        return (self._colatitude_stencil(padded, d2)[0] / self.dtheta ** 2
+                + self._cot[:, None] * (self._colatitude_stencil(padded, d1)[0] / self.dtheta)
+                - np.diag(m ** 2 / self._sin ** 2))
 
     @cached_property
     def _eigenbasis(self):
@@ -683,7 +761,7 @@ class Sphere2(SourceManifold):
         The step check and the factors exp(kappa lam), n_modes n_theta reals,
         are done once here.  Unconditionally stable (every lam <= 0).
 
-        Both FFTs run along the contiguous axis, as `_dphi_spectral`'s do.
+        Both FFTs run along the contiguous axis, as `_dphi_spectral`'s do on fine rings.
         Longitude is moved last for `rfft`; the modes are copied mode-major
         for the per-mode product and back to the last axis for `irfft`; then
         longitude returns to its place in a C-contiguous slice, since the

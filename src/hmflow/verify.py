@@ -137,6 +137,12 @@ def pde_reference(case: BenchmarkCase, n_t: int, n_x: int = 100) -> MapField:
     + 1/sin^2(h/2)) / (2 rho_min^2) bounding the Jacobian over the slice,
     so every substep lies in RK4's real stability interval.  Shares no
     other stepping code with the backward operator.
+
+    The returned field keeps the gradient of its own reduction as its
+    `MapField.gradient`: the Fourier derivative of the decayed modes (of
+    the lifted angle, on a curved target), or on the sphere psi_theta
+    from the knot stencil and its ghost knots.  So `c01_norm` of the
+    reference reads no solver stencil.
     """
     source = case.source
     times = np.linspace(0.0, case.horizon, n_t + 1)
@@ -148,13 +154,25 @@ def pde_reference(case: BenchmarkCase, n_t: int, n_x: int = 100) -> MapField:
         modes = np.fft.rfft(case.terminal if flat else
                             (case.lift(th) - case.winding * th)[:, None], axis=0)
         k = np.fft.rfftfreq(len(th), d=1.0 / len(th))
+        # d/dtheta per mode; the Nyquist mode of an even grid has none, as on the circle
+        ik = 1j * np.where(k == len(th) / 2, 0.0, k)[:, None]
         values = np.empty((n_t + 1,) + case.terminal.shape)
+        grad = np.zeros((n_t + 1, len(th), 1, case.terminal.shape[-1]))
         for j, t in enumerate(times):
             tau = time_change(source.profile, t, case.horizon)
-            decayed = np.fft.irfft(modes * np.exp(-0.5 * k ** 2 * tau)[:, None], n=len(th), axis=0)
-            values[j] = decayed if flat else source.profile_map(
-                case.winding * th + decayed[:, 0], case.target.ambient_dim)
-        return MapField(times, values, source, case.target)
+            decayed_modes = modes * np.exp(-0.5 * k ** 2 * tau)[:, None]
+            decayed = np.fft.irfft(decayed_modes, n=len(th), axis=0)
+            rho = float(source.profile(t))
+            slope = np.fft.irfft(ik * decayed_modes, n=len(th), axis=0) / rho
+            if flat:
+                values[j], grad[j, :, 0] = decayed, slope
+            else:
+                # (cos a, sin a, 0...) of the angle a, whose derivative is a' (-sin a, cos a, 0...)
+                angle = case.winding * th + decayed[:, 0]
+                values[j] = source.profile_map(angle, case.target.ambient_dim)
+                rate = case.winding / rho + slope[:, 0]
+                grad[j, :, 0, :2] = rate[:, None] * np.stack([-np.sin(angle), np.cos(angle)], -1)
+        return MapField.with_gradient(times, values, source, case.target, grad)
 
     if case.psi_terminal is not None:
         # r knots per grid colatitude, centred on it; r odd and nearest n_x / n_theta
@@ -171,11 +189,15 @@ def pde_reference(case: BenchmarkCase, n_t: int, n_x: int = 100) -> MapField:
         d1_stencil = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * hstep)
         d2_stencil = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * hstep ** 2)
 
+        def ghosted(psi_in):
+            # two ghost knots beyond each pole, along the last axis, from the odd
+            # symmetries psi(-x) = -psi(x) and psi(pi + x) = 2 pi - psi(pi - x)
+            return np.concatenate([-psi_in[..., 1::-1], psi_in,
+                                   2.0 * np.pi - psi_in[..., :-3:-1]], axis=-1)
+
         def rhs(scale, psi_in):
-            # d psi / d(-t) of the backward flow, scale = 1 / (2 rho^2); two ghost knots
-            # beyond each pole from the odd symmetries psi(-x) = -psi(x) and
-            # psi(pi + x) = 2 pi - psi(pi - x)
-            full = np.concatenate([-psi_in[1::-1], psi_in, 2.0 * np.pi - psi_in[:-3:-1]])
+            # d psi / d(-t) of the backward flow, scale = 1 / (2 rho^2)
+            full = ghosted(psi_in)
             d1 = np.correlate(full, d1_stencil, "valid")
             d2 = np.correlate(full, d2_stencil, "valid")
             return scale * (d2 + cot_k * d1 - np.sin(2.0 * psi_in) / two_sin2_k)
@@ -202,7 +224,23 @@ def pde_reference(case: BenchmarkCase, n_t: int, n_x: int = 100) -> MapField:
         values = np.empty((n_t + 1,) + source.grid_shape + (3,))
         for j, p in enumerate(psi[:, r // 2::r]):
             values[j] = source.profile_map(p, case.target.ambient_dim)
-        return MapField(times, values, source, case.target)
+        # the frame gradient of (sin psi cos phi, sin psi sin phi, cos psi), with psi_theta
+        # from the knot stencil: psi_theta (cos psi cos phi, cos psi sin phi, -sin psi) / rho
+        # along e_theta and (-sin psi sin phi, sin psi cos phi, 0) / (rho sin theta) along e_phi
+        full = ghosted(psi)
+        dpsi = sum(c * full[:, i:i + len(knots)] for i, c in enumerate(d1_stencil) if c)
+        rho = source.profile(times)[:, None, None]
+        p, dp = psi[:, r // 2::r, None], dpsi[:, r // 2::r, None]
+        sin_p, cos_p = np.sin(p) / rho, np.cos(p) / rho
+        cos_phi, sin_phi = np.cos(source.phis), np.sin(source.phis)
+        sin_theta = np.sin(source.thetas)[:, None]
+        grad = np.zeros((n_t + 1,) + source.grid_shape + (2, 3))
+        grad[..., 0, 0] = dp * cos_p * cos_phi
+        grad[..., 0, 1] = dp * cos_p * sin_phi
+        grad[..., 0, 2] = -dp * sin_p
+        grad[..., 1, 0] = -sin_p / sin_theta * sin_phi
+        grad[..., 1, 1] = sin_p / sin_theta * cos_phi
+        return MapField.with_gradient(times, values, source, case.target, grad)
 
     raise UnsupportedReduction(
         f"no reference reduction for benchmark {case.name!r}")
@@ -288,6 +326,12 @@ def weak_form_residual(source, field: MapField, test_fn) -> float:
     derivative of the volume element comes from the closed-form radius
     derivative.  test_fn is the test function as a scalar grid field.  Returns
     the Euclidean norm of the vector-valued defect.
+
+    The slices go in the time blocks of the field's kept gradient
+    (`fields._time_blocks`).  Per block, the test function's gradient is
+    one `frame_gradient` of it at the block's times (one slice at
+    several, differentiated once), the curvature term one `sff_trace`,
+    and the three spatial integrals of every slice one contraction.
     """
     f = np.asarray(test_fn, float)
 
@@ -297,25 +341,22 @@ def weak_form_residual(source, field: MapField, test_fn) -> float:
     term_a = space_int(field.values[-1], source.volume_weights(field.horizon), f)
     term_b = space_int(field.values[0], source.volume_weights(field.times[0]), f)
 
-    vol_dt = np.zeros((field.n_t + 1,) + term_a.shape)
-    grad_pair = np.zeros_like(vol_dt)
-    curv = np.zeros_like(vol_dt)
-    # f does not depend on time and a frame gradient scales as 1 / rho(s)
-    z_f0 = source.frame_gradient(field.times[0], f)
-    rho_0 = float(source.profile(field.times[0]))
-    for j, s in enumerate(field.times):
-        w_s = source.volume_weights(s)
-        u = field.values[j]
-        vol_dt[j] = space_int(u, source.volume_weights_dt(s), f)
-        z_u = field.gradient[j]
-        z_f = z_f0 * (rho_0 / float(source.profile(s)))
-        pair = np.sum(z_u * z_f[..., None], axis=len(field.grid_shape))
-        grad_pair[j] = np.tensordot(w_s, pair, axes=pair.ndim - 1)
-        curv[j] = space_int(sff_trace(field.target, u, z_u), w_s, f)
-    dt = field.dt
-    int_vol = np.trapezoid(vol_dt, dx=dt, axis=0)
-    int_grad = np.trapezoid(grad_pair, dx=dt, axis=0)
-    int_curv = np.trapezoid(curv, dx=dt, axis=0)
+    # per slice: the integrals of u against the volume rate times f, of the
+    # gradient pairing <grad u, grad f> and of the curvature term times f
+    rates = np.empty((field.n_t + 1, 3, field.value_dim))
+    frame_axis = 1 + len(field.grid_shape)
+    for ks in _time_blocks(field):
+        times, u, z_u = field.times[ks], field.values[ks], field.gradient[ks]
+        z_f = source.frame_gradient(times, f[None])
+        integrands = np.stack([u, np.sum(z_u * z_f[..., None], axis=frame_axis),
+                               sff_trace(field.target, u, z_u)], axis=1)
+        weights = np.empty((len(times), 3) + f.shape)
+        for b, s in enumerate(times):
+            w = source.volume_weights(s)
+            weights[b] = source.volume_weights_dt(s) * f, w, w * f
+        rates[ks] = np.einsum("bkn,bknl->bkl", weights.reshape(len(times), 3, -1),
+                              integrands.reshape(len(times), 3, -1, field.value_dim))
+    int_vol, int_grad, int_curv = np.trapezoid(rates, dx=field.dt, axis=0)
 
     defect = term_a - term_b - int_vol - 0.5 * int_grad - 0.5 * int_curv
     return float(np.linalg.norm(defect))

@@ -152,7 +152,8 @@ def test_solution_sample_rejects_bad_arrays():
                           (np.full_like(sample.y, np.nan), sample.z, "non-finite values"),
                           (sample.y, np.full_like(sample.z, np.inf), "non-finite values")):
         with pytest.raises(ShapeMismatch, match=message):
-            BsdeSolutionSample(sample.ensemble, y, z, S1)
+            # y is checked when the sample is made, z when it is first read
+            BsdeSolutionSample(sample.ensemble, y, lambda z=z: z, S1).z
 
 
 def test_sample_on_own_slices_reads_kept_gradient(monkeypatch):
@@ -176,6 +177,56 @@ def test_sample_on_own_slices_reads_kept_gradient(monkeypatch):
     ens = simulate(c, "grid", field.horizon, field.dt, 50, 9)
     assert sample.ensemble.n_steps == field.n_t
     np.testing.assert_array_equal(sample.ensemble.states, ens.states)
+
+
+def _sample_family(family):
+    """A solved 10-slice field on the circle or the sphere, as `sample_solution` reads it."""
+    from hmflow.picard import solve
+    if family == "circle":
+        source = Circle(sine_radius(0.2, 1.0), n_theta=64, horizon=0.1)
+        phi = source.thetas + 0.3 * np.sin(source.thetas)
+        h, target = np.stack([np.cos(phi), np.sin(phi)], axis=-1), S1
+    else:
+        source = Sphere2(sine_radius(0.2, 1.0), n_theta=12, n_phi=24, horizon=0.1)
+        h = source.profile_map(source.thetas + 0.3 * np.sin(source.thetas), 3)
+        target = UnitSphere(2)
+    field, state = solve(source, target, h, 0.02, dt=2e-3)
+    assert state.converged and field.n_t == 10
+    return field
+
+
+@pytest.mark.parametrize("family", ["circle", "sphere"])
+def test_sample_interpolates_values_now_and_the_gradient_once_when_read(monkeypatch, family):
+    field = _sample_family(family)
+    source = field.source
+    stacked = [source.interpolate_slice(np.concatenate([v[..., None, :], g], axis=-2), x)
+               for v, g, x in zip(field.values, field.gradient,
+                                  simulate(source, "grid", field.horizon, field.dt, 40, 9,
+                                           _domain=DOMAIN_SAMPLE_PATH).states)]
+    calls = []
+    original = type(source).interpolate_slice
+
+    def counting(self, f, x):
+        calls.append(f.shape)
+        return original(self, f, x)
+
+    monkeypatch.setattr(type(source), "interpolate_slice", counting)
+    sample = sample_solution(field, 40, 9, DOMAIN_SAMPLE_PATH)
+    # one call per slice, on the values alone
+    assert calls == [field.values.shape[1:]] * (field.n_t + 1)
+    z = sample.z
+    assert len(calls) == 2 * (field.n_t + 1) and calls[-1] == field.gradient.shape[1:]
+    assert sample.z is z and len(calls) == 2 * (field.n_t + 1)
+    y_stacked = np.stack([yz[:, 0] for yz in stacked])
+    z_stacked = np.stack([yz[:, 1:] for yz in stacked])
+    if family == "sphere":
+        # bilinear weights act on each column alone: the stacked call's bits
+        assert sample.y.tobytes() == y_stacked.tobytes()
+        assert z.tobytes() == z_stacked.tobytes()
+    else:
+        # the circle's complex GEMM groups columns in BLAS kernels: rounding only
+        np.testing.assert_allclose(sample.y, y_stacked, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(z, z_stacked, rtol=0, atol=1e-13)
 
 
 def test_bsde_residual_zero_noise_constant_field():

@@ -288,6 +288,29 @@ def test_verify_draws_its_own_stream(tmp_path, monkeypatch):
     assert not np.any(np.isin(ensemble.increments, forward.increments))
 
 
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_cli_samples_interpolate_no_gradient(tmp_path, monkeypatch, command):
+    # the solve's sample_max_dist and verify's stay_on_target read Y only, so each
+    # slice's values are interpolated once and the kept gradient never
+    cfg = write_config(tmp_path, SPH_CONFIG + "\n[verify]\nfield_file = a/field.csv\n")
+    if command == "verify":
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+    shapes = []
+    original = Sphere2.interpolate_slice
+
+    def counting(self, field, x):
+        shapes.append(field.shape)
+        return original(self, field, x)
+
+    monkeypatch.setattr(Sphere2, "interpolate_slice", counting)
+    main([command, "--config", cfg, "--out", str(tmp_path / "b")])
+    # the sample was drawn and checked
+    report = {"solve": ("summary.json", "sample_max_dist"),
+              "verify": ("verdict.json", "stay_on_target")}[command]
+    assert report[1] in (tmp_path / "b" / report[0]).read_text()
+    assert shapes == [(16, 32, 3)] * 21   # t0 / dt + 1 slices of 16 x 32 values in R^3
+
+
 def test_verify_corrupted_field_exits_2(tmp_path):
     cfg = write_config(tmp_path, PG_CONFIG.format(field_file="bad.csv"))
     (tmp_path / "bad.csv").write_text("not,a,field\n")

@@ -50,6 +50,42 @@ def test_values_are_read_only_and_gradient_is_kept():
                                   f.source.frame_gradient(f.times[3], f.values[3]))
 
 
+# 2^16 entries: the start iterate's 9 slices in one block; 1: a block per slice
+@pytest.mark.parametrize("entries", [1 << 16, 1])
+@pytest.mark.parametrize("family", ["circle", "sphere"])
+def test_start_iterate_differentiates_its_terminal_once_a_block(monkeypatch, family, entries):
+    monkeypatch.setattr(fields, "_GRADIENT_BLOCK_ENTRIES", entries)
+    u, _ = _iterate_pair(family)
+    source, terminal = u.source, u.values[-1]
+    calls = []
+    original = type(source).frame_gradient
+
+    def counting(self, t, f):
+        calls.append((np.shape(t), np.shape(f)))
+        return original(self, t, f)
+
+    monkeypatch.setattr(type(source), "frame_gradient", counting)
+    start = MapField.constant_in_time(source, u.target, terminal, 0.4, 8)
+    c01_norm(start)
+    # one call a time block: the terminal alone, at the block's slice times
+    blocks = fields._time_blocks(start)
+    assert len(blocks) == (1 if entries > 1 else 9)
+    assert calls == [(start.times[ks].shape, (1,) + terminal.shape) for ks in blocks]
+    monkeypatch.setattr(type(source), "frame_gradient", original)
+    again = MapField(start.times, start.values, source, u.target)   # per-block gradient
+    assert start.gradient.tobytes() == again.gradient.tobytes()
+
+
+def test_with_gradient_keeps_it_and_checks_its_shape(monkeypatch):
+    f = identity_field()
+    grad = np.zeros(f.values.shape[:-1] + (1, f.value_dim))
+    monkeypatch.setattr(type(f.source), "frame_gradient", lambda *args: pytest.fail("computed"))
+    kept = MapField.with_gradient(f.times, f.values, f.source, f.target, grad)
+    assert kept.gradient is grad
+    with pytest.raises(ShapeMismatch, match="gradient of shape"):
+        MapField.with_gradient(f.times, f.values, f.source, f.target, grad[:, :-1])
+
+
 def test_handover_matches_difference_and_norm():
     u = identity_field()
     w = MapField(u.times, u.values * np.linspace(0.5, 1.0, u.n_t + 1)[:, None, None],
@@ -135,6 +171,23 @@ def test_sups_equal_numpy_reductions_bit_for_bit(shape):
         for node in nodes:
             got = (fields._value_sup(node[0]), fields._gradient_sup(node))
             assert [x.hex() for x in got] == [x.hex() for x in _numpy_sups(node[0], node)]
+
+
+def test_gradient_sup_is_numpys_where_einsum_ranks_the_nodes_otherwise():
+    # the nodes of a block hold one node's 6 entries in different orders: equal exact
+    # sums of squares, rounded differently by numpy's reduction and by einsum, so the
+    # largest einsum sum may sit on another node than numpy's largest
+    rng = np.random.default_rng(3)
+    differed = 0
+    for _ in range(200):
+        entries = rng.standard_normal(6) * rng.choice([1e-8, 1.0, 1e8], 6)
+        block = np.array([rng.permutation(entries) for _ in range(32)]).reshape(32, 2, 3)
+        want = _numpy_sups(block[..., 0, :], block)[1]
+        flat = block.reshape(32, 6)
+        differed += float(np.sqrt(np.einsum("ni,ni->n", flat, flat).max())) != want
+        assert fields._gradient_sup(block).hex() == want.hex()
+    assert differed > 0
+
 
 def test_non_finite_rejected():
     f = identity_field()

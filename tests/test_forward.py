@@ -178,8 +178,11 @@ def test_moment_check_fails_without_spread(monkeypatch):
     # with zero increments every path stays at x0, so the observable <X, x0>
     # is 1 on every path, the standard error is zero and the 3-sigma test
     # measures nothing
-    monkeypatch.setattr(forward_mod, "path_normals",
-                        lambda seed, domain, p, n_steps, dim: np.zeros((n_steps, dim)))
+    def no_spread(seed, domain, p, n_steps, dim, out):
+        out[...] = 0.0
+        return out
+
+    monkeypatch.setattr(forward_mod, "path_normals", no_spread)
     s = Sphere2(n_theta=8, n_phi=16)
     rep = moment_check(s, np.array([0.0, 0.0, 1.0]), 0.25, 1 / 64, 20, 3)
     assert rep["stderr"] == 0.0 and rep["sample_mean"] == 1.0

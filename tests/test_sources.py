@@ -320,6 +320,82 @@ def test_time_blocked_calculus_equals_stacked_slices(make, value_shape):
         s.frame_gradient(times + 0.9, block)
 
 
+@pytest.mark.parametrize("make", BLOCK_SOURCES)
+@pytest.mark.parametrize("value_shape", [(), (3,)])
+def test_one_slice_at_several_times_equals_the_broadcast_block(make, value_shape):
+    # a block of one slice is differentiated once and scaled by each slice's rho
+    s = make()
+    times = np.linspace(0.0, 0.3, 7)
+    f = np.random.default_rng(6).standard_normal((1,) + s.grid_shape + value_shape)
+    block = np.broadcast_to(f, (7,) + f.shape[1:])
+    for name in ("frame_gradient", "laplace_beltrami"):
+        method = getattr(s, name)
+        out = method(times, f)
+        assert out.tobytes() == method(times, block).tobytes()
+        assert out.tobytes() == np.stack([method(t, f[0]) for t in times]).tobytes()
+        assert out.flags.c_contiguous
+    with pytest.raises(ShapeMismatch, match="slice times for a field block"):
+        s.frame_gradient(times, np.concatenate([f, f]))
+
+
+def _shifted_sum(s, block, sign, weights):
+    """The colatitude stencil as 7 shifted slices of the pole-padded block, summed."""
+    p = s._pad_poles(block, sign)
+    return sum(w * p[:, k:k + s.n_theta] for k, w in enumerate(weights))
+
+
+@pytest.mark.parametrize("n_theta,n_phi", [(24, 48), (48, 96), (96, 192), (256, 128), (33, 64)])
+def test_stencil_matrices_equal_the_shifted_sum(n_theta, n_phi):
+    s = Sphere2(sine_radius(0.2, 1.0), n_theta=n_theta, n_phi=n_phi, horizon=1.0)
+    d1, d2 = s._stencil_matrices
+    # n_theta split evenly into blocks of at most 32 rows: one dense block on 24
+    # colatitudes, two blocks of 17 rows on 33 (the last window overlaps)
+    b = {24: 24, 48: 24, 96: 32, 256: 32, 33: 17}[n_theta]
+    assert d1.shape == d2.shape == (b, b + 6)
+    rng = np.random.default_rng(n_theta)
+    fields = rng.standard_normal((2, n_theta, n_phi, 3))
+    columns = rng.standard_normal((1, n_theta, n_theta))
+    for block, signs in ((fields, [None]), (columns, [1.0, -1.0])):
+        for sign in signs:
+            padded = s._pad_poles(block, sign)
+            for matrix, weights in ((d1, sources._D1_STENCIL), (d2, sources._D2_STENCIL)):
+                want = _shifted_sum(s, block, sign, weights)
+                got = s._colatitude_stencil(padded, matrix)
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n_phi", [16, 48, 96])
+@pytest.mark.parametrize("order", [1, 2])
+def test_dense_longitude_derivative_equals_the_ffts(monkeypatch, n_phi, order):
+    # rings up to 96 longitudes take the dense spectral matrix; finer ones the FFT pair
+    s = Sphere2(sine_radius(0.2, 1.0), n_theta=8, n_phi=n_phi, horizon=1.0)
+    block = np.random.default_rng(n_phi).standard_normal((3, 8, n_phi, 2))
+    phis = s.phis[None, None, :, None]
+    wave = np.cos(3 * phis) + np.sin(phis)   # exact derivatives of a band-limited field
+    exact = (-3 * np.sin(3 * phis) + np.cos(phis) if order == 1
+             else -9 * np.cos(3 * phis) - np.sin(phis))
+    dense = s._dphi_spectral(block, order)
+    np.testing.assert_allclose(s._dphi_spectral(wave, order), exact, rtol=0, atol=1e-11)
+    monkeypatch.setattr(sources, "_DENSE_PHI_MAX", 0)
+    fft = s._dphi_spectral(block, order)
+    assert np.abs(dense - fft).max() <= 1e-13 * np.abs(fft).max()
+    assert dense.flags.c_contiguous
+
+
+def test_sphere_mode_operator_is_the_shifted_stencil_bit_for_bit():
+    # on identity columns each entry sums at most two weights, so the matmul
+    # gives the shifted sum's bits: the heat step's eigenbasis does not move
+    s = Sphere2(sine_radius(0.2, 1.0), n_theta=33, n_phi=64, horizon=1.0)
+    eye = np.eye(33)[None]
+    for m in range(s.n_phi // 2 + 1):
+        sign = (-1.0) ** m
+        want = (_shifted_sum(s, eye, sign, sources._D2_STENCIL) / s.dtheta ** 2
+                + s._cot[:, None] * (_shifted_sum(s, eye, sign, sources._D1_STENCIL) / s.dtheta)
+                - np.diag(m ** 2 / s._sin ** 2))[0]
+        assert s._mode_operator(m).tobytes() == want.tobytes(), m
+
+
 def _heat_step_reference(s, t, dt, f):
     """The one-slice heat kernels written out: Fourier decay, or exp(kappa lam) per sphere mode.
 

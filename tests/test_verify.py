@@ -264,7 +264,9 @@ def _sphere_reference():
                          ids=["circle", "sphere"])
 def test_tension_residual_blocks_equal_a_slice_loop(monkeypatch, make, entries):
     monkeypatch.setattr(fields_mod, "_GRADIENT_BLOCK_ENTRIES", entries)
-    case, field = make()
+    case, ref = make()
+    # without the reference's own gradient, so tension_residual computes it in blocks
+    field = MapField(ref.times, ref.values, ref.source, ref.target)
     source, target, values = case.source, case.target, field.values
     times, res = tension_residual(source, target, field)
     loop = []
@@ -283,6 +285,37 @@ def test_tension_residual_requires_tube():
     f = MapField.constant_in_time(c, UnitSphere(1), h, 0.2, 10)
     with pytest.raises(FieldLeftTube):
         tension_residual(c, f.target, f)
+
+
+@pytest.mark.parametrize("name", ["flat_heat", "perturbed_geodesic_sine_metric",
+                                  "great_circle_s2"])
+def test_circle_reference_keeps_the_fourier_gradient_of_its_reduction(monkeypatch, name):
+    case = make_benchmark(name, horizon=0.25, n_x=64)
+    ref = pde_reference(case, n_t=20)
+    calls = []
+    monkeypatch.setattr(Circle, "frame_gradient", lambda *args: calls.append(args))
+    grad = ref.gradient
+    assert calls == []
+    stencil = MapField(ref.times, ref.values, ref.source, ref.target)   # no kept gradient
+    monkeypatch.undo()
+    # the spectral derivative of the lifted angle, or of each flat component, is the
+    # solver's spectral derivative of the map to rounding
+    np.testing.assert_allclose(grad, stencil.gradient, rtol=0, atol=1e-13)
+
+
+def test_equivariant_reference_gradient_converges_at_sixth_order(monkeypatch):
+    # psi_theta from the knot stencil is exact to the oracle's accuracy, so its distance
+    # from the grid's sixth-order stencil falls 2^6-fold with each grid refinement
+    errors = []
+    for n in (12, 24, 48):
+        source = Sphere2(sine_radius(0.2, 1.0), n_theta=n, n_phi=2 * n, horizon=0.034)
+        ref = pde_reference(terminal_case("equivariant", source, UnitSphere(2), 0.034), n_t=34)
+        with monkeypatch.context() as m:
+            m.setattr(Sphere2, "frame_gradient", lambda *args: pytest.fail("stencil read"))
+            fields_mod.c01_norm(ref)
+        stencil = MapField(ref.times, ref.values, source, ref.target).gradient
+        errors.append(np.abs(ref.gradient - stencil).max())
+    assert errors[2] < 1e-7 and errors[0] > 40.0 * errors[1] > 40.0 ** 2 * errors[2], errors
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +395,49 @@ def test_weak_form_refinement_monotone():
     res = [weak_form_residual(case.source, pde_reference(case, n_t=n), f)
            for n in (50, 100, 200)]
     assert res[2] < res[1] < res[0]
+
+
+def _weak_form_slice_loop(source, field, f):
+    """The weak-form defect slice by slice: z_f rescaled from slice 0, one sff_trace a slice."""
+    def space_int(vals, weights, scalar):
+        return np.tensordot(weights * scalar, vals, axes=vals.ndim - 1)
+    z_f0 = source.frame_gradient(field.times[0], f)
+    rho_0 = float(source.profile(field.times[0]))
+    rates = []
+    for j, s in enumerate(field.times):
+        u, z_u, w = field.values[j], field.gradient[j], source.volume_weights(s)
+        z_f = z_f0 * (rho_0 / float(source.profile(s)))
+        pair = np.sum(z_u * z_f[..., None], axis=len(field.grid_shape))
+        rates.append([space_int(u, source.volume_weights_dt(s), f),
+                      np.tensordot(w, pair, axes=pair.ndim - 1),
+                      space_int(field.target.sff_trace(u, z_u), w, f)])
+    vol, grad, curv = np.trapezoid(np.array(rates), dx=field.dt, axis=0)
+    defect = (space_int(field.values[-1], source.volume_weights(field.horizon), f)
+              - space_int(field.values[0], source.volume_weights(0.0), f)
+              - vol - 0.5 * grad - 0.5 * curv)
+    return float(np.linalg.norm(defect))
+
+
+@pytest.mark.parametrize("entries", [1 << 16, 3000, 1])
+@pytest.mark.parametrize("make", [_circle_reference, _sphere_reference],
+                         ids=["circle", "sphere"])
+def test_weak_form_blocks_equal_a_slice_loop(monkeypatch, make, entries):
+    monkeypatch.setattr(fields_mod, "_GRADIENT_BLOCK_ENTRIES", entries)
+    case, field = make()
+    source = case.source
+    f = np.broadcast_to(np.cos(source.thetas).reshape((-1,) + (1,) * (source.dim - 1)),
+                        source.grid_shape)
+    want = _weak_form_slice_loop(source, field, f)
+    calls = []
+    original = type(source).frame_gradient
+    with monkeypatch.context() as m:
+        m.setattr(type(source), "frame_gradient",
+                  lambda self, t, g: calls.append(np.shape(t)) or original(self, t, g))
+        got = weak_form_residual(source, field, f)
+    # one gradient of the test function per block, all its slices at once
+    assert calls == [field.times[ks].shape for ks in fields_mod._time_blocks(field)]
+    # the defect cancels terms of order one: the two agree to their rounding
+    assert abs(got - want) <= 1e-14
 
 
 def test_weak_form_of_the_equivariant_reference_refines():
